@@ -6,8 +6,13 @@ moving features at k + d.  Costs are stored positive (minimization
 semantics); the probabilistic transform negates them inside its softmax.
 
 The moving-feature sample positions factorize per axis (control coordinate
-plus offset), so the full 6D tensor is built from three 1D interpolation
-passes per channel instead of one gather per (k, d) pair.
+plus offset), so costs are built from three 1D interpolation passes per
+channel instead of one gather per (k, d) pair.  The tensor is evaluated
+one control plane ``k1`` at a time: each plane samples only the moving
+rows its own offsets reach and accumulates its channels in place into
+``out[k1]``, so no temporary is larger than one plane.  Planes run on
+:func:`densereg.parallel.map_planes`; each plane's arithmetic is the same
+whatever the worker count.
 """
 
 from dataclasses import dataclass
@@ -16,6 +21,7 @@ import numpy as np
 
 from .features import FeatureVolume
 from .geometry import ControlGrid, DisplacementSpace, sample_separable
+from .parallel import map_planes
 
 __all__ = ["CostTensor6D", "dissimilarity_tensor", "flop_estimate"]
 
@@ -60,11 +66,14 @@ class CostTensor6D:
 
 
 def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
-                         grid: ControlGrid, space: DisplacementSpace) -> CostTensor6D:
+                         grid: ControlGrid, space: DisplacementSpace,
+                         workers: int = None) -> CostTensor6D:
     """Mean squared feature distance for every (control point, displacement).
 
     ``cost[k, d] = (1/C) * sum_c (fixed_c(x_k) - moving_c(x_k + d))^2``
     with border-clamped trilinear sampling of both feature volumes.
+    ``workers`` caps the threads that evaluate control planes (default:
+    the usable cores); the result does not depend on it.
     """
     if fixed.channels != moving.channels:
         raise ValueError(f"channel mismatch: fixed {fixed.channels}, "
@@ -73,19 +82,28 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
     f_fracs = [fixed.axis_fracs(a, ctrl[a]) for a in range(3)]
     m_fracs = [moving.axis_fracs(a, np.add.outer(ctrl[a], space.axis_offsets(a)).ravel())
                for a in range(3)]
-    k1, k2, k3 = grid.counts
+    _, k2, k3 = grid.counts
     s1, s2, s3 = space.steps
+    f_at_k = [sample_separable(fixed.data[c], f_fracs)
+              for c in range(fixed.channels)]
     out = np.zeros(grid.counts + space.steps)
-    for c in range(fixed.channels):
-        f_at_k = sample_separable(fixed.data[c], f_fracs)
-        m_at_kd = sample_separable(moving.data[c], m_fracs)
-        m_at_kd = m_at_kd.reshape(k1, s1, k2, s2, k3, s3).transpose(0, 2, 4, 1, 3, 5)
-        diff = f_at_k[:, :, :, None, None, None] - m_at_kd
-        out += diff * diff
-    out /= fixed.channels
-    # Clamp tiny negative rounding residue (cannot occur for sums of
-    # squares, kept as a guard for future metric plug-ins).
-    np.maximum(out, 0.0, out=out)
+
+    def plane(k1):
+        acc = out[k1]
+        diff = np.empty_like(acc)
+        fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
+        for c in range(fixed.channels):
+            m_at_kd = sample_separable(moving.data[c], fracs)
+            m_at_kd = m_at_kd.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
+            np.subtract(f_at_k[c][k1, :, :, None, None, None], m_at_kd, out=diff)
+            np.multiply(diff, diff, out=diff)
+            acc += diff
+        acc /= fixed.channels
+        # Clamp tiny negative rounding residue (cannot occur for sums of
+        # squares, kept as a guard for future metric plug-ins).
+        np.maximum(acc, 0.0, out=acc)
+
+    map_planes(plane, out, 0, workers)
     return CostTensor6D(out, grid, space)
 
 

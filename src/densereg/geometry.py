@@ -30,6 +30,7 @@ __all__ = [
     "nearest_sample",
     "sample_volume",
     "spatial_gradient",
+    "present_labels",
 ]
 
 
@@ -315,6 +316,16 @@ def nearest_sample(vol: Volume3D, p):
     """Nearest-neighbor sample at one normalized point (for label volumes)."""
     fracs = _vol_fracs(vol, np.asarray(p, dtype=np.float64).reshape(1, 3))
     return sample_points_nearest(vol.data, fracs)[0]
+
+
+def present_labels(*volumes: Volume3D) -> np.ndarray:
+    """Sorted label values that occur in at least one of the label
+    volumes (a histogram pass per volume, cheaper than sorting)."""
+    top = max(int(vol.data.max()) for vol in volumes)
+    seen = np.zeros(top + 1, dtype=bool)
+    for vol in volumes:
+        seen |= np.bincount(vol.data.ravel(), minlength=top + 1) > 0
+    return np.flatnonzero(seen)
 
 
 def spatial_gradient(field: DisplacementField) -> np.ndarray:

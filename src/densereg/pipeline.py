@@ -18,8 +18,9 @@ import numpy as np
 
 from .correlation import dissimilarity_tensor, flop_estimate
 from .features import extract_intensity_gradient, extract_ssc
-from .geometry import DisplacementField, Volume3D
+from .geometry import DisplacementField, Volume3D, present_labels
 from .metrics import RegistrationReport, dice, jacobian_stats
+from .parallel import resolve_workers
 from .refine import RefineConfig, refine_trace
 from .regularizer import regularize
 from .transform import (RegistrationConfig, expected_displacement,
@@ -55,11 +56,14 @@ def _extract(vol: Volume3D, cfg: RegistrationConfig):
 
 def _plain_label_mse(warped_labels: Volume3D, fixed_labels: Volume3D,
                      num_classes: int) -> float:
-    """Hard one-hot MSE between two label volumes over all voxels."""
+    """Hard one-hot MSE between two label volumes over all voxels.
+
+    Classes absent from both volumes add exactly 0 and are skipped; the
+    divisor stays ``num_classes``."""
     a = warped_labels.data
     b = fixed_labels.data
     total = 0.0
-    for cls in range(num_classes):
+    for cls in present_labels(warped_labels, fixed_labels):
         diff = (a == cls).astype(np.float64) - (b == cls)
         total += float(np.sum(diff * diff))
     return total / (a.size * num_classes)
@@ -70,7 +74,8 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
                   fixed_labels: Volume3D = None,
                   moving_labels: Volume3D = None,
                   refinement: RefineConfig = None,
-                  use_nonlocal_loss: bool = True) -> RegistrationResult:
+                  use_nonlocal_loss: bool = True,
+                  threads: int = None) -> RegistrationResult:
     """Register ``moving`` onto ``fixed`` and evaluate the result.
 
     ``refinement`` enables instance-wise gradient descent on the regularized
@@ -78,6 +83,10 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     per-label Dice plus a label-agreement loss: the probability-weighted
     one-hot loss by default, or (``use_nonlocal_loss=False``) the plain
     one-hot MSE of the hard-warped labels.
+
+    ``threads`` caps the worker threads of the 6D tensor stages (default:
+    the usable cores).  Every stage splits its work by tensor plane, so
+    the result is identical for any thread count.
     """
     cfg = RegistrationConfig() if cfg is None else cfg
     if fixed.dims != moving.dims:
@@ -86,6 +95,7 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     if (fixed_labels is None) != (moving_labels is None):
         raise ValueError("label volumes must be given for both sides or "
                          "neither")
+    workers = resolve_workers(threads)
     _check_finite("fixed volume", fixed.data)
     _check_finite("moving volume", moving.data)
 
@@ -101,15 +111,17 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
 
     grid = cfg.control_grid()
     t0 = time.perf_counter()
-    cost = dissimilarity_tensor(feat_f, feat_m, grid, cfg.space)
+    cost = dissimilarity_tensor(feat_f, feat_m, grid, cfg.space,
+                                workers=workers)
     timings["correlation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cost = regularize(cost, cfg.reg_params)
+    cost = regularize(cost, cfg.reg_params, workers=workers)
     timings["regularization"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    prob = softmax_probabilities(cost, cfg.reg_params.temperature)
+    prob = softmax_probabilities(cost, cfg.reg_params.temperature,
+                                 workers=workers)
     ctrl = expected_displacement(prob)
     timings["transform"] = time.perf_counter() - t0
 
@@ -128,7 +140,8 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         if use_nonlocal_loss:
             t0 = time.perf_counter()
             label_loss = nonlocal_label_loss(prob, moving_labels,
-                                             fixed_labels, num_classes)
+                                             fixed_labels, num_classes,
+                                             workers=workers)
             loss_kind = "nonlocal"
             timings["label_loss"] = time.perf_counter() - t0
     del prob

@@ -5,6 +5,13 @@ displacement dimensions (one min-pool then two average-pools, all stride 1
 with replicate padding) and a mean-field step that average-pools over the
 three spatial dimensions.  Scale/bias pairs are applied before each block.
 
+Both blocks are evaluated plane by plane on
+:func:`densereg.parallel.map_planes`: the min-convolution per control
+plane (axis 0), the mean-field step per displacement plane (axis 3), each
+filter writing through ndimage's ``output=`` into a preallocated buffer.
+A plane is filtered by the same 1D passes as the whole tensor would be,
+so the result does not depend on the worker count.
+
 ``exact_lower_envelope`` computes the true lower envelope of parabolas for
 a 1D cost row; it serves as the reference the pooled approximation is
 audited against, and as a drop-in alternative for small problems.
@@ -16,6 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .correlation import CostTensor6D
+from .parallel import map_planes
 
 __all__ = [
     "RegularizerParams",
@@ -110,27 +118,47 @@ def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:
     return tuple(size)
 
 
-def min_convolution(cost: CostTensor6D, p: RegularizerParams) -> CostTensor6D:
+def min_convolution(cost: CostTensor6D, p: RegularizerParams,
+                    workers: int = None) -> CostTensor6D:
     """Approximate min-convolution over the displacement dimensions: one
-    min-pool followed by two average-pools, spatial dimensions untouched."""
+    min-pool followed by two average-pools, spatial dimensions untouched.
+    Evaluated per control plane on up to ``workers`` threads."""
     vals = cost.values
-    smin = _pool_size(vals.shape, _DISP_AXES, p.minpool_kernel)
-    savg = _pool_size(vals.shape, _DISP_AXES, p.avgpool_kernel)
-    out = ndimage.minimum_filter(vals, size=smin, mode="nearest")
-    out = ndimage.uniform_filter(out, size=savg, mode="nearest")
-    out = ndimage.uniform_filter(out, size=savg, mode="nearest")
-    # Sliding-sum rounding can dip epsilon below zero; the true value of a
-    # mean of non-negative numbers cannot.
-    np.maximum(out, 0.0, out=out)
+    smin = _pool_size(vals.shape, _DISP_AXES, p.minpool_kernel)[1:]
+    savg = _pool_size(vals.shape, _DISP_AXES, p.avgpool_kernel)[1:]
+    out = np.empty_like(vals)
+
+    def plane(k):
+        dst = out[k]
+        scratch = np.empty_like(dst)
+        ndimage.minimum_filter(vals[k], size=smin, output=dst, mode="nearest")
+        ndimage.uniform_filter(dst, size=savg, output=scratch, mode="nearest")
+        ndimage.uniform_filter(scratch, size=savg, output=dst, mode="nearest")
+        # Sliding-sum rounding can dip epsilon below zero; the true value
+        # of a mean of non-negative numbers cannot.
+        np.maximum(dst, 0.0, out=dst)
+
+    map_planes(plane, vals, 0, workers)
     return cost.replace_values(out)
 
 
-def mean_field_step(cost: CostTensor6D, p: RegularizerParams) -> CostTensor6D:
+def mean_field_step(cost: CostTensor6D, p: RegularizerParams,
+                    workers: int = None) -> CostTensor6D:
     """Average-pool over the spatial dimensions, one pass, independently
-    per displacement bin."""
-    size = _pool_size(cost.values.shape, _SPATIAL_AXES, p.spatial_kernel)
-    out = ndimage.uniform_filter(cost.values, size=size, mode="nearest")
-    np.maximum(out, 0.0, out=out)
+    per displacement bin.  Evaluated per displacement plane (axis 3) on up
+    to ``workers`` threads."""
+    vals = cost.values
+    size = _pool_size(vals.shape, _SPATIAL_AXES, p.spatial_kernel)
+    size = size[:3] + size[4:]
+    out = np.empty_like(vals)
+
+    def plane(j):
+        dst = out[:, :, :, j]
+        ndimage.uniform_filter(vals[:, :, :, j], size=size, output=dst,
+                               mode="nearest")
+        np.maximum(dst, 0.0, out=dst)
+
+    map_planes(plane, vals, 3, workers)
     return cost.replace_values(out)
 
 
@@ -138,17 +166,22 @@ def _affine(cost: CostTensor6D, pair) -> CostTensor6D:
     scale, bias = pair
     if scale == 1.0 and bias == 0.0:
         return cost
-    return cost.replace_values(scale * cost.values + bias)
+    out = np.multiply(cost.values, scale)
+    out += bias
+    return cost.replace_values(out)
 
 
-def regularize(cost: CostTensor6D, p: RegularizerParams) -> CostTensor6D:
+def regularize(cost: CostTensor6D, p: RegularizerParams,
+               workers: int = None) -> CostTensor6D:
     """Alternate scale/bias + min-convolution with scale/bias + mean-field
-    averaging for ``p.iterations`` rounds, then apply the output pair."""
+    averaging for ``p.iterations`` rounds, then apply the output pair.
+    ``workers`` caps the threads of each block (default: the usable
+    cores); the result does not depend on it."""
     out = cost
     for it in range(p.iterations):
         base = min(2 * it, 2)
-        out = mean_field_step(_affine(min_convolution(_affine(out, p.alphas[base]), p),
-                                      p.alphas[base + 1]), p)
+        out = min_convolution(_affine(out, p.alphas[base]), p, workers)
+        out = mean_field_step(_affine(out, p.alphas[base + 1]), p, workers)
     return _affine(out, p.alphas[4])
 
 

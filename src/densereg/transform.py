@@ -21,11 +21,13 @@ from .geometry import (
     Volume3D,
     axis_centers,
     normalized_to_index,
+    present_labels,
     sample_points_linear,
     sample_points_nearest,
     sample_separable,
     spatial_gradient,
 )
+from .parallel import map_planes
 from .regularizer import RegularizerParams, tuned_params
 
 __all__ = [
@@ -102,19 +104,28 @@ class RegistrationConfig:
         return ControlGrid(self.grid_counts)
 
 
-def softmax_probabilities(cost: CostTensor6D, temperature: float) -> ProbTensor6D:
+def softmax_probabilities(cost: CostTensor6D, temperature: float,
+                          workers: int = None) -> ProbTensor6D:
     """Per-point softmax of negated scaled costs over the displacement dims.
 
     ``p(k, d) = exp(-T c(k, d)) / sum_d' exp(-T c(k, d'))``, computed with
     per-point max subtraction so arbitrarily large costs stay finite.  Any
-    uniform bias on a point's costs cancels.
+    uniform bias on a point's costs cancels.  Evaluated per control plane
+    on up to ``workers`` threads.
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    z = -temperature * cost.values
-    m = z.max(axis=(3, 4, 5), keepdims=True)
-    e = np.exp(z - m)
-    e /= e.sum(axis=(3, 4, 5), keepdims=True)
+    vals = cost.values
+    e = np.empty_like(vals)
+
+    def plane(k):
+        z = e[k]
+        np.multiply(-temperature, vals[k], out=z)
+        z -= z.max(axis=(2, 3, 4), keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=(2, 3, 4), keepdims=True)
+
+    map_planes(plane, vals, 0, workers)
     return ProbTensor6D(e, cost.grid, cost.space)
 
 
@@ -191,7 +202,8 @@ def diffusion_penalty(field: DisplacementField, weight: float) -> float:
 
 
 def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
-                        labels_fixed: Volume3D, num_classes: int) -> float:
+                        labels_fixed: Volume3D, num_classes: int,
+                        workers: int = None) -> float:
     """Probability-weighted label agreement.
 
     The moving segmentation's one-hot channels are trilinearly sampled at
@@ -201,6 +213,11 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     over points and classes.  Sampling both sides the same way makes the
     loss vanish for a perfectly aligned pair under a zero-displacement
     point mass, control-grid placement notwithstanding.
+
+    Only labels present in either volume are visited: an absent class has
+    all-zero one-hot channels on both sides and adds exactly 0.  The
+    divisor stays ``num_classes``.  The expectation is evaluated per
+    control plane on up to ``workers`` threads.
     """
     if not (labels_moving.is_label and labels_fixed.is_label):
         raise ValueError("label loss needs label volumes")
@@ -210,7 +227,7 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
         raise ValueError(f"labels reach {top} but num_classes is {num_classes}")
     grid, space = prob.grid, prob.space
     ctrl = [grid.axis_coords(a) for a in range(3)]
-    k1, k2, k3 = grid.counts
+    _, k2, k3 = grid.counts
     s1, s2, s3 = space.steps
     p = prob.values
 
@@ -221,12 +238,18 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     f_fracs = [normalized_to_index(np.asarray(ctrl[a]), labels_fixed.dims[a])
                for a in range(3)]
 
+    expect = np.empty(grid.counts)
     loss = 0.0
-    for cls in range(num_classes):
+    for cls in present_labels(labels_moving, labels_fixed):
         onehot = (labels_moving.data == cls).astype(np.float64)
-        sampled = sample_separable(onehot, m_fracs)
-        sampled = sampled.reshape(k1, s1, k2, s2, k3, s3).transpose(0, 2, 4, 1, 3, 5)
-        expect = np.sum(p * sampled, axis=(3, 4, 5))
+
+        def plane(k1):
+            fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
+            sampled = sample_separable(onehot, fracs)
+            sampled = sampled.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
+            expect[k1] = np.sum(p[k1] * sampled, axis=(2, 3, 4))
+
+        map_planes(plane, p, 0, workers)
         target = sample_separable((labels_fixed.data == cls).astype(np.float64),
                                   f_fracs)
         diff = expect - target

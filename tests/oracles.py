@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from densereg.geometry import normalized_to_index, sample_separable
+
 
 def naive_trilinear(data, point_norm):
     """Trilinear interpolation at one normalized point, clamped borders.
@@ -297,3 +299,43 @@ def naive_jacobian(vectors):
                     jmat[c, 2] += (u[i, j, k + 1, c] - u[i, j, k - 1, c]) / 2.0
                 dets.append(np.linalg.det(jmat))
     return np.array(dets)
+
+
+def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
+    """Probability-weighted label loss over every class id in
+    ``range(num_classes)``, evaluated on the whole 6D tensor at once.
+
+    Unlike the rest of this module it repeats the library's arithmetic
+    step for step (same sampling, same reduction axes and order), so the
+    library's plane-by-plane evaluation, which skips absent classes, must
+    agree with it bit for bit.
+    """
+    grid, space = prob.grid, prob.space
+    ctrl = [grid.axis_coords(a) for a in range(3)]
+    k1, k2, k3 = grid.counts
+    s1, s2, s3 = space.steps
+    m_fracs = [normalized_to_index(np.add.outer(ctrl[a], space.axis_offsets(a)).ravel(),
+                                   labels_moving.dims[a]) for a in range(3)]
+    f_fracs = [normalized_to_index(np.asarray(ctrl[a]), labels_fixed.dims[a])
+               for a in range(3)]
+    loss = 0.0
+    for cls in range(num_classes):
+        onehot = (labels_moving.data == cls).astype(np.float64)
+        sampled = sample_separable(onehot, m_fracs)
+        sampled = sampled.reshape(k1, s1, k2, s2, k3, s3).transpose(0, 2, 4, 1, 3, 5)
+        expect = np.sum(prob.values * sampled, axis=(3, 4, 5))
+        target = sample_separable((labels_fixed.data == cls).astype(np.float64),
+                                  f_fracs)
+        diff = expect - target
+        loss += float(np.sum(diff * diff))
+    return loss / (grid.num_points * num_classes)
+
+
+def full_range_plain_mse(a, b, num_classes):
+    """Hard one-hot MSE of two label arrays over every class id in
+    ``range(num_classes)``."""
+    total = 0.0
+    for cls in range(num_classes):
+        diff = (a == cls).astype(np.float64) - (b == cls)
+        total += float(np.sum(diff * diff))
+    return total / (a.size * num_classes)

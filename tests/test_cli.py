@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from densereg import io as vio
+from densereg import parallel
 from densereg.cli import main
 from densereg.geometry import Volume3D
 
@@ -172,7 +173,41 @@ class TestRegister:
                   + REGISTER_ARGS)
         assert rc == 0
         text = read_text(d / "report.txt")
-        assert "seed=17" in text and "threads=2" in text
+        assert "seed=17" in text and "threads" not in text
+        assert "threads=2" in read_text(d / "timings.txt").splitlines()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, phantom_dir, tmp_path, capsys,
+                                        threads):
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path / "out"), "--threads", threads]
+                  + REGISTER_ARGS)
+        assert rc == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_thread_count_does_not_change_outputs(self, phantom_dir,
+                                                  tmp_path, monkeypatch):
+        # Hand even this small run's planes to the worker threads.
+        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+        outs = []
+        for threads in ("1", "2"):
+            d = tmp_path / f"threads{threads}"
+            rc = main(["register",
+                       "--fixed", str(phantom_dir / "fixed.hdr"),
+                       "--moving", str(phantom_dir / "moving.hdr"),
+                       "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                       "--moving-labels",
+                       str(phantom_dir / "moving_labels.hdr"),
+                       "--out-dir", str(d), "--threads", threads]
+                      + REGISTER_ARGS)
+            assert rc == 0
+            outs.append(d)
+        for name in ("field.raw", "report.txt", "warped.raw",
+                     "warped_labels.raw"):
+            assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
 
 
 class TestConfigFile:

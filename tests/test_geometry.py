@@ -12,6 +12,7 @@ from densereg.geometry import (
     index_to_normalized,
     lerp_axis,
     normalized_to_index,
+    present_labels,
     sample_points_linear,
     sample_points_nearest,
     sample_separable,
@@ -72,6 +73,18 @@ class TestVolume3D:
         vol = Volume3D(np.zeros((4, 4, 4)))
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
+
+    def test_present_labels_is_sorted_union(self):
+        a = np.zeros((3, 4, 5), dtype=np.int16)
+        b = np.zeros((3, 4, 5), dtype=np.int16)
+        a[0, 0, :2] = (2035, 17)
+        b[1, 1, :2] = (17, 3)
+        got = present_labels(Volume3D(a, is_label=True),
+                             Volume3D(b, is_label=True))
+        assert got.tolist() == [0, 3, 17, 2035]
+        only_zero = Volume3D(np.zeros((2, 2, 2), dtype=np.uint8),
+                             is_label=True)
+        assert present_labels(only_zero).tolist() == [0]
 
     def test_intensity_cast_to_float64(self):
         vol = Volume3D(np.zeros((4, 4, 4), dtype=np.int16))

@@ -1,0 +1,166 @@
+"""Plane-parallel evaluation: the helper itself, and property tests that
+every 6D tensor stage gives bit-identical results for any worker count."""
+
+import os
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from densereg import parallel
+from densereg.correlation import CostTensor6D, dissimilarity_tensor
+from densereg.features import FeatureVolume
+from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
+from densereg.parallel import map_planes, resolve_workers
+from densereg.regularizer import RegularizerParams, regularize
+from densereg.transform import nonlocal_label_loss, softmax_probabilities
+
+WORKERS = (1, 2, 3)
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def thread_every_plane():
+    """The inputs here are tiny; hand every plane to the workers anyway so
+    the threaded path is the one under test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+        yield
+
+
+class TestResolveWorkers:
+    def test_default_is_usable_cores(self):
+        assert resolve_workers() == len(os.sched_getaffinity(0))
+
+    def test_explicit_count_kept(self):
+        assert resolve_workers(3) == 3
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            resolve_workers(bad)
+
+
+class TestMapPlanes:
+    def test_results_in_plane_order(self):
+        assert map_planes(lambda i: i * i, np.zeros((7, 2)), 0, workers=3) \
+            == [i * i for i in range(7)]
+
+    def test_planes_along_other_axis(self):
+        assert map_planes(lambda i: -i, np.zeros((3, 2, 4)), 2,
+                          workers=5) == [0, -1, -2, -3]
+
+    def test_no_planes(self):
+        assert map_planes(lambda i: i, np.zeros((0, 3)), 0, workers=2) == []
+
+    def test_small_planes_stay_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 1 << 19)
+        planes = np.zeros((4, 1 << 15))     # 256 KiB per plane
+        caller = threading.get_ident()
+        assert set(map_planes(lambda i: threading.get_ident(), planes, 0,
+                              workers=2)) == {caller}
+
+    def test_uses_several_threads(self):
+        barrier = threading.Barrier(2, timeout=10)
+
+        def plane(i):
+            # Both planes must be in flight at once to pass the barrier.
+            barrier.wait()
+            return threading.get_ident()
+
+        assert len(set(map_planes(plane, np.zeros(2), 0, workers=2))) == 2
+
+    def test_plane_error_propagates(self):
+        def plane(i):
+            if i == 3:
+                raise ArithmeticError("plane 3")
+            return i
+
+        with pytest.raises(ArithmeticError, match="plane 3"):
+            map_planes(plane, np.zeros(5), 0, workers=2)
+
+
+# Grids of 2-5 points per axis plus extent-1 axes; plane counts such as 5
+# do not divide by 2 or 3 workers.
+counts = st.tuples(*[st.integers(1, 5)] * 3)
+steps = st.tuples(*[st.sampled_from((1, 3, 5))] * 3)
+
+
+def random_features(rng, channels, dims):
+    data = rng.normal(size=(channels,) + dims)
+    origin = tuple(-1.0 + 1.0 / n for n in dims)
+    step = tuple(2.0 / n for n in dims)
+    return FeatureVolume(data, origin, step)
+
+
+def random_cost(seed, grid_counts, disp_steps):
+    rng = np.random.default_rng(seed)
+    grid = ControlGrid(grid_counts)
+    space = DisplacementSpace(0.3, disp_steps)
+    values = rng.uniform(0.0, 2.0, size=grid.counts + space.steps)
+    return CostTensor6D(values, grid, space)
+
+
+def assert_same_for_all_workers(compute):
+    results = [compute(w) for w in WORKERS]
+    for got in results[1:]:
+        assert np.asarray(got).tobytes() == np.asarray(results[0]).tobytes()
+
+
+class TestWorkerCountIndependence:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           channels=st.integers(1, 3))
+    def test_dissimilarity_tensor(self, seed, grid_counts, disp_steps,
+                                  channels):
+        rng = np.random.default_rng(seed)
+        fixed = random_features(rng, channels, (5, 4, 6))
+        moving = random_features(rng, channels, (5, 4, 6))
+        grid = ControlGrid(grid_counts)
+        space = DisplacementSpace(0.3, disp_steps)
+        assert_same_for_all_workers(
+            lambda w: dissimilarity_tensor(fixed, moving, grid, space,
+                                           workers=w).values)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           iterations=st.integers(0, 3))
+    def test_regularize(self, seed, grid_counts, disp_steps, iterations):
+        cost = random_cost(seed, grid_counts, disp_steps)
+        # A 3-wide spatial kernel needs extents of 1 or >= 3.
+        spatial = 3 if all(c != 2 for c in grid_counts) else 1
+        params = RegularizerParams(
+            alphas=((1.5, 0.1), (0.5, 0.2), (2.0, 0.0), (1.0, 0.3),
+                    (7.0, 0.0), (4.0, 0.0)),
+            iterations=iterations, spatial_kernel=spatial)
+        assert_same_for_all_workers(
+            lambda w: regularize(cost, params, workers=w).values)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           temperature=st.floats(0.1, 50.0))
+    def test_softmax_probabilities(self, seed, grid_counts, disp_steps,
+                                   temperature):
+        cost = random_cost(seed, grid_counts, disp_steps)
+        assert_same_for_all_workers(
+            lambda w: softmax_probabilities(cost, temperature,
+                                            workers=w).values)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           ids=st.lists(st.integers(0, 2035), min_size=1, max_size=4,
+                        unique=True))
+    def test_nonlocal_label_loss(self, seed, grid_counts, disp_steps, ids):
+        rng = np.random.default_rng(seed)
+        prob = softmax_probabilities(
+            random_cost(seed, grid_counts, disp_steps), 3.0, workers=1)
+        ids = np.array([0] + ids)
+        moving = Volume3D(ids[rng.integers(0, ids.size, size=(6, 5, 7))],
+                          is_label=True)
+        fixed = Volume3D(ids[rng.integers(0, ids.size, size=(6, 5, 7))],
+                         is_label=True)
+        num_classes = int(ids.max()) + 1
+        assert_same_for_all_workers(
+            lambda w: nonlocal_label_loss(prob, moving, fixed, num_classes,
+                                          workers=w))

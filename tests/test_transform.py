@@ -21,7 +21,7 @@ from densereg.transform import (
     upsample_field,
     warp,
 )
-from oracles import naive_frac_trilinear
+from oracles import full_range_label_loss, naive_frac_trilinear
 
 
 def cost_tensor(grid_counts, steps, values, q=0.4):
@@ -323,6 +323,25 @@ class TestNonlocalLabelLoss:
                 acc += (expect - target) ** 2
         want = acc / (27 * 2)
         assert loss == pytest.approx(want, abs=1e-6)
+
+    def test_sparse_label_ids_match_full_range_oracle(self):
+        # FreeSurfer-style IDs (up to 2035): only present labels are
+        # visited, yet the loss equals the loop over every id up to the
+        # largest one, bit for bit.  2035 occurs in the moving volume only.
+        rng = np.random.default_rng(93)
+        ids = np.array([0, 2, 17, 41, 53, 2035])
+        moving = ids[rng.integers(0, 6, size=(9, 10, 8))]
+        fixed = ids[rng.integers(0, 5, size=(9, 10, 8))]
+        grid = ControlGrid((3, 4, 2))
+        space = DisplacementSpace(0.3, (3, 5, 1))
+        vals = rng.uniform(0.5, 1.0, size=grid.counts + space.steps)
+        vals /= vals.sum(axis=(3, 4, 5), keepdims=True)
+        prob = ProbTensor6D(vals, grid, space)
+        lm = Volume3D(moving, is_label=True)
+        lf = Volume3D(fixed, is_label=True)
+        loss = nonlocal_label_loss(prob, lm, lf, 2036)
+        assert loss > 0.0
+        assert loss == full_range_label_loss(prob, lm, lf, 2036)
 
     def test_class_count_mismatch_rejected(self):
         n = 6
