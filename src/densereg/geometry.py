@@ -27,7 +27,6 @@ __all__ = [
     "sample_points_linear",
     "sample_points_nearest",
     "trilinear_sample",
-    "nearest_sample",
     "sample_volume",
     "spatial_gradient",
     "present_labels",
@@ -310,12 +309,6 @@ def trilinear_sample(vol: Volume3D, p) -> float:
     coordinates outside (-1, 1) clamp to the border value."""
     fracs = _vol_fracs(vol, np.asarray(p, dtype=np.float64).reshape(1, 3))
     return float(sample_points_linear(vol.data, fracs)[0])
-
-
-def nearest_sample(vol: Volume3D, p):
-    """Nearest-neighbor sample at one normalized point (for label volumes)."""
-    fracs = _vol_fracs(vol, np.asarray(p, dtype=np.float64).reshape(1, 3))
-    return sample_points_nearest(vol.data, fracs)[0]
 
 
 def present_labels(*volumes: Volume3D) -> np.ndarray:

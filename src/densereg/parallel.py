@@ -8,7 +8,8 @@ operations whichever thread runs it, and results are identical for any
 number of workers.  numpy ufuncs and ``scipy.ndimage`` filters release
 the interpreter lock in their inner loops, so the threads overlap the
 actual arithmetic.  Planes too small to repay the hand-off to a worker
-run on the calling thread.
+run on the calling thread.  The same helper runs the 12 SSC feature
+channels, one channel per task.
 """
 
 import os
@@ -35,18 +36,22 @@ def resolve_workers(threads=None) -> int:
     return threads
 
 
-def map_planes(fn, array, axis: int, workers=None) -> list:
+def map_planes(fn, array, axis: int, workers=None, plane_bytes=None) -> list:
     """``[fn(i) for i in range(array.shape[axis])]``: ``fn(i)`` handles
     plane ``i`` of ``array`` along ``axis``.  The calls are spread over up
     to ``workers`` threads (default: :func:`resolve_workers`) unless the
     planes are smaller than :data:`MIN_THREADED_PLANE_BYTES`.
+    ``plane_bytes`` overrides the size of one plane's work when a task
+    touches more memory than its plane of ``array`` holds.
 
     Every call's result is read, so an exception raised by any plane
     propagates to the caller.
     """
     count = array.shape[axis]
     workers = min(resolve_workers(workers), count)
-    if workers <= 1 or array.nbytes < count * MIN_THREADED_PLANE_BYTES:
+    if plane_bytes is None:
+        plane_bytes = array.nbytes / max(count, 1)
+    if workers <= 1 or plane_bytes < MIN_THREADED_PLANE_BYTES:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

@@ -47,26 +47,26 @@ def _check_finite(stage: str, arr: np.ndarray) -> None:
         raise ArithmeticError(f"non-finite values in {stage}")
 
 
-def _extract(vol: Volume3D, cfg: RegistrationConfig):
+def _extract(vol: Volume3D, cfg: RegistrationConfig, workers: int):
     if cfg.feature == "ssc":
         return extract_ssc(vol, patch_radius=cfg.patch_radius,
-                           stride=cfg.feature_stride)
+                           stride=cfg.feature_stride, workers=workers)
     return extract_intensity_gradient(vol, stride=cfg.feature_stride)
 
 
-def _plain_label_mse(warped_labels: Volume3D, fixed_labels: Volume3D,
-                     num_classes: int) -> float:
-    """Hard one-hot MSE between two label volumes over all voxels.
-
-    Classes absent from both volumes add exactly 0 and are skipped; the
-    divisor stays ``num_classes``."""
+def _plain_label_mse(warped_labels: Volume3D,
+                     fixed_labels: Volume3D) -> float:
+    """Hard one-hot MSE between two label volumes over all voxels,
+    averaged over the labels present in either volume (an absent class
+    adds exactly 0, so label numbering does not change the result)."""
     a = warped_labels.data
     b = fixed_labels.data
+    labels = present_labels(warped_labels, fixed_labels)
     total = 0.0
-    for cls in present_labels(warped_labels, fixed_labels):
+    for cls in labels:
         diff = (a == cls).astype(np.float64) - (b == cls)
         total += float(np.sum(diff * diff))
-    return total / (a.size * num_classes)
+    return total / (a.size * len(labels))
 
 
 def register_pair(fixed: Volume3D, moving: Volume3D,
@@ -84,9 +84,10 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     one-hot loss by default, or (``use_nonlocal_loss=False``) the plain
     one-hot MSE of the hard-warped labels.
 
-    ``threads`` caps the worker threads of the 6D tensor stages (default:
-    the usable cores).  Every stage splits its work by tensor plane, so
-    the result is identical for any thread count.
+    ``threads`` caps the worker threads of the SSC features and the 6D
+    tensor stages (default: the usable cores).  Every stage splits its
+    work by feature channel or tensor plane, so the result is identical
+    for any thread count.
     """
     cfg = RegistrationConfig() if cfg is None else cfg
     if fixed.dims != moving.dims:
@@ -103,8 +104,8 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    feat_f = _extract(fixed, cfg)
-    feat_m = _extract(moving, cfg)
+    feat_f = _extract(fixed, cfg, workers)
+    feat_m = _extract(moving, cfg, workers)
     timings["features"] = time.perf_counter() - t0
     _check_finite("fixed features", feat_f.data)
     _check_finite("moving features", feat_m.data)
@@ -161,8 +162,7 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     if fixed_labels is not None and warped_labels is not None:
         scores = dice(fixed_labels, warped_labels)
         if not use_nonlocal_loss:
-            label_loss = _plain_label_mse(warped_labels, fixed_labels,
-                                          num_classes)
+            label_loss = _plain_label_mse(warped_labels, fixed_labels)
             loss_kind = "plain-mse"
     timings["evaluation"] = time.perf_counter() - t0
     if not np.isfinite(std_jac):

@@ -8,7 +8,7 @@ volume.  Loss terms (diffusion penalty, probabilistic label loss) quantify
 field smoothness and label agreement.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -78,7 +78,10 @@ class RegistrationConfig:
     with a 32-per-axis control grid.  ``feature`` selects the extractor
     ("ssc" or "intensity-gradient"); ``feature_stride`` the feature-grid
     subsampling.  The displacement capture range must stay below 1 so the
-    quantized offsets remain inside the normalized volume.
+    quantized offsets remain inside the normalized volume.  A spatial
+    smoothing kernel wider than the control grid shrinks to the largest
+    odd width that fits the smallest grid extent above 1, so coarse grids
+    such as 4 per axis keep the tuned preset otherwise unchanged.
     """
 
     diffusion_weight: float = 1.5
@@ -99,6 +102,12 @@ class RegistrationConfig:
         counts = self.grid_counts
         counts = (int(counts),) * 3 if np.isscalar(counts) else tuple(int(c) for c in counts)
         object.__setattr__(self, "grid_counts", counts)
+        extents = [c for c in counts if c > 1]
+        if extents:
+            fit = min(extents) - 1 + min(extents) % 2
+            if self.reg_params.spatial_kernel > fit:
+                object.__setattr__(self, "reg_params", replace(
+                    self.reg_params, spatial_kernel=fit))
 
     def control_grid(self) -> ControlGrid:
         return ControlGrid(self.grid_counts)
@@ -163,13 +172,20 @@ def upsample_field(ctrl: DisplacementField, dims) -> DisplacementField:
     return DisplacementField(out)
 
 
+# Voxels per warp slab: the per-slab coordinate and weight temporaries
+# stay cache-sized instead of spanning the volume.
+_WARP_SLAB_VOXELS = 1 << 15
+
+
 def warp(vol: Volume3D, field: DisplacementField, mode: str = None) -> Volume3D:
     """Resample ``vol`` through the field: ``out(x) = vol(x + phi(x))``.
 
     The field must be at volume resolution.  Intensity volumes interpolate
     trilinearly, label volumes nearest-neighbor; ``mode`` overrides the
     choice ("intensity" or "label").  A zero field reproduces the input
-    exactly in both modes.
+    exactly in both modes.  The output is filled one axis-0 slab at a
+    time; every voxel goes through the same arithmetic as in a
+    whole-volume pass.
     """
     dims = vol.dims
     if field.counts != dims:
@@ -179,17 +195,23 @@ def warp(vol: Volume3D, field: DisplacementField, mode: str = None) -> Volume3D:
         mode = "label" if vol.is_label else "intensity"
     if mode not in ("intensity", "label"):
         raise ValueError(f"unknown warp mode: {mode!r}")
-    # x + phi in fractional index units: index i plus phi * n/2 per axis.
-    fracs = np.empty(dims + (3,))
-    for a in range(3):
-        shape = [1, 1, 1]
-        shape[a] = dims[a]
-        base = np.arange(dims[a], dtype=np.float64).reshape(shape)
-        fracs[..., a] = base + field.vectors[..., a] * (dims[a] / 2.0)
     if mode == "label":
-        data = sample_points_nearest(vol.data, fracs)
+        sample, dtype = sample_points_nearest, vol.data.dtype
     else:
-        data = sample_points_linear(vol.data, fracs)
+        sample, dtype = sample_points_linear, np.float64
+    bases = [np.arange(n, dtype=np.float64) for n in dims]
+    scales = [n / 2.0 for n in dims]
+    data = np.empty(dims, dtype=dtype)
+    depth = max(1, _WARP_SLAB_VOXELS // (dims[1] * dims[2]))
+    for z0 in range(0, dims[0], depth):
+        z1 = min(z0 + depth, dims[0])
+        vec = field.vectors[z0:z1]
+        # x + phi in fractional index units: index i plus phi * n/2 per axis.
+        fracs = np.empty(vec.shape)
+        fracs[..., 0] = bases[0][z0:z1, None, None] + vec[..., 0] * scales[0]
+        fracs[..., 1] = bases[1][:, None] + vec[..., 1] * scales[1]
+        fracs[..., 2] = bases[2] + vec[..., 2] * scales[2]
+        data[z0:z1] = sample(vol.data, fracs)
     return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))
 
 
@@ -210,14 +232,16 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     every displaced control position and averaged under the distribution;
     the squared difference to the fixed segmentation's one-hot channels,
     trilinearly sampled at the undisplaced control points, is averaged
-    over points and classes.  Sampling both sides the same way makes the
-    loss vanish for a perfectly aligned pair under a zero-displacement
-    point mass, control-grid placement notwithstanding.
+    over points and the labels present in either volume.  Sampling both
+    sides the same way makes the loss vanish for a perfectly aligned pair
+    under a zero-displacement point mass, control-grid placement
+    notwithstanding.
 
-    Only labels present in either volume are visited: an absent class has
-    all-zero one-hot channels on both sides and adds exactly 0.  The
-    divisor stays ``num_classes``.  The expectation is evaluated per
-    control plane on up to ``workers`` threads.
+    Only labels present in either volume are visited and counted: an
+    absent class has all-zero one-hot channels on both sides and adds
+    exactly 0, so sparse label IDs change neither the cost nor the value.
+    ``num_classes`` bounds the label values.  The expectation is evaluated
+    per control plane on up to ``workers`` threads.
     """
     if not (labels_moving.is_label and labels_fixed.is_label):
         raise ValueError("label loss needs label volumes")
@@ -239,8 +263,9 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
                for a in range(3)]
 
     expect = np.empty(grid.counts)
+    labels = present_labels(labels_moving, labels_fixed)
     loss = 0.0
-    for cls in present_labels(labels_moving, labels_fixed):
+    for cls in labels:
         onehot = (labels_moving.data == cls).astype(np.float64)
 
         def plane(k1):
@@ -254,4 +279,4 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
                                   f_fracs)
         diff = expect - target
         loss += float(np.sum(diff * diff))
-    return loss / (grid.num_points * num_classes)
+    return loss / (grid.num_points * len(labels))

@@ -9,7 +9,13 @@ import math
 
 import numpy as np
 
-from densereg.geometry import normalized_to_index, sample_separable
+from scipy import ndimage
+
+from densereg.features import SSC_PAIRS, FeatureVolume
+from densereg.geometry import (Volume3D, index_to_normalized,
+                               normalized_to_index,
+                               sample_points_linear, sample_points_nearest,
+                               sample_separable)
 
 
 def naive_trilinear(data, point_norm):
@@ -303,7 +309,8 @@ def naive_jacobian(vectors):
 
 def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
     """Probability-weighted label loss over every class id in
-    ``range(num_classes)``, evaluated on the whole 6D tensor at once.
+    ``range(num_classes)``, evaluated on the whole 6D tensor at once and
+    averaged over the ids that occur in either volume.
 
     Unlike the rest of this module it repeats the library's arithmetic
     step for step (same sampling, same reduction axes and order), so the
@@ -319,7 +326,10 @@ def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
     f_fracs = [normalized_to_index(np.asarray(ctrl[a]), labels_fixed.dims[a])
                for a in range(3)]
     loss = 0.0
+    present = 0
     for cls in range(num_classes):
+        present += bool(np.any(labels_moving.data == cls)
+                        or np.any(labels_fixed.data == cls))
         onehot = (labels_moving.data == cls).astype(np.float64)
         sampled = sample_separable(onehot, m_fracs)
         sampled = sampled.reshape(k1, s1, k2, s2, k3, s3).transpose(0, 2, 4, 1, 3, 5)
@@ -328,14 +338,76 @@ def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
                                   f_fracs)
         diff = expect - target
         loss += float(np.sum(diff * diff))
-    return loss / (grid.num_points * num_classes)
+    return loss / (grid.num_points * present)
 
 
 def full_range_plain_mse(a, b, num_classes):
     """Hard one-hot MSE of two label arrays over every class id in
-    ``range(num_classes)``."""
+    ``range(num_classes)``, averaged over the ids that occur in either
+    array."""
     total = 0.0
+    present = 0
     for cls in range(num_classes):
+        present += bool(np.any(a == cls) or np.any(b == cls))
         diff = (a == cls).astype(np.float64) - (b == cls)
         total += float(np.sum(diff * diff))
-    return total / (a.size * num_classes)
+    return total / (a.size * present)
+
+
+def full_resolution_ssc(vol, patch_radius=1, stride=3):
+    """SSC descriptors computed on every voxel, then subsampled.
+
+    Like the label-loss oracles above, this repeats the library's
+    arithmetic (same box filter, clamp, mean and exponential), but over
+    the whole volume at once, so the library's strided, per-channel
+    evaluation must agree with it bit for bit.
+    """
+    data = vol.data
+    dims = vol.dims
+    dists = np.empty((12,) + dims)
+    for j, (na, nb) in enumerate(SSC_PAIRS):
+        diff2 = (clamped_take(data, na) - clamped_take(data, nb)) ** 2
+        if patch_radius == 0:
+            dists[j] = diff2
+        else:
+            dists[j] = ndimage.uniform_filter(diff2, size=2 * patch_radius + 1,
+                                              mode="nearest")
+    np.maximum(dists, 0.0, out=dists)
+    sigma2 = dists.mean(axis=0)
+    safe = np.where(sigma2 > 0, sigma2, 1.0)
+    chans = np.where(sigma2 > 0, np.exp(-dists / safe), 1.0)
+    # Keep the center voxel of every stride-block.
+    off = stride // 2
+    sub = chans[:, off::stride, off::stride, off::stride]
+    origin = tuple(float(index_to_normalized(off, n)) for n in dims)
+    step = tuple(2.0 * stride / n for n in dims)
+    return FeatureVolume(sub, origin, step)
+
+
+def clamped_take(data, offset):
+    """Vectorized :func:`clamped_shift`: one ``np.take`` per shifted axis."""
+    out = data
+    for axis, o in enumerate(offset):
+        if o:
+            idx = np.clip(np.arange(data.shape[axis]) + o, 0, data.shape[axis] - 1)
+            out = np.take(out, idx, axis=axis)
+    return out
+
+
+def whole_volume_warp(vol, field, mode=None):
+    """Warp through one whole-volume coordinate array: the same per-voxel
+    arithmetic as the library's slab-by-slab warp, in a single pass."""
+    dims = vol.dims
+    if mode is None:
+        mode = "label" if vol.is_label else "intensity"
+    fracs = np.empty(dims + (3,))
+    for a in range(3):
+        shape = [1, 1, 1]
+        shape[a] = dims[a]
+        base = np.arange(dims[a], dtype=np.float64).reshape(shape)
+        fracs[..., a] = base + field.vectors[..., a] * (dims[a] / 2.0)
+    if mode == "label":
+        data = sample_points_nearest(vol.data, fracs)
+    else:
+        data = sample_points_linear(vol.data, fracs)
+    return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))

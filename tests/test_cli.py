@@ -14,7 +14,10 @@ import pytest
 from densereg import io as vio
 from densereg import parallel
 from densereg.cli import main
-from densereg.geometry import Volume3D
+from densereg.geometry import DisplacementSpace, Volume3D
+from densereg.pipeline import register_pair
+from densereg.regularizer import tuned_params
+from densereg.transform import RegistrationConfig
 
 
 def read_text(path):
@@ -208,6 +211,47 @@ class TestRegister:
         for name in ("field.raw", "report.txt", "warped.raw",
                      "warped_labels.raw"):
             assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+
+
+class TestCoarseGrid:
+    def test_grid_4_runs(self, phantom_dir, tmp_path):
+        # The tuned 5-wide spatial kernel shrinks to 3 on a 4-point grid.
+        d = tmp_path / "g4"
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(d), "--grid", "4", "--steps", "5"])
+        assert rc == 0
+        assert "grid=4,4,4" in read_text(d / "report.txt")
+
+    def test_grid_16_keeps_tuned_kernel(self, phantom_dir, tmp_path):
+        # Where the tuned kernel fits, the output is that of the tuned
+        # preset itself, set on the config behind its back.
+        d = tmp_path / "g16"
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                   "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
+                   "--out-dir", str(d), "--grid", "16", "--steps", "5",
+                   "--q", "0.4"])
+        assert rc == 0
+        cfg = RegistrationConfig(grid_counts=16,
+                                 space=DisplacementSpace(0.4, 5))
+        object.__setattr__(cfg, "reg_params", tuned_params())
+        res = register_pair(vio.read_volume(str(phantom_dir / "fixed.hdr")),
+                            vio.read_volume(str(phantom_dir / "moving.hdr")),
+                            cfg,
+                            fixed_labels=vio.read_volume(
+                                str(phantom_dir / "fixed_labels.hdr")),
+                            moving_labels=vio.read_volume(
+                                str(phantom_dir / "moving_labels.hdr")))
+        vio.write_field(res.field, str(tmp_path / "want.hdr"))
+        vio.write_volume(res.warped, str(tmp_path / "want_warped.hdr"))
+        assert read_bytes(d / "field.raw") == read_bytes(tmp_path / "want.raw")
+        assert read_bytes(d / "warped.raw") \
+            == read_bytes(tmp_path / "want_warped.raw")
+        assert res.report.notes["label_loss"] in read_text(d / "report.txt")
 
 
 class TestConfigFile:

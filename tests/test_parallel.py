@@ -1,5 +1,6 @@
 """Plane-parallel evaluation: the helper itself, and property tests that
-every 6D tensor stage gives bit-identical results for any worker count."""
+the SSC features and every 6D tensor stage give bit-identical results for
+any worker count."""
 
 import os
 import threading
@@ -10,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from densereg import parallel
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
-from densereg.features import FeatureVolume
+from densereg.features import FeatureVolume, extract_ssc
 from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
 from densereg.parallel import map_planes, resolve_workers
 from densereg.regularizer import RegularizerParams, regularize
 from densereg.transform import nonlocal_label_loss, softmax_probabilities
+from oracles import full_resolution_ssc
 
 WORKERS = (1, 2, 3)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -70,6 +72,22 @@ class TestMapPlanes:
             return threading.get_ident()
 
         assert len(set(map_planes(plane, np.zeros(2), 0, workers=2))) == 2
+
+    def test_plane_bytes_overrides_plane_size(self, monkeypatch):
+        # Tiny planes whose tasks touch more memory than the threshold.
+        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 1 << 19)
+        barrier = threading.Barrier(2, timeout=10)
+
+        def plane(i):
+            barrier.wait()
+            return threading.get_ident()
+
+        assert len(set(map_planes(plane, np.zeros(2), 0, workers=2,
+                                  plane_bytes=1 << 20))) == 2
+        caller = threading.get_ident()
+        assert set(map_planes(lambda i: threading.get_ident(),
+                              np.zeros((2, 1 << 17)), 0, workers=2,
+                              plane_bytes=1 << 10)) == {caller}
 
     def test_plane_error_propagates(self):
         def plane(i):
@@ -164,3 +182,31 @@ class TestWorkerCountIndependence:
         assert_same_for_all_workers(
             lambda w: nonlocal_label_loss(prob, moving, fixed, num_classes,
                                           workers=w))
+
+
+class TestStridedSSC:
+    """The strided, per-channel SSC equals the full-resolution computation
+    subsampled afterwards, bit for bit, for every worker count."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), radius=st.integers(0, 2),
+           stride=st.integers(1, 4), extra=st.tuples(*[st.integers(0, 6)] * 3),
+           scale=st.sampled_from((1.0, 1e-6, 1e6)),
+           constant_block=st.booleans())
+    def test_matches_full_resolution(self, seed, radius, stride, extra,
+                                     scale, constant_block):
+        rng = np.random.default_rng(seed)
+        # Smallest legal extent upwards, so most extents are not
+        # multiples of the stride.
+        dims = tuple(2 * radius + 3 + e for e in extra)
+        data = rng.normal(size=dims) * scale
+        if constant_block:
+            data[: dims[0] // 2] = 1.5
+        vol = Volume3D(data)
+        want = full_resolution_ssc(vol, patch_radius=radius, stride=stride)
+        for w in WORKERS:
+            got = extract_ssc(vol, patch_radius=radius, stride=stride,
+                              workers=w)
+            assert got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
+            assert (got.origin, got.step) == (want.origin, want.step)

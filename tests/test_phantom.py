@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from densereg import phantom
 from densereg.metrics import dice, jacobian_stats, mean_dice
 from densereg.phantom import CounterRandom, PhantomSpec, generate
 from densereg.transform import warp
+from oracles import whole_volume_warp
 
 _M64 = (1 << 64) - 1
 
@@ -163,3 +165,19 @@ class TestGenerate:
         assert final >= 0.97
         _, folding = jacobian_stats(pair.truth)
         assert folding == 0.0
+
+
+@pytest.mark.parametrize("deformation", ["translation", "smooth-random"])
+def test_generate_unchanged_by_slab_warp(deformation, monkeypatch):
+    # Extents that no slab size divides evenly; each warp here spans
+    # several slabs.
+    spec = PhantomSpec(seed=5, dims=(44, 36, 40), organs=4,
+                       deformation=deformation, magnitude=0.15)
+    got = generate(spec)
+    monkeypatch.setattr(phantom, "warp", whole_volume_warp)
+    want = generate(spec)
+    for name in ("fixed", "fixed_labels", "moving", "moving_labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.data.dtype == b.data.dtype
+        assert a.data.tobytes() == b.data.tobytes()
+    assert got.truth.vectors.tobytes() == want.truth.vectors.tobytes()

@@ -115,16 +115,21 @@ class TestReportContents:
         assert float(res.report.notes["label_loss"]) >= 0.0
 
     def test_plain_mse_sparse_ids_match_full_range_oracle(self):
-        # Only present labels are visited; the result must equal the loop
-        # over every id up to the largest, bit for bit.
+        # Only present labels are visited and counted; the result must
+        # equal the loop over every id up to the largest, averaged over
+        # the ids that occur, bit for bit.
         rng = np.random.default_rng(94)
         ids = np.array([0, 2, 17, 41, 53, 2035])
         a = ids[rng.integers(0, 6, size=(7, 8, 9))]
         b = ids[rng.integers(0, 5, size=(7, 8, 9))]
         got = _plain_label_mse(Volume3D(a, is_label=True),
-                               Volume3D(b, is_label=True), 2036)
+                               Volume3D(b, is_label=True))
         assert got > 0.0
         assert got == full_range_plain_mse(a, b, 2036)
+        # Renumbering the labels leaves the value unchanged.
+        dense = np.searchsorted(ids, a), np.searchsorted(ids, b)
+        assert got == _plain_label_mse(Volume3D(dense[0], is_label=True),
+                                       Volume3D(dense[1], is_label=True))
 
     def test_flop_note_matches_helper(self, translation_pair):
         from densereg.correlation import flop_estimate

@@ -21,7 +21,12 @@ from densereg.transform import (
     upsample_field,
     warp,
 )
-from oracles import full_range_label_loss, naive_frac_trilinear
+from densereg.regularizer import RegularizerParams, tuned_params
+from hypothesis import given, settings, strategies as st
+
+from densereg import transform
+from oracles import (full_range_label_loss, naive_frac_trilinear,
+                     whole_volume_warp)
 
 
 def cost_tensor(grid_counts, steps, values, q=0.4):
@@ -232,6 +237,35 @@ class TestWarp:
         assert out.data.dtype == np.float64
 
 
+class TestSlabWarp:
+    """Slab-by-slab warping equals the whole-volume pass bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.tuples(*[st.integers(1, 9)] * 3),
+           slab=st.sampled_from((1, 7, 20, 1 << 15)),
+           magnitude=st.sampled_from((0.0, 0.2, 1.5)),
+           mode=st.sampled_from((None, "intensity", "label")))
+    def test_matches_whole_volume(self, seed, dims, slab, magnitude, mode):
+        rng = np.random.default_rng(seed)
+        field = DisplacementField(rng.normal(size=dims + (3,)) * magnitude)
+        intensity = Volume3D(rng.normal(size=dims))
+        labels = Volume3D(rng.integers(0, 4, size=dims), is_label=True)
+        if mode == "label":
+            # A label-mode override needs integer-valued intensities.
+            intensity = Volume3D(np.abs(np.round(intensity.data * 3)))
+        # Hypothesis runs many examples per test call, so the slab size is
+        # patched per example rather than through the monkeypatch fixture.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transform, "_WARP_SLAB_VOXELS", slab)
+            for vol in (intensity, labels):
+                got = warp(vol, field, mode)
+                want = whole_volume_warp(vol, field, mode)
+                assert got.is_label == want.is_label
+                assert got.data.dtype == want.data.dtype
+                assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestDiffusionPenalty:
     def test_constant_field_zero(self):
         field = DisplacementField(np.full((5, 5, 5, 3), 0.3))
@@ -326,8 +360,9 @@ class TestNonlocalLabelLoss:
 
     def test_sparse_label_ids_match_full_range_oracle(self):
         # FreeSurfer-style IDs (up to 2035): only present labels are
-        # visited, yet the loss equals the loop over every id up to the
-        # largest one, bit for bit.  2035 occurs in the moving volume only.
+        # visited and counted, and the loss equals the loop over every id
+        # up to the largest one, averaged over the ids that occur, bit for
+        # bit.  2035 occurs in the moving volume only.
         rng = np.random.default_rng(93)
         ids = np.array([0, 2, 17, 41, 53, 2035])
         moving = ids[rng.integers(0, 6, size=(9, 10, 8))]
@@ -342,6 +377,10 @@ class TestNonlocalLabelLoss:
         loss = nonlocal_label_loss(prob, lm, lf, 2036)
         assert loss > 0.0
         assert loss == full_range_label_loss(prob, lm, lf, 2036)
+        # Renumbering the labels 0..5 leaves the value unchanged.
+        dense_m = Volume3D(np.searchsorted(ids, moving), is_label=True)
+        dense_f = Volume3D(np.searchsorted(ids, fixed), is_label=True)
+        assert loss == nonlocal_label_loss(prob, dense_m, dense_f, 6)
 
     def test_class_count_mismatch_rejected(self):
         n = 6
@@ -395,3 +434,20 @@ class TestRegistrationConfig:
     def test_scalar_grid_counts(self):
         cfg = RegistrationConfig(grid_counts=16)
         assert cfg.grid_counts == (16, 16, 16)
+
+    @pytest.mark.parametrize("counts, kernel", [
+        ((2, 2, 2), 1), ((3, 3, 3), 3), ((4, 4, 4), 3), ((4, 6, 9), 3),
+        ((1, 4, 6), 3), ((6, 6, 6), 5), ((5, 5, 5), 5), ((16, 16, 16), 5),
+        ((1, 1, 1), 5)])
+    def test_spatial_kernel_fits_coarse_grids(self, counts, kernel):
+        # Largest odd width <= the smallest extent above 1; extent-1 axes
+        # have nothing to pool over and do not count.
+        cfg = RegistrationConfig(grid_counts=counts)
+        assert cfg.reg_params.spatial_kernel == kernel
+        assert cfg.reg_params.alphas == tuned_params().alphas
+        assert cfg.reg_params.iterations == tuned_params().iterations
+
+    def test_narrow_explicit_kernel_kept(self):
+        params = RegularizerParams(spatial_kernel=3)
+        assert RegistrationConfig(grid_counts=16,
+                                  reg_params=params).reg_params is params
