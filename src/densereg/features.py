@@ -177,7 +177,9 @@ def extract_ssc(vol: Volume3D, patch_radius: int = 1,
     # the sliding-sum box filter can leave tiny negative residues on
     # constant regions; clamp so the exponent below stays <= 0
     np.maximum(dists, 0.0, out=dists)
-    sigma2 = dists.mean(axis=0)
+    # Add the channels one after another, as dists.mean(axis=0) does on
+    # every grid but a single point, where it sums them pairwise.
+    sigma2 = sum(dists[1:], dists[0].copy()) / len(dists)
     safe = np.where(sigma2 > 0, sigma2, 1.0)
     chans = np.where(sigma2 > 0, np.exp(-dists / safe), 1.0)
     return FeatureVolume(chans, *_grid_frame(dims, stride))

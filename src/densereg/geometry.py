@@ -22,7 +22,9 @@ __all__ = [
     "index_to_normalized",
     "normalized_to_index",
     "axis_centers",
+    "lerp_plan",
     "lerp_axis",
+    "lerp_axis_into",
     "sample_separable",
     "sample_points_linear",
     "sample_points_nearest",
@@ -216,21 +218,48 @@ class DisplacementField:
 # Interpolation primitives (fractional-index space)
 # ---------------------------------------------------------------------------
 
+def lerp_plan(n: int, t, ndim: int, axis: int) -> tuple:
+    """Linear interpolation at fractional indices ``t`` (1D) along an
+    axis of extent ``n``, clamped to the border: lower and upper neighbour
+    indices and their weights ``(i0, i1, w0, w1)``, the weights shaped to
+    broadcast over an ``ndim``-dimensional array along ``axis``.  On an
+    extent-1 axis every sample is the one value and ``i1, w0, w1`` are
+    ``None``."""
+    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, n - 1.0)
+    if n == 1:
+        return np.zeros(len(t), dtype=np.intp), None, None, None
+    i0 = np.minimum(t.astype(np.intp), n - 2)
+    shape = [1] * ndim
+    shape[axis] = len(t)
+    w = (t - i0).reshape(shape)
+    return i0, i0 + 1, 1.0 - w, w
+
+
 def lerp_axis(data: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
     """Linear interpolation of ``data`` along ``axis`` at fractional indices
     ``t`` (1D), clamped to the border.  The axis length becomes ``len(t)``."""
-    n = data.shape[axis]
-    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, n - 1.0)
-    if n == 1:
-        return np.take(data, np.zeros(len(t), dtype=np.intp), axis=axis)
-    i0 = np.minimum(t.astype(np.intp), n - 2)
-    w = t - i0
-    shape = [1] * data.ndim
-    shape[axis] = len(t)
-    w = w.reshape(shape)
+    i0, i1, w0, w1 = lerp_plan(data.shape[axis], t, data.ndim, axis)
     a = np.take(data, i0, axis=axis)
-    b = np.take(data, i0 + 1, axis=axis)
-    return a * (1.0 - w) + b * w
+    if w1 is None:
+        return a
+    return a * w0 + np.take(data, i1, axis=axis) * w1
+
+
+def lerp_axis_into(data: np.ndarray, plan: tuple, axis: int,
+                   out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """:func:`lerp_axis` of float64 ``data`` by a :func:`lerp_plan`,
+    written into ``out`` with ``work`` (same shape) as scratch and no
+    other temporary.  It takes, scales and adds in the same order, so the
+    result is bit-identical; a plan made once serves every array and
+    block sampled at the same positions."""
+    i0, i1, w0, w1 = plan
+    np.take(data, i0, axis=axis, out=out, mode="clip")
+    if w1 is not None:
+        out *= w0
+        np.take(data, i1, axis=axis, out=work, mode="clip")
+        work *= w1
+        out += work
+    return out
 
 
 def sample_separable(data: np.ndarray, fracs) -> np.ndarray:

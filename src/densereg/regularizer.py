@@ -5,12 +5,21 @@ displacement dimensions (one min-pool then two average-pools, all stride 1
 with replicate padding) and a mean-field step that average-pools over the
 three spatial dimensions.  Scale/bias pairs are applied before each block.
 
+The min-pool is exact and needs no filter: shifted ``np.minimum`` calls
+along each displacement axis, on blocks of rows that fit in cache.  A
+window clamped to the array already holds the values that replicate
+padding would add, and ``min`` does not round, so the result equals
+``ndimage.minimum_filter(mode="nearest")`` bit for bit.  The average
+pools are ``ndimage.uniform_filter`` calls.
+
 Both blocks are evaluated plane by plane on
 :func:`densereg.parallel.map_planes`: the min-convolution per control
-plane (axis 0), the mean-field step per displacement plane (axis 3), each
-filter writing through ndimage's ``output=`` into a preallocated buffer.
-A plane is filtered by the same 1D passes as the whole tensor would be,
-so the result does not depend on the worker count.
+plane (axis 0), the mean-field step per displacement plane (axis 3).  A
+plane is filtered by the same 1D passes as the whole tensor would be, so
+the result does not depend on the worker count.  Each block reads a
+plane completely before writing it, and nothing else reads that plane,
+so :func:`regularize` runs every block and scale/bias pair in one working
+buffer: the caller's tensor is read once and never written.
 
 ``exact_lower_envelope`` computes the true lower envelope of parabolas for
 a 1D cost row; it serves as the reference the pooled approximation is
@@ -23,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 
 from .correlation import CostTensor6D
-from .parallel import map_planes
+from .parallel import map_planes, row_blocks
 
 __all__ = [
     "RegularizerParams",
@@ -118,22 +127,56 @@ def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:
     return tuple(size)
 
 
+def _min_pool(src: np.ndarray, size: tuple, out: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """Minimum over a box of odd per-axis widths ``size`` with replicate
+    padding, written into ``out``: ``ndimage.minimum_filter(src, size,
+    mode="nearest")``, exactly.  Per axis, the box minimum is the running
+    ``np.minimum`` of the input shifted by each offset in the window.
+    ``work`` is scratch of the same shape; neither may overlap ``src``."""
+    axes = [a for a, k in enumerate(size) if k > 1]
+    if not axes:
+        np.copyto(out, src)
+        return out
+    # Alternate between the two buffers so the last axis lands in out.
+    dsts = (out, work) if len(axes) % 2 else (work, out)
+    cur = src
+    for n, axis in enumerate(axes):
+        dst = dsts[n % 2]
+        np.copyto(dst, cur)
+        head = (slice(None),) * axis
+        for s in range(1, size[axis] // 2 + 1):
+            lo, hi = head + (slice(None, -s),), head + (slice(s, None),)
+            np.minimum(dst[hi], cur[lo], out=dst[hi])
+            np.minimum(dst[lo], cur[hi], out=dst[lo])
+        cur = dst
+    return out
+
+
 def min_convolution(cost: CostTensor6D, p: RegularizerParams,
-                    workers: int = None) -> CostTensor6D:
+                    workers: int = None, out: np.ndarray = None) -> CostTensor6D:
     """Approximate min-convolution over the displacement dimensions: one
     min-pool followed by two average-pools, spatial dimensions untouched.
-    Evaluated per control plane on up to ``workers`` threads."""
+    Evaluated per control plane on up to ``workers`` threads.  The result
+    goes to ``out`` when given, which may be the buffer ``cost`` views:
+    each plane is read into scratch before it is written."""
     vals = cost.values
     smin = _pool_size(vals.shape, _DISP_AXES, p.minpool_kernel)[1:]
     savg = _pool_size(vals.shape, _DISP_AXES, p.avgpool_kernel)[1:]
-    out = np.empty_like(vals)
+    out = np.empty_like(vals) if out is None else out
+    blocks = row_blocks(vals.shape[1], vals[0, 0].nbytes)
+    block_shape = (blocks[0].stop,) + vals.shape[2:]
 
     def plane(k):
+        pooled = np.empty(vals.shape[1:])
+        work = np.empty(block_shape)
+        for blk in blocks:
+            _min_pool(vals[k, blk], smin, pooled[blk],
+                      work[:blk.stop - blk.start])
         dst = out[k]
-        scratch = np.empty_like(dst)
-        ndimage.minimum_filter(vals[k], size=smin, output=dst, mode="nearest")
-        ndimage.uniform_filter(dst, size=savg, output=scratch, mode="nearest")
-        ndimage.uniform_filter(scratch, size=savg, output=dst, mode="nearest")
+        ndimage.uniform_filter(pooled, size=savg, output=pooled,
+                               mode="nearest")
+        ndimage.uniform_filter(pooled, size=savg, output=dst, mode="nearest")
         # Sliding-sum rounding can dip epsilon below zero; the true value
         # of a mean of non-negative numbers cannot.
         np.maximum(dst, 0.0, out=dst)
@@ -143,14 +186,16 @@ def min_convolution(cost: CostTensor6D, p: RegularizerParams,
 
 
 def mean_field_step(cost: CostTensor6D, p: RegularizerParams,
-                    workers: int = None) -> CostTensor6D:
+                    workers: int = None, out: np.ndarray = None) -> CostTensor6D:
     """Average-pool over the spatial dimensions, one pass, independently
     per displacement bin.  Evaluated per displacement plane (axis 3) on up
-    to ``workers`` threads."""
+    to ``workers`` threads.  The result goes to ``out`` when given, which
+    may be the buffer ``cost`` views: ndimage reads a batch of lines
+    before it writes them, as it does between its own 1D passes."""
     vals = cost.values
     size = _pool_size(vals.shape, _SPATIAL_AXES, p.spatial_kernel)
     size = size[:3] + size[4:]
-    out = np.empty_like(vals)
+    out = np.empty_like(vals) if out is None else out
 
     def plane(j):
         dst = out[:, :, :, j]
@@ -162,12 +207,20 @@ def mean_field_step(cost: CostTensor6D, p: RegularizerParams,
     return cost.replace_values(out)
 
 
-def _affine(cost: CostTensor6D, pair) -> CostTensor6D:
+def _affine(cost: CostTensor6D, pair, out: np.ndarray,
+            workers: int) -> CostTensor6D:
+    """``cost * scale + bias`` written into ``out`` (which may be the
+    buffer ``cost`` views), or ``cost`` itself for the identity pair."""
     scale, bias = pair
     if scale == 1.0 and bias == 0.0:
         return cost
-    out = np.multiply(cost.values, scale)
-    out += bias
+    vals = cost.values
+
+    def plane(k):
+        np.multiply(vals[k], scale, out=out[k])
+        out[k] += bias
+
+    map_planes(plane, vals, 0, workers)
     return cost.replace_values(out)
 
 
@@ -176,13 +229,18 @@ def regularize(cost: CostTensor6D, p: RegularizerParams,
     """Alternate scale/bias + min-convolution with scale/bias + mean-field
     averaging for ``p.iterations`` rounds, then apply the output pair.
     ``workers`` caps the threads of each block (default: the usable
-    cores); the result does not depend on it."""
+    cores); the result does not depend on it.  Every step after the first
+    read of ``cost`` works in place in one buffer of the tensor's size;
+    ``cost`` itself is never written."""
+    buf = np.empty_like(cost.values)
     out = cost
     for it in range(p.iterations):
         base = min(2 * it, 2)
-        out = min_convolution(_affine(out, p.alphas[base]), p, workers)
-        out = mean_field_step(_affine(out, p.alphas[base + 1]), p, workers)
-    return _affine(out, p.alphas[4])
+        out = min_convolution(_affine(out, p.alphas[base], buf, workers), p,
+                              workers, out=buf)
+        out = mean_field_step(_affine(out, p.alphas[base + 1], buf, workers),
+                              p, workers, out=buf)
+    return _affine(out, p.alphas[4], buf, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ from .geometry import (
     DisplacementSpace,
     Volume3D,
     axis_centers,
+    lerp_axis,
+    lerp_axis_into,
+    lerp_plan,
     normalized_to_index,
     present_labels,
     sample_points_linear,
@@ -27,7 +30,7 @@ from .geometry import (
     sample_separable,
     spatial_gradient,
 )
-from .parallel import map_planes
+from .parallel import block_view, map_planes, row_blocks
 from .regularizer import RegularizerParams, tuned_params
 
 __all__ = [
@@ -45,11 +48,14 @@ __all__ = [
 @dataclass(frozen=True)
 class ProbTensor6D:
     """Displacement probabilities per control point, same layout as
-    :class:`CostTensor6D`; each point's distribution sums to one."""
+    :class:`CostTensor6D`; each point's distribution sums to one.  The
+    checks run per control plane on up to ``workers`` threads, which is
+    not part of the tensor's value."""
 
     values: np.ndarray
     grid: ControlGrid
     space: DisplacementSpace
+    workers: int = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -57,10 +63,15 @@ class ProbTensor6D:
         if vals.shape != want:
             raise ValueError(f"probability tensor shape {vals.shape} does not "
                              f"match grid {self.grid.counts} x space {self.space.steps}")
-        if vals.min(initial=0.0) < 0.0 or vals.max(initial=0.0) > 1.0:
+
+        def plane(k):
+            v = vals[k]
+            return v.min(), v.max(), v.sum(axis=(2, 3, 4))
+
+        checks = map_planes(plane, vals, 0, self.workers)
+        if any(lo < 0.0 or hi > 1.0 for lo, hi, _ in checks):
             raise ValueError("probabilities must lie in [0, 1]")
-        sums = vals.sum(axis=(3, 4, 5))
-        if not np.allclose(sums, 1.0, atol=1e-5):
+        if not all(np.allclose(sums, 1.0, atol=1e-5) for _, _, sums in checks):
             raise ValueError("distributions must sum to 1 per control point")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -135,7 +146,7 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
         z /= z.sum(axis=(2, 3, 4), keepdims=True)
 
     map_planes(plane, vals, 0, workers)
-    return ProbTensor6D(e, cost.grid, cost.space)
+    return ProbTensor6D(e, cost.grid, cost.space, workers)
 
 
 def expected_displacement(prob: ProbTensor6D) -> DisplacementField:
@@ -263,16 +274,34 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
                for a in range(3)]
 
     expect = np.empty(grid.counts)
+    blocks = row_blocks(k2, s1 * s2 * k3 * s3 * p.itemsize)
+    rows = blocks[0].stop
+    _, height, width = labels_moving.dims
+    plans = [lerp_plan(height, m_fracs[1][b.start * s2:b.stop * s2], 3, 1)
+             for b in blocks]
+    plan2 = lerp_plan(width, m_fracs[2], 3, 2)
     labels = present_labels(labels_moving, labels_fixed)
     loss = 0.0
     for cls in labels:
         onehot = (labels_moving.data == cls).astype(np.float64)
 
         def plane(k1):
-            fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
-            sampled = sample_separable(onehot, fracs)
-            sampled = sampled.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
-            expect[k1] = np.sum(p[k1] * sampled, axis=(2, 3, 4))
+            m_rows = lerp_axis(onehot, m_fracs[0][k1 * s1:(k1 + 1) * s1], 0)
+            partial = [np.empty(s1 * rows * s2 * width) for _ in range(2)]
+            sampled = [np.empty(s1 * rows * s2 * k3 * s3) for _ in range(3)]
+            for blk, plan1 in zip(blocks, plans):
+                n = blk.stop - blk.start
+                mid = [block_view(b, (s1, n * s2, width)) for b in partial]
+                m_at_kd, work = [block_view(b, (s1, n * s2, k3 * s3))
+                                 for b in sampled[:2]]
+                lerp_axis_into(m_rows, plan1, 1, *mid)
+                lerp_axis_into(mid[0], plan2, 2, m_at_kd, work)
+                # Same C-contiguous layout, so the same summation order,
+                # as the product of the whole plane.
+                prod = block_view(sampled[2], (n, k3, s1, s2, s3))
+                np.multiply(p[k1, blk], m_at_kd.reshape(s1, n, s2, k3, s3)
+                            .transpose(1, 3, 0, 2, 4), out=prod)
+                expect[k1, blk] = np.sum(prod, axis=(2, 3, 4))
 
         map_planes(plane, p, 0, workers)
         target = sample_separable((labels_fixed.data == cls).astype(np.float64),

@@ -13,9 +13,10 @@ from scipy import ndimage
 
 from densereg.features import SSC_PAIRS, FeatureVolume
 from densereg.geometry import (Volume3D, index_to_normalized,
-                               normalized_to_index,
+                               normalized_to_index, present_labels,
                                sample_points_linear, sample_points_nearest,
                                sample_separable)
+from densereg.regularizer import _pool_size
 
 
 def naive_trilinear(data, point_norm):
@@ -411,3 +412,113 @@ def whole_volume_warp(vol, field, mode=None):
     else:
         data = sample_points_linear(vol.data, fracs)
     return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))
+
+
+# ---------------------------------------------------------------------------
+# Whole-plane 6D tensor stages.  Like the oracles above they repeat the
+# library's per-element arithmetic, but on whole planes with fresh
+# temporaries, ndimage's minimum filter and out-of-place scale/bias, so the
+# library's cache-blocked, in-place evaluation must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def planewise_dissimilarity(fixed, moving, grid, space):
+    """Cost tensor values, one control plane at a time: every channel is
+    sampled for the whole plane and subtracted through a strided
+    transpose, accumulating into a zeroed plane."""
+    ctrl = [grid.axis_coords(a) for a in range(3)]
+    f_fracs = [fixed.axis_fracs(a, ctrl[a]) for a in range(3)]
+    m_fracs = [moving.axis_fracs(a, np.add.outer(ctrl[a], space.axis_offsets(a)).ravel())
+               for a in range(3)]
+    k1s, k2, k3 = grid.counts
+    s1, s2, s3 = space.steps
+    f_at_k = [sample_separable(fixed.data[c], f_fracs)
+              for c in range(fixed.channels)]
+    out = np.zeros(grid.counts + space.steps)
+    for k1 in range(k1s):
+        acc = out[k1]
+        fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
+        for c in range(fixed.channels):
+            m_at_kd = sample_separable(moving.data[c], fracs)
+            m_at_kd = m_at_kd.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
+            diff = f_at_k[c][k1, :, :, None, None, None] - m_at_kd
+            acc += diff * diff
+        acc /= fixed.channels
+        np.maximum(acc, 0.0, out=acc)
+    return out
+
+
+def planewise_label_loss(prob, labels_moving, labels_fixed):
+    """Probability-weighted label loss over the labels present, with the
+    expectation of each class taken one whole control plane at a time."""
+    grid, space = prob.grid, prob.space
+    ctrl = [grid.axis_coords(a) for a in range(3)]
+    k1s, k2, k3 = grid.counts
+    s1, s2, s3 = space.steps
+    p = prob.values
+    m_fracs = [normalized_to_index(np.add.outer(ctrl[a], space.axis_offsets(a)).ravel(),
+                                   labels_moving.dims[a]) for a in range(3)]
+    f_fracs = [normalized_to_index(np.asarray(ctrl[a]), labels_fixed.dims[a])
+               for a in range(3)]
+    expect = np.empty(grid.counts)
+    labels = present_labels(labels_moving, labels_fixed)
+    loss = 0.0
+    for cls in labels:
+        onehot = (labels_moving.data == cls).astype(np.float64)
+        for k1 in range(k1s):
+            fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
+            sampled = sample_separable(onehot, fracs)
+            sampled = sampled.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
+            expect[k1] = np.sum(p[k1] * sampled, axis=(2, 3, 4))
+        target = sample_separable((labels_fixed.data == cls).astype(np.float64),
+                                  f_fracs)
+        diff = expect - target
+        loss += float(np.sum(diff * diff))
+    return loss / (grid.num_points * len(labels))
+
+
+def filter_min_convolution(vals, p):
+    """Min-convolution values: ``ndimage.minimum_filter`` then two
+    uniform filters per control plane, into a fresh tensor."""
+    smin = _pool_size(vals.shape, (3, 4, 5), p.minpool_kernel)[1:]
+    savg = _pool_size(vals.shape, (3, 4, 5), p.avgpool_kernel)[1:]
+    out = np.empty_like(vals)
+    for k in range(vals.shape[0]):
+        dst = out[k]
+        scratch = np.empty_like(dst)
+        ndimage.minimum_filter(vals[k], size=smin, output=dst, mode="nearest")
+        ndimage.uniform_filter(dst, size=savg, output=scratch, mode="nearest")
+        ndimage.uniform_filter(scratch, size=savg, output=dst, mode="nearest")
+        np.maximum(dst, 0.0, out=dst)
+    return out
+
+
+def filter_mean_field(vals, p):
+    """Mean-field values: one uniform filter per displacement plane, into
+    a fresh tensor."""
+    size = _pool_size(vals.shape, (0, 1, 2), p.spatial_kernel)
+    size = size[:3] + size[4:]
+    out = np.empty_like(vals)
+    for j in range(vals.shape[3]):
+        dst = out[:, :, :, j]
+        ndimage.uniform_filter(vals[:, :, :, j], size=size, output=dst,
+                               mode="nearest")
+        np.maximum(dst, 0.0, out=dst)
+    return out
+
+
+def out_of_place_regularize(vals, p):
+    """:func:`densereg.regularizer.regularize` values with a new tensor
+    for every block and every scale/bias pair."""
+
+    def affine(v, pair):
+        scale, bias = pair
+        if scale == 1.0 and bias == 0.0:
+            return v
+        return v * scale + bias
+
+    out = vals
+    for it in range(p.iterations):
+        base = min(2 * it, 2)
+        out = filter_min_convolution(affine(out, p.alphas[base]), p)
+        out = filter_mean_field(affine(out, p.alphas[base + 1]), p)
+    return affine(out, p.alphas[4])

@@ -1,0 +1,222 @@
+"""Cache-blocked, in-place 6D tensor stages against their whole-plane
+references in ``oracles``: the same bytes for any row-block size and any
+worker count, and the shifted-minimum pool against ndimage."""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
+
+from densereg import parallel
+from densereg.correlation import CostTensor6D, dissimilarity_tensor
+from densereg.features import FeatureVolume
+from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
+from densereg.regularizer import RegularizerParams, _min_pool, regularize
+from densereg.transform import (ProbTensor6D, nonlocal_label_loss,
+                                softmax_probabilities)
+from oracles import (out_of_place_regularize, planewise_dissimilarity,
+                     planewise_label_loss)
+
+WORKERS = (1, 2, 3)
+PROPERTY = settings(max_examples=25, deadline=None)
+
+# Grids of 1-5 points per axis, so k2 is often not a multiple of the rows
+# per block.
+counts = st.tuples(*[st.integers(1, 5)] * 3)
+steps = st.tuples(*[st.sampled_from((1, 3, 5))] * 3)
+# Rows per block: None keeps the default budget, 0 sets a budget below one
+# row (which still gives one row per block).
+block_rows = st.sampled_from((None, 0, 1, 2, 3))
+pairs = st.one_of(st.just((1.0, 0.0)),
+                  st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 1.0)))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def thread_every_plane():
+    """Hand every plane to the workers, so the threaded path is tested."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+        yield
+
+
+def for_each_setting(rows, grid_counts, disp_steps, compute):
+    """``compute(workers)`` for every worker count, with the row-block
+    budget set to give ``rows`` rows of the tensor's plane."""
+    row_bytes = 8 * grid_counts[2] * int(np.prod(disp_steps))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(parallel, "BLOCK_BYTES", max(1, rows * row_bytes))
+        return [compute(w) for w in WORKERS]
+
+
+def random_features(rng, channels, dims):
+    data = rng.normal(size=(channels,) + dims)
+    origin = tuple(-1.0 + 1.0 / n for n in dims)
+    step = tuple(2.0 / n for n in dims)
+    return FeatureVolume(data, origin, step)
+
+
+def random_cost(seed, grid_counts, disp_steps):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 2.0, size=tuple(grid_counts) + tuple(disp_steps))
+    return CostTensor6D(values, ControlGrid(grid_counts),
+                        DisplacementSpace(0.3, disp_steps))
+
+
+class TestAgainstWholePlaneOracles:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           channels=st.integers(1, 3), rows=block_rows)
+    def test_dissimilarity_tensor(self, seed, grid_counts, disp_steps,
+                                  channels, rows):
+        rng = np.random.default_rng(seed)
+        fixed = random_features(rng, channels, (5, 4, 6))
+        moving = random_features(rng, channels, (5, 4, 6))
+        grid = ControlGrid(grid_counts)
+        space = DisplacementSpace(0.3, disp_steps)
+        want = planewise_dissimilarity(fixed, moving, grid, space).tobytes()
+        for got in for_each_setting(
+                rows, grid_counts, disp_steps,
+                lambda w: dissimilarity_tensor(fixed, moving, grid, space,
+                                               workers=w).values):
+            assert got.tobytes() == want
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           rows=block_rows,
+           ids=st.lists(st.integers(1, 2035), max_size=3, unique=True))
+    def test_nonlocal_label_loss(self, seed, grid_counts, disp_steps, rows,
+                                 ids):
+        rng = np.random.default_rng(seed)
+        prob = softmax_probabilities(
+            random_cost(seed, grid_counts, disp_steps), 3.0, workers=1)
+        ids = np.array([0] + ids)
+        moving = Volume3D(ids[rng.integers(0, ids.size, size=(6, 5, 7))],
+                          is_label=True)
+        fixed = Volume3D(ids[rng.integers(0, ids.size, size=(6, 5, 7))],
+                         is_label=True)
+        want = planewise_label_loss(prob, moving, fixed)
+        for got in for_each_setting(
+                rows, grid_counts, disp_steps,
+                lambda w: nonlocal_label_loss(prob, moving, fixed,
+                                              int(ids.max()) + 1, workers=w)):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           rows=block_rows, iterations=st.integers(0, 3),
+           alphas=st.tuples(*[pairs] * 5), minpool=st.sampled_from((1, 3, 5)))
+    def test_regularize(self, seed, grid_counts, disp_steps, rows,
+                        iterations, alphas, minpool):
+        # A kernel needs extents of 1 or at least its width.  Widths above
+        # 3 are where pooling a plane in place without scratch goes wrong.
+        disp_steps = tuple(max(s, minpool) if s > 1 else s for s in disp_steps)
+        spatial = 3 if all(c != 2 for c in grid_counts) else 1
+        cost = random_cost(seed, grid_counts, disp_steps)
+        params = RegularizerParams(alphas=alphas + ((4.0, 0.0),),
+                                   iterations=iterations,
+                                   minpool_kernel=minpool,
+                                   spatial_kernel=spatial)
+        want = out_of_place_regularize(cost.values, params).tobytes()
+        for got in for_each_setting(
+                rows, grid_counts, disp_steps,
+                lambda w: regularize(cost, params, workers=w).values):
+            assert got.tobytes() == want
+
+
+class TestRegularizeInput:
+    @pytest.mark.parametrize("alphas", [((1.0, 0.0),) * 6,
+                                        ((2.0, 0.5),) * 5 + ((4.0, 0.0),)])
+    def test_input_bytes_unchanged(self, alphas):
+        cost = random_cost(7, (4, 3, 3), (3, 3, 3))
+        before = cost.values.tobytes()
+        out = regularize(cost, RegularizerParams(alphas=alphas, iterations=3),
+                         workers=2)
+        assert cost.values.tobytes() == before
+        assert not np.shares_memory(out.values, cost.values)
+        assert not out.values.flags.writeable
+
+
+class TestManyWorkers:
+    def test_more_workers_than_cores_with_fast_switching(self):
+        """Eight workers write disjoint planes of shared buffers while the
+        interpreter switches threads every microsecond."""
+        rng = np.random.default_rng(3)
+        fixed = random_features(rng, 2, (5, 4, 6))
+        moving = random_features(rng, 2, (5, 4, 6))
+        grid, space = ControlGrid((7, 3, 4)), DisplacementSpace(0.3, (3, 5, 3))
+        params = RegularizerParams(alphas=((1.5, 0.1),) * 5 + ((4.0, 0.0),),
+                                   iterations=3)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cost = dissimilarity_tensor(fixed, moving, grid, space, workers=8)
+            smoothed = regularize(cost, params, workers=8)
+        finally:
+            sys.setswitchinterval(old)
+        want = planewise_dissimilarity(fixed, moving, grid, space)
+        assert cost.values.tobytes() == want.tobytes()
+        assert smoothed.values.tobytes() == \
+            out_of_place_regularize(want, params).tobytes()
+
+
+class TestShiftedMinimumPool:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           kernels=st.lists(st.sampled_from((1, 3, 5, 7)), min_size=4,
+                            max_size=4),
+           levels=st.sampled_from((2, 5, None)))
+    def test_equals_minimum_filter(self, seed, shape, kernels, levels):
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0.0, 1.0, size=shape)
+        if levels is not None:
+            data = np.floor(data * levels)      # many ties
+        size = tuple(kernels[:len(shape)])
+        want = ndimage.minimum_filter(data, size=size, mode="nearest")
+        out, work = np.empty_like(data), np.empty_like(data)
+        got = _min_pool(data, size, out, work)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+
+class TestThreadedValidation:
+    """Every plane of a tensor is checked, also when the planes are spread
+    over workers: a bad value in the last plane is still found."""
+
+    @pytest.mark.parametrize("plane", [0, -1])
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"),
+                                              (np.inf, "finite"),
+                                              (-1e-12, "non-negative")])
+    def test_cost_tensor(self, plane, bad, message):
+        vals = np.ones((5, 2, 3, 3, 1, 3))
+        vals[plane, -1, -1, -1, -1, -1] = bad
+        with pytest.raises(ValueError, match=message):
+            CostTensor6D(vals, ControlGrid((5, 2, 3)),
+                         DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+
+    @pytest.mark.parametrize("plane", [0, -1])
+    @pytest.mark.parametrize("bad, message", [(np.nan, "sum to 1"),
+                                              (np.inf, r"\[0, 1\]"),
+                                              (-1e-12, r"\[0, 1\]")])
+    def test_prob_tensor(self, plane, bad, message):
+        vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)
+        vals[plane, -1, -1, -1, -1, -1] = bad
+        with pytest.raises(ValueError, match=message):
+            ProbTensor6D(vals, ControlGrid((5, 2, 3)),
+                         DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+
+    def test_unnormalized_last_point_rejected(self):
+        vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)
+        vals[-1, -1, -1] *= 1.01
+        with pytest.raises(ValueError, match="sum to 1"):
+            ProbTensor6D(vals, ControlGrid((5, 2, 3)),
+                         DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+
+    def test_replace_values_keeps_workers(self):
+        cost = CostTensor6D(np.ones((3, 1, 1, 3, 3, 3)), ControlGrid((3, 1, 1)),
+                            DisplacementSpace(0.3, 3), workers=1)
+        assert cost.replace_values(cost.values * 2.0).workers == 1
+        assert "workers" not in repr(cost)
