@@ -152,7 +152,8 @@ def _build_parser() -> _Parser:
     reg.add_argument("--seed", type=int, help="run seed recorded in the "
                                               "report")
     reg.add_argument("--threads", type=int, help="worker threads for the "
-                     "6D tensor stages (default: the usable cores); "
+                     "SSC features, the 6D tensor stages, the warps and "
+                     "the Jacobian statistics (default: the usable cores); "
                      "outputs are identical for any count")
     reg.add_argument("--report", help="also write the report as CSV here")
 

@@ -285,10 +285,14 @@ def _corner_setup(data: np.ndarray, fracs: np.ndarray):
 
 def sample_points_linear(data: np.ndarray, fracs: np.ndarray) -> np.ndarray:
     """Trilinear sampling of a 3D array at arbitrary fractional-index
-    points ``fracs`` of shape ``(..., 3)``, clamped to the border."""
+    points ``fracs`` of shape ``(..., 3)``, clamped to the border.  Axes
+    of ``data`` after the first three (a vector field's components) are
+    sampled together and trail the result; each is computed exactly as
+    if it were sampled alone."""
     fracs = np.asarray(fracs, dtype=np.float64)
     idx0, w = _corner_setup(data, fracs)
-    out = np.zeros(fracs.shape[:-1], dtype=np.float64)
+    out = np.zeros(fracs.shape[:-1] + data.shape[3:], dtype=np.float64)
+    trail = (...,) + (None,) * (data.ndim - 3)
     for b0 in (0, 1):
         for b1 in (0, 1):
             for b2 in (0, 1):
@@ -297,7 +301,7 @@ def sample_points_linear(data: np.ndarray, fracs: np.ndarray) -> np.ndarray:
                 weight = ((w[0] if b0 else 1.0 - w[0])
                           * (w[1] if b1 else 1.0 - w[1])
                           * (w[2] if b2 else 1.0 - w[2]))
-                out += data[tuple(i)] * weight
+                out += data[tuple(i)] * weight[trail]
     return out
 
 
@@ -342,8 +346,14 @@ def trilinear_sample(vol: Volume3D, p) -> float:
 
 def present_labels(*volumes: Volume3D) -> np.ndarray:
     """Sorted label values that occur in at least one of the label
-    volumes (a histogram pass per volume, cheaper than sorting)."""
+    volumes.  A histogram pass per volume is cheaper than sorting, but
+    its bins span every value up to the largest label; when those
+    outnumber the voxels, the volumes are sorted instead, so a sparse
+    large ID (say 2**30) costs memory in proportion to the voxels."""
     top = max(int(vol.data.max()) for vol in volumes)
+    if top + 1 > sum(vol.data.size for vol in volumes):
+        each = [np.unique(vol.data) for vol in volumes]
+        return np.unique(np.concatenate(each)).astype(np.intp)
     seen = np.zeros(top + 1, dtype=bool)
     for vol in volumes:
         seen |= np.bincount(vol.data.ravel(), minlength=top + 1) > 0

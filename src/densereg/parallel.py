@@ -11,6 +11,11 @@ actual arithmetic.  Planes too small to repay the hand-off to a worker
 run on the calling thread.  The same helper runs the 12 SSC feature
 channels, one channel per task.
 
+Passes that read or write every voxel of a volume (the warp, the
+Jacobian statistics, the phantom's inverse field) run one axis-0 slab of
+about :data:`SLAB_VOXELS` voxels per task (:func:`map_slabs`); each voxel
+goes through the same arithmetic in whichever slab and thread it falls.
+
 Inside a task, the tensor stages walk their plane in blocks of rows
 (:func:`row_blocks`) small enough that a block and its scratch buffers
 stay in cache.
@@ -20,7 +25,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["resolve_workers", "map_planes", "row_blocks", "block_view"]
+__all__ = ["resolve_workers", "map_planes", "map_slabs", "row_blocks",
+           "block_view"]
 
 # Planes smaller than this run on the calling thread.  Regularizing and
 # softmaxing 0.36 MiB planes on two threads took 12% longer than on one,
@@ -31,6 +37,10 @@ MIN_THREADED_PLANE_BYTES = 1 << 19
 # 3.3x faster on 432 KB blocks than on 6.9 MB planes, which stream from
 # L3 (2 MiB L2, 2-core VM).
 BLOCK_BYTES = 1 << 19
+
+# Voxels per slab of a voxel-resolution pass: a slab's coordinate and
+# weight temporaries stay cache-sized instead of spanning the volume.
+SLAB_VOXELS = 1 << 15
 
 
 def resolve_workers(threads=None) -> int:
@@ -58,21 +68,42 @@ def map_planes(fn, array, axis: int, workers=None, plane_bytes=None) -> list:
     propagates to the caller.
     """
     count = array.shape[axis]
-    workers = min(resolve_workers(workers), count)
     if plane_bytes is None:
         plane_bytes = array.nbytes / max(count, 1)
-    if workers <= 1 or plane_bytes < MIN_THREADED_PLANE_BYTES:
-        return [fn(i) for i in range(count)]
+    return _map(fn, range(count), workers, plane_bytes)
+
+
+def map_slabs(fn, shape: tuple, voxel_bytes: int, workers=None) -> list:
+    """``[fn(s) for s in slabs]``: ``slabs`` are slices that cover
+    ``range(shape[0])`` in order, each as many axis-0 planes of a volume
+    of ``shape`` as fit in :data:`SLAB_VOXELS` voxels, and at least one.
+    ``voxel_bytes`` is the working memory of ``fn`` per voxel; slabs
+    whose working set is below :data:`MIN_THREADED_PLANE_BYTES` run on
+    the calling thread, others on up to ``workers`` threads."""
+    plane = shape[1] * shape[2]
+    slabs = _cover(shape[0], SLAB_VOXELS // max(plane, 1))
+    depth = slabs[0].stop if slabs else 0
+    return _map(fn, slabs, workers, depth * plane * voxel_bytes)
+
+
+def _map(fn, tasks, workers, task_bytes) -> list:
+    workers = min(resolve_workers(workers), len(tasks))
+    if workers <= 1 or task_bytes < MIN_THREADED_PLANE_BYTES:
+        return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(fn, tasks))
 
 
 def row_blocks(count: int, row_bytes: int) -> list:
     """Slices that cover ``range(count)`` in order, each as many rows of
     ``row_bytes`` as fit in :data:`BLOCK_BYTES`, and at least one row.
     The first slice is the longest, so it sizes the scratch buffers."""
-    rows = max(1, min(count, BLOCK_BYTES // max(int(row_bytes), 1)))
-    return [slice(r, min(r + rows, count)) for r in range(0, count, rows)]
+    return _cover(count, BLOCK_BYTES // max(int(row_bytes), 1))
+
+
+def _cover(count: int, step: int) -> list:
+    step = max(1, min(count, step))
+    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
 
 
 def block_view(flat, shape: tuple):

@@ -27,6 +27,7 @@ import numpy as np
 from .geometry import (DisplacementField, Volume3D, axis_centers,
                        normalized_to_index, sample_points_linear)
 from .metrics import jacobian_stats
+from .parallel import map_slabs
 from .transform import upsample_field, warp
 
 __all__ = ["PhantomSpec", "PhantomPair", "CounterRandom", "generate"]
@@ -172,23 +173,31 @@ def _inverse_field(truth: DisplacementField, iterations: int = 40,
 
     Solves ``psi(y) = -truth(y + psi(y))`` by fixed-point iteration; the
     iteration contracts whenever the forward map does not fold, which the
-    generator guarantees before calling this.
+    generator guarantees before calling this.  Each iteration reads only
+    the previous estimate, so it is evaluated one axis-0 slab at a time
+    on worker threads into a second buffer, and the two buffers swap.
     """
-    dims = truth.vectors.shape[:3]
-    grids = np.meshgrid(*[axis_centers(n) for n in dims], indexing="ij")
-    y = np.stack(grids, axis=-1)
+    dims = truth.counts
+    centers = [axis_centers(n) for n in dims]
     psi = -truth.vectors
+    new = np.empty_like(psi)
+
+    def slab(s):
+        old = psi[s]
+        fracs = np.empty(old.shape)
+        fracs[..., 0] = normalized_to_index(
+            centers[0][s, None, None] + old[..., 0], dims[0])
+        fracs[..., 1] = normalized_to_index(
+            centers[1][:, None] + old[..., 1], dims[1])
+        fracs[..., 2] = normalized_to_index(centers[2] + old[..., 2], dims[2])
+        np.negative(sample_points_linear(truth.vectors, fracs), out=new[s])
+        return np.max(np.abs(new[s] - old))
+
     for _ in range(iterations):
-        pts = y + psi
-        fracs = np.stack(
-            [normalized_to_index(pts[..., a], dims[a]) for a in range(3)],
-            axis=-1)
-        new = -np.stack(
-            [sample_points_linear(truth.vectors[..., a], fracs)
-             for a in range(3)],
-            axis=-1)
-        delta = float(np.abs(new - psi).max())
-        psi = new
+        # Working set per voxel: the coordinates, the sampler's corner
+        # indices and weights and the change, about 16 eight-byte values.
+        delta = float(np.max(map_slabs(slab, dims, 16 * 8)))
+        psi, new = new, psi
         if delta < tol:
             break
     return DisplacementField(psi)

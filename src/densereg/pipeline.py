@@ -84,10 +84,11 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     one-hot loss by default, or (``use_nonlocal_loss=False``) the plain
     one-hot MSE of the hard-warped labels.
 
-    ``threads`` caps the worker threads of the SSC features and the 6D
-    tensor stages (default: the usable cores).  Every stage splits its
-    work by feature channel or tensor plane, so the result is identical
-    for any thread count.
+    ``threads`` caps the worker threads of the SSC features, the 6D
+    tensor stages, the warps and the Jacobian statistics (default: the
+    usable cores).  Every stage splits its work by feature channel,
+    tensor plane or volume slab, so the result is identical for any
+    thread count.
     """
     cfg = RegistrationConfig() if cfg is None else cfg
     if fixed.dims != moving.dims:
@@ -149,15 +150,15 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
 
     t0 = time.perf_counter()
     field = upsample_field(ctrl, fixed.dims)
-    warped = warp(moving, field)
-    warped_labels = warp(moving_labels, field) \
+    warped = warp(moving, field, workers=workers)
+    warped_labels = warp(moving_labels, field, workers=workers) \
         if moving_labels is not None else None
     timings["resample"] = time.perf_counter() - t0
     _check_finite("displacement field", field.vectors)
     _check_finite("warped volume", warped.data)
 
     t0 = time.perf_counter()
-    std_jac, folding = jacobian_stats(field)
+    std_jac, folding = jacobian_stats(field, workers=workers)
     scores = {}
     if fixed_labels is not None and warped_labels is not None:
         scores = dice(fixed_labels, warped_labels)

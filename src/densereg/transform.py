@@ -30,7 +30,7 @@ from .geometry import (
     sample_separable,
     spatial_gradient,
 )
-from .parallel import block_view, map_planes, row_blocks
+from .parallel import block_view, map_planes, map_slabs, row_blocks
 from .regularizer import RegularizerParams, tuned_params
 
 __all__ = [
@@ -183,20 +183,17 @@ def upsample_field(ctrl: DisplacementField, dims) -> DisplacementField:
     return DisplacementField(out)
 
 
-# Voxels per warp slab: the per-slab coordinate and weight temporaries
-# stay cache-sized instead of spanning the volume.
-_WARP_SLAB_VOXELS = 1 << 15
-
-
-def warp(vol: Volume3D, field: DisplacementField, mode: str = None) -> Volume3D:
+def warp(vol: Volume3D, field: DisplacementField, mode: str = None,
+         workers: int = None) -> Volume3D:
     """Resample ``vol`` through the field: ``out(x) = vol(x + phi(x))``.
 
     The field must be at volume resolution.  Intensity volumes interpolate
     trilinearly, label volumes nearest-neighbor; ``mode`` overrides the
     choice ("intensity" or "label").  A zero field reproduces the input
     exactly in both modes.  The output is filled one axis-0 slab at a
-    time; every voxel goes through the same arithmetic as in a
-    whole-volume pass.
+    time, the slabs spread over up to ``workers`` threads; every voxel
+    goes through the same arithmetic as in a whole-volume pass, so the
+    output does not depend on the slab size or the thread count.
     """
     dims = vol.dims
     if field.counts != dims:
@@ -213,16 +210,19 @@ def warp(vol: Volume3D, field: DisplacementField, mode: str = None) -> Volume3D:
     bases = [np.arange(n, dtype=np.float64) for n in dims]
     scales = [n / 2.0 for n in dims]
     data = np.empty(dims, dtype=dtype)
-    depth = max(1, _WARP_SLAB_VOXELS // (dims[1] * dims[2]))
-    for z0 in range(0, dims[0], depth):
-        z1 = min(z0 + depth, dims[0])
-        vec = field.vectors[z0:z1]
+
+    def slab(s):
+        vec = field.vectors[s]
         # x + phi in fractional index units: index i plus phi * n/2 per axis.
         fracs = np.empty(vec.shape)
-        fracs[..., 0] = bases[0][z0:z1, None, None] + vec[..., 0] * scales[0]
+        fracs[..., 0] = bases[0][s, None, None] + vec[..., 0] * scales[0]
         fracs[..., 1] = bases[1][:, None] + vec[..., 1] * scales[1]
         fracs[..., 2] = bases[2] + vec[..., 2] * scales[2]
-        data[z0:z1] = sample(vol.data, fracs)
+        data[s] = sample(vol.data, fracs)
+
+    # Working set per voxel: the coordinates plus the sampler's corner
+    # indices and weights, about 12 eight-byte values.
+    map_slabs(slab, dims, 12 * 8, workers)
     return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))
 
 

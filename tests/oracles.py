@@ -12,7 +12,8 @@ import numpy as np
 from scipy import ndimage
 
 from densereg.features import SSC_PAIRS, FeatureVolume
-from densereg.geometry import (Volume3D, index_to_normalized,
+from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
+                               index_to_normalized,
                                normalized_to_index, present_labels,
                                sample_points_linear, sample_points_nearest,
                                sample_separable)
@@ -308,6 +309,30 @@ def naive_jacobian(vectors):
     return np.array(dets)
 
 
+def lu_jacobian_stats(field):
+    """:func:`densereg.metrics.jacobian_stats` from one whole-volume
+    ``(D-2, H-2, W-2, 3, 3)`` Jacobian array and an LU determinant per
+    voxel (``np.linalg.det``) instead of slabs and the cofactor formula."""
+    counts = field.counts
+    u = np.empty(field.vectors.shape)
+    for c in range(3):
+        u[..., c] = field.vectors[..., c] * (counts[c] / 2.0)
+    jac = np.empty(tuple(c - 2 for c in counts) + (3, 3))
+    for c in range(3):
+        comp = u[..., c]
+        for a in range(3):
+            hi = [slice(1, -1)] * 3
+            lo = [slice(1, -1)] * 3
+            hi[a] = slice(2, None)
+            lo[a] = slice(0, -2)
+            d = (comp[tuple(hi)] - comp[tuple(lo)]) / 2.0
+            jac[..., c, a] = d + (1.0 if c == a else 0.0)
+    dets = np.linalg.det(jac)
+    std = float(dets.std())
+    folding = float(np.count_nonzero(dets <= 0.0)) / dets.size
+    return std, folding
+
+
 def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
     """Probability-weighted label loss over every class id in
     ``range(num_classes)``, evaluated on the whole 6D tensor at once and
@@ -412,6 +437,31 @@ def whole_volume_warp(vol, field, mode=None):
     else:
         data = sample_points_linear(vol.data, fracs)
     return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))
+
+
+def whole_volume_inverse_field(truth, iterations=40, tol=1e-12):
+    """The phantom generator's fixed-point inverse field with whole-volume
+    coordinate arrays and one sampling pass per component: the same
+    per-voxel arithmetic and stopping rule as the library's slab-by-slab
+    iteration, in single passes."""
+    dims = truth.vectors.shape[:3]
+    grids = np.meshgrid(*[axis_centers(n) for n in dims], indexing="ij")
+    y = np.stack(grids, axis=-1)
+    psi = -truth.vectors
+    for _ in range(iterations):
+        pts = y + psi
+        fracs = np.stack(
+            [normalized_to_index(pts[..., a], dims[a]) for a in range(3)],
+            axis=-1)
+        new = -np.stack(
+            [sample_points_linear(truth.vectors[..., a], fracs)
+             for a in range(3)],
+            axis=-1)
+        delta = float(np.abs(new - psi).max())
+        psi = new
+        if delta < tol:
+            break
+    return DisplacementField(psi)
 
 
 # ---------------------------------------------------------------------------

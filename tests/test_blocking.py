@@ -12,12 +12,14 @@ from scipy import ndimage
 from densereg import parallel
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume
-from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
+from densereg.geometry import (ControlGrid, DisplacementField,
+                               DisplacementSpace, Volume3D)
+from densereg.metrics import jacobian_stats
 from densereg.regularizer import RegularizerParams, _min_pool, regularize
 from densereg.transform import (ProbTensor6D, nonlocal_label_loss,
-                                softmax_probabilities)
+                                softmax_probabilities, warp)
 from oracles import (out_of_place_regularize, planewise_dissimilarity,
-                     planewise_label_loss)
+                     planewise_label_loss, whole_volume_warp)
 
 WORKERS = (1, 2, 3)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -160,6 +162,25 @@ class TestManyWorkers:
         assert cost.values.tobytes() == want.tobytes()
         assert smoothed.values.tobytes() == \
             out_of_place_regularize(want, params).tobytes()
+
+
+    def test_slab_passes_with_fast_switching(self, monkeypatch):
+        """Eight workers write disjoint one-plane slabs of the warp output
+        and the determinant array under the same switching."""
+        monkeypatch.setattr(parallel, "SLAB_VOXELS", 1)
+        rng = np.random.default_rng(4)
+        field = DisplacementField(rng.normal(size=(11, 5, 6, 3)) * 0.3)
+        vol = Volume3D(rng.normal(size=(11, 5, 6)))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            warped = warp(vol, field, workers=8)
+            stats = jacobian_stats(field, workers=8)
+        finally:
+            sys.setswitchinterval(old)
+        assert warped.data.tobytes() == \
+            whole_volume_warp(vol, field).data.tobytes()
+        assert stats == jacobian_stats(field, workers=1)
 
 
 class TestShiftedMinimumPool:

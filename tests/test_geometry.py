@@ -1,5 +1,7 @@
 """Coordinate conventions, container validation, and sampling primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,16 +77,37 @@ class TestVolume3D:
             vol.data[0, 0, 0] = 1.0
 
     def test_present_labels_is_sorted_union(self):
-        a = np.zeros((3, 4, 5), dtype=np.int16)
-        b = np.zeros((3, 4, 5), dtype=np.int16)
-        a[0, 0, :2] = (2035, 17)
-        b[1, 1, :2] = (17, 3)
-        got = present_labels(Volume3D(a, is_label=True),
-                             Volume3D(b, is_label=True))
-        assert got.tolist() == [0, 3, 17, 2035]
+        # 120 voxels sort, 8192 voxels take the histogram over 0..2035.
+        for shape in ((3, 4, 5), (16, 16, 16)):
+            a = np.zeros(shape, dtype=np.int16)
+            b = np.zeros(shape, dtype=np.int16)
+            a[0, 0, :2] = (2035, 17)
+            b[1, 1, :2] = (17, 3)
+            got = present_labels(Volume3D(a, is_label=True),
+                                 Volume3D(b, is_label=True))
+            assert got.tolist() == [0, 3, 17, 2035]
         only_zero = Volume3D(np.zeros((2, 2, 2), dtype=np.uint8),
                              is_label=True)
         assert present_labels(only_zero).tolist() == [0]
+
+    def test_present_labels_huge_id_bounded_memory(self):
+        # An f32 label volume may hold an ID of 2**30; a histogram up to
+        # it would take about 9 GiB.
+        a = np.zeros((8, 8, 8), dtype=np.float32)
+        b = np.zeros((8, 8, 8), dtype=np.float32)
+        a[1, 2, 3] = 2.0 ** 30
+        a[4, 4, 4] = 7
+        b[0, 0, 1] = 2.0 ** 30
+        b[5, 5, 5] = 3
+        va, vb = Volume3D(a, is_label=True), Volume3D(b, is_label=True)
+        tracemalloc.start()
+        try:
+            got = present_labels(va, vb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [0, 3, 7, 2 ** 30]
+        assert peak < 64 << 20
 
     def test_intensity_cast_to_float64(self):
         vol = Volume3D(np.zeros((4, 4, 4), dtype=np.int16))
@@ -171,6 +194,16 @@ class TestSampling:
         pts = np.stack(np.meshgrid(f0, f1, f2, indexing="ij"), axis=-1)
         direct = sample_points_linear(data, pts)
         assert np.allclose(grid, direct)
+
+    def test_vector_components_sampled_as_if_alone(self):
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(5, 1, 7, 3))
+        fracs = rng.uniform(-1.0, 8.0, size=(4, 6, 3))
+        got = sample_points_linear(data, fracs)
+        assert got.shape == (4, 6, 3)
+        for c in range(3):
+            want = sample_points_linear(data[..., c], fracs)
+            assert got[..., c].tobytes() == want.tobytes()
 
     def test_trilinear_matches_oracle(self):
         rng = np.random.default_rng(3)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from densereg import parallel
 from densereg.geometry import DisplacementField, Volume3D, axis_centers
 from densereg.metrics import RegistrationReport, dice, jacobian_stats, mean_dice
 
-from oracles import naive_dice, naive_jacobian
+from oracles import lu_jacobian_stats, naive_dice, naive_jacobian
 
 
 def label_volume(data):
@@ -140,6 +142,32 @@ class TestJacobianStats:
     def test_requires_three_voxels_per_axis(self):
         with pytest.raises(ValueError, match="3 voxels"):
             jacobian_stats(DisplacementField(np.zeros((2, 5, 5, 3))))
+
+
+class TestSlabJacobian:
+    """Slab-by-slab cofactor determinants against the whole-volume LU
+    oracle, for several slab sizes and worker counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.tuples(*[st.integers(3, 9)] * 3),
+           slab=st.sampled_from((1, 20, 1 << 15)),
+           magnitude=st.sampled_from((0.0, 0.02, 0.3, 1.5)))
+    def test_matches_lu_oracle(self, seed, dims, slab, magnitude):
+        # Magnitudes 0.3 and 1.5 fold a large share of the voxels.
+        rng = np.random.default_rng(seed)
+        field = DisplacementField(rng.normal(size=dims + (3,)) * magnitude)
+        want_std, want_folding = lu_jacobian_stats(field)
+        with pytest.MonkeyPatch.context() as mp:
+            # One plane per slab at slab=1, and every slab on the workers.
+            mp.setattr(parallel, "SLAB_VOXELS", slab)
+            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+            results = [jacobian_stats(field, workers=w) for w in (1, 2, 3)]
+        for got in results[1:]:
+            assert np.array(got).tobytes() == np.array(results[0]).tobytes()
+        std, folding = results[0]
+        assert abs(std - want_std) <= 1e-13 * max(1.0, want_std)
+        assert folding == want_folding
 
 
 class TestRegistrationReport:

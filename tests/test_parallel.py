@@ -13,7 +13,7 @@ from densereg import parallel
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume, extract_ssc
 from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
-from densereg.parallel import map_planes, resolve_workers
+from densereg.parallel import map_planes, map_slabs, resolve_workers
 from densereg.regularizer import RegularizerParams, regularize
 from densereg.transform import nonlocal_label_loss, softmax_probabilities
 from oracles import full_resolution_ssc
@@ -97,6 +97,36 @@ class TestMapPlanes:
 
         with pytest.raises(ArithmeticError, match="plane 3"):
             map_planes(plane, np.zeros(5), 0, workers=2)
+
+
+class TestMapSlabs:
+    def test_slabs_cover_axis_in_order(self, monkeypatch):
+        monkeypatch.setattr(parallel, "SLAB_VOXELS", 30)
+        got = map_slabs(lambda s: (s.start, s.stop), (7, 3, 4), 8, workers=3)
+        assert got == [(0, 2), (2, 4), (4, 6), (6, 7)]
+
+    def test_plane_over_budget_is_one_slab(self, monkeypatch):
+        monkeypatch.setattr(parallel, "SLAB_VOXELS", 5)
+        got = map_slabs(lambda s: (s.start, s.stop), (3, 3, 4), 8, workers=2)
+        assert got == [(0, 1), (1, 2), (2, 3)]
+
+    def test_no_planes(self):
+        assert map_slabs(lambda s: s, (0, 4, 4), 8, workers=2) == []
+
+    def test_working_bytes_choose_threads(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 1 << 19)
+        monkeypatch.setattr(parallel, "SLAB_VOXELS", 1 << 12)
+        barrier = threading.Barrier(2, timeout=10)
+
+        def slab(s):
+            barrier.wait()
+            return threading.get_ident()
+
+        # Two slabs of 4096 voxels: 128 bytes each reach 512 KiB, 8 not.
+        assert len(set(map_slabs(slab, (2, 64, 64), 128, workers=2))) == 2
+        caller = threading.get_ident()
+        assert set(map_slabs(lambda s: threading.get_ident(), (2, 64, 64),
+                             8, workers=2)) == {caller}
 
 
 # Grids of 2-5 points per axis plus extent-1 axes; plane counts such as 5

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from densereg import phantom
+from densereg import parallel, phantom
+from densereg.geometry import DisplacementField
 from densereg.metrics import dice, jacobian_stats, mean_dice
 from densereg.phantom import CounterRandom, PhantomSpec, generate
-from densereg.transform import warp
-from oracles import whole_volume_warp
+from densereg.transform import upsample_field, warp
+from oracles import whole_volume_inverse_field, whole_volume_warp
 
 _M64 = (1 << 64) - 1
 
@@ -169,15 +171,46 @@ class TestGenerate:
 
 @pytest.mark.parametrize("deformation", ["translation", "smooth-random"])
 def test_generate_unchanged_by_slab_warp(deformation, monkeypatch):
-    # Extents that no slab size divides evenly; each warp here spans
-    # several slabs.
+    # Extents that no slab size divides evenly; each warp and each
+    # inverse-field iteration here spans several slabs.
     spec = PhantomSpec(seed=5, dims=(44, 36, 40), organs=4,
                        deformation=deformation, magnitude=0.15)
     got = generate(spec)
     monkeypatch.setattr(phantom, "warp", whole_volume_warp)
+    monkeypatch.setattr(phantom, "_inverse_field", whole_volume_inverse_field)
     want = generate(spec)
     for name in ("fixed", "fixed_labels", "moving", "moving_labels"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.data.dtype == b.data.dtype
         assert a.data.tobytes() == b.data.tobytes()
     assert got.truth.vectors.tobytes() == want.truth.vectors.tobytes()
+
+
+class TestSlabInverseField:
+    """The slab-by-slab fixed-point inverse equals the whole-volume
+    iteration byte for byte, including where it stops early."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.tuples(*[st.integers(2, 9)] * 3),
+           slab=st.sampled_from((1, 20, 1 << 15)),
+           magnitude=st.sampled_from((0.0, 0.05, 0.3)),
+           smooth=st.booleans(),
+           iterations=st.integers(1, 40),
+           tol=st.sampled_from((1e-12, 1e-6, 1e-2)))
+    def test_matches_whole_volume(self, seed, dims, slab, magnitude, smooth,
+                                  iterations, tol):
+        rng = np.random.default_rng(seed)
+        if smooth:
+            coarse = rng.normal(size=(3, 3, 3, 3)) * magnitude
+            truth = upsample_field(DisplacementField(coarse), dims)
+        else:
+            # A constant field converges within a few iterations.
+            truth = DisplacementField(np.broadcast_to(
+                rng.normal(size=3) * magnitude, dims + (3,)))
+        want = whole_volume_inverse_field(truth, iterations, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "SLAB_VOXELS", slab)
+            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+            got = phantom._inverse_field(truth, iterations, tol)
+        assert got.vectors.tobytes() == want.vectors.tobytes()

@@ -24,7 +24,7 @@ from densereg.transform import (
 from densereg.regularizer import RegularizerParams, tuned_params
 from hypothesis import given, settings, strategies as st
 
-from densereg import transform
+from densereg import parallel
 from oracles import (full_range_label_loss, naive_frac_trilinear,
                      whole_volume_warp)
 
@@ -238,7 +238,8 @@ class TestWarp:
 
 
 class TestSlabWarp:
-    """Slab-by-slab warping equals the whole-volume pass bit for bit."""
+    """Slab-by-slab warping equals the whole-volume pass bit for bit, for
+    every worker count."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16),
@@ -257,13 +258,15 @@ class TestSlabWarp:
         # Hypothesis runs many examples per test call, so the slab size is
         # patched per example rather than through the monkeypatch fixture.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transform, "_WARP_SLAB_VOXELS", slab)
+            mp.setattr(parallel, "SLAB_VOXELS", slab)
+            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
             for vol in (intensity, labels):
-                got = warp(vol, field, mode)
                 want = whole_volume_warp(vol, field, mode)
-                assert got.is_label == want.is_label
-                assert got.data.dtype == want.data.dtype
-                assert got.data.tobytes() == want.data.tobytes()
+                for workers in (1, 2, 3):
+                    got = warp(vol, field, mode, workers=workers)
+                    assert got.is_label == want.is_label
+                    assert got.data.dtype == want.data.dtype
+                    assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestDiffusionPenalty:
