@@ -25,8 +25,7 @@ import numpy as np
 
 from densereg.correlation import CostTensor6D
 from densereg.geometry import ControlGrid, DisplacementSpace
-from densereg.regularizer import (RegularizerParams, lower_envelope_3d,
-                                  min_convolution)
+from densereg.regularizer import lower_envelope_3d, min_convolution
 
 CURVATURES = (0.002, 0.004, 0.005, 0.006, 0.0075, 0.009, 0.011, 0.014,
               0.02, 0.03)
@@ -36,22 +35,19 @@ SPACE15 = DisplacementSpace(0.4, steps=15)
 
 
 def rms_deviation(curvature, cases):
-    p = RegularizerParams()
     acc = 0.0
     cnt = 0
     for seed in range(cases):
         rng = np.random.default_rng(1000 + seed)
         vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 15, 15, 15))
         t = CostTensor6D(vals, GRID1, SPACE15)
-        d = min_convolution(t, p).values \
-            - lower_envelope_3d(t, curvature).values
+        d = min_convolution(vals) - lower_envelope_3d(t, curvature).values
         acc += float(np.sum(d * d))
         cnt += d.size
     return float(np.sqrt(acc / cnt))
 
 
 def separated_minimum_agreement(curvature, cases):
-    p = RegularizerParams()
     agree = 0
     for seed in range(cases):
         rng = np.random.default_rng(2000 + seed)
@@ -59,7 +55,7 @@ def separated_minimum_agreement(curvature, cases):
         pos = tuple(rng.integers(2, 13, size=3))
         vals[(0, 0, 0) + pos] = 0.0
         t = CostTensor6D(vals, GRID1, SPACE15)
-        pooled = min_convolution(t, p).values
+        pooled = min_convolution(vals)
         exact = lower_envelope_3d(t, curvature).values
         if np.argmin(pooled) == np.argmin(exact):
             agree += 1

@@ -62,8 +62,7 @@ def main():
     refined = register_pair(pair.fixed, pair.moving, cfg,
                             fixed_labels=pair.fixed_labels,
                             moving_labels=pair.moving_labels,
-                            refinement=RefineConfig(
-                                diffusion_weight=cfg.diffusion_weight))
+                            refinement=RefineConfig())
     rrep = refined.report
     e = np.asarray(refined.refine_energies)
     print(f"refined mean Dice: {rrep.mean_dice:.4f}  "

@@ -1,16 +1,17 @@
 """How the default regularizer preset was fitted.
 
-Every pooling stage in the regularizer is 1-homogeneous and ships with zero
-bias, so the five stage scales collapse into a single product: feed-forward
-accuracy feels only (a) the smoothing schedule (iterations and kernels) and
-(b) the product of the output scale and the softmax temperature.  The
-output scale additionally sets the data term's weight relative to the
-diffusion penalty during gradient refinement.  That leaves four effective
-knobs, and this script reruns the coordinate sweeps around the selected
-point that produced the library defaults:
+Every pooling stage in the regularizer is 1-homogeneous, so a scale put
+before any stage comes out as the same factor on the output, and
+``RegularizerParams`` has a single ``output_scale``.  Feed-forward
+accuracy feels only (a) the smoothing schedule (iterations and spatial
+kernel) and (b) the product of the output scale and the softmax
+temperature.  The output scale additionally sets the data term's weight
+relative to the diffusion penalty during gradient refinement.  Those are
+the four knobs, and this script reruns the coordinate sweeps around the
+selected point that produced the library defaults:
 
     iterations=5, spatial kernel 5, output scale 2500, temperature 4
-    (tuned_params() / TUNED_ALPHAS), phantom suite magnitude 0.25.
+    (RegularizerParams()), phantom suite magnitude 0.25.
 
 The defaults were fitted on the full acceptance-scale suite (five seeds,
 64 voxels per axis, 16 per-axis control grid); run with --full to repeat
@@ -27,11 +28,10 @@ import argparse
 import numpy as np
 
 from densereg.geometry import DisplacementSpace
-from densereg.metrics import dice, mean_dice
 from densereg.phantom import PhantomSpec, generate
 from densereg.pipeline import register_pair
 from densereg.refine import RefineConfig
-from densereg.regularizer import RegularizerParams, tuned_params
+from densereg.regularizer import RegularizerParams
 from densereg.transform import RegistrationConfig
 
 
@@ -48,7 +48,6 @@ def make_pairs(seeds, dims, magnitude):
 def run(pair, grid, params, refinement=None):
     cfg = RegistrationConfig(grid_counts=(grid,) * 3,
                              space=DisplacementSpace(0.4, 15),
-                             diffusion_weight=1.5,
                              reg_params=params)
     res = register_pair(pair.fixed, pair.moving, cfg,
                         fixed_labels=pair.fixed_labels,
@@ -59,9 +58,8 @@ def run(pair, grid, params, refinement=None):
 
 
 def scaled_params(scale, temperature, iterations=5, kernel=5):
-    alphas = ((1.0, 0.0),) * 4 + ((scale, 0.0), (temperature, 0.0))
-    return RegularizerParams(alphas=alphas, iterations=iterations,
-                             spatial_kernel=kernel)
+    return RegularizerParams(output_scale=scale, temperature=temperature,
+                             iterations=iterations, spatial_kernel=kernel)
 
 
 def mean_over(pairs, grid, params, refinement=None):
@@ -70,23 +68,8 @@ def mean_over(pairs, grid, params, refinement=None):
             float(np.mean([s[1] for s in scores])))
 
 
-def show_scale_collapse(pairs, grid):
-    print("\n1. Stage scales collapse into one product")
-    print("   Multiplying any pooling stage by c and dividing another by c")
-    print("   leaves the registration unchanged; only the product matters.")
-    a = scaled_params(2500.0, 4.0)
-    alphas_b = ((50.0, 0.0), (1.0, 0.0), (0.1, 0.0), (10.0, 0.0),
-                (50.0, 0.0), (4.0, 0.0))  # same product 2500 * 4
-    b = RegularizerParams(alphas=alphas_b, iterations=5, spatial_kernel=5)
-    da, _ = run(pairs[0], grid, a)
-    db, _ = run(pairs[0], grid, b)
-    print(f"   scales (1,1,1,1,2500)x4.0  -> Dice {da:.4f}")
-    print(f"   scales (50,1,0.1,10,50)x4.0 -> Dice {db:.4f}   "
-          f"(difference {abs(da - db):.2e})")
-
-
 def sweep_sharpness(pairs, grid):
-    print("\n2. Softmax sharpness (scale x temperature product)")
+    print("\n1. Softmax sharpness (scale x temperature product)")
     print("   Too soft blurs the expectation toward zero displacement.")
     print("   Sharper keeps lifting raw overlap but drives the readout")
     print("   toward a hard argmax whose lattice quantization refinement")
@@ -98,7 +81,7 @@ def sweep_sharpness(pairs, grid):
 
 
 def sweep_smoothing(pairs, grid):
-    print("\n3. Mean-field schedule (iterations x spatial kernel)")
+    print("\n2. Mean-field schedule (iterations x spatial kernel)")
     print("   More smoothing trades peak overlap for field regularity;")
     print("   5 iterations with a 5-wide kernel removes folding outright.")
     print(f"   {'iters':>6} {'kernel':>7} {'dice':>8} {'folding':>9}")
@@ -109,7 +92,7 @@ def sweep_smoothing(pairs, grid):
 
 
 def sweep_data_scale(pairs, grid):
-    print("\n4. Output scale vs gradient refinement (product held at 1e4)")
+    print("\n3. Output scale vs gradient refinement (product held at 1e4)")
     print("   With the product fixed the feed-forward column cannot move;")
     print("   the scale only re-weights the refined data term against the")
     print("   diffusion weight 1.5.  2500 won the full-scale sweep; the")
@@ -118,23 +101,21 @@ def sweep_data_scale(pairs, grid):
     for scale in (500.0, 2500.0, 10000.0):
         params = scaled_params(scale, 10000.0 / scale)
         d, _ = mean_over(pairs, grid, params)
-        r, _ = mean_over(pairs, grid, params,
-                         RefineConfig(diffusion_weight=1.5))
+        r, _ = mean_over(pairs, grid, params, RefineConfig())
         print(f"   {scale:>8g} {d:>8.4f} {r:>8.4f} {r - d:>+8.4f}")
 
 
 def scan_magnitude(seeds, dims, grid):
-    print("\n5. Suite deformation magnitude (final preset)")
+    print("\n4. Suite deformation magnitude (final preset)")
     print("   Refinement pays off near the capture-range edge, where the")
     print("   probability-weighted average is biased inward; far inside the")
     print("   range the soft argmax is already the best readout.")
     print(f"   {'magnitude':>10} {'dice':>8} {'refined':>8} {'delta':>8}")
     for mag in (0.15, 0.25, 0.32):
         pairs = make_pairs(seeds, dims, mag)
-        params = tuned_params()
+        params = RegularizerParams()
         d, _ = mean_over(pairs, grid, params)
-        r, _ = mean_over(pairs, grid, params,
-                         RefineConfig(diffusion_weight=1.5))
+        r, _ = mean_over(pairs, grid, params, RefineConfig())
         print(f"   {mag:>10g} {d:>8.4f} {r:>8.4f} {r - d:>+8.4f}")
 
 
@@ -158,16 +139,15 @@ def main():
           f"grid, magnitude 0.25, noise 0.02, 5 organs")
     pairs = make_pairs(seeds, dims, 0.25)
 
-    show_scale_collapse(pairs, grid)
     sweep_sharpness(pairs, grid)
     sweep_smoothing(pairs, grid)
     sweep_data_scale(pairs, grid)
     scan_magnitude(seeds, dims, grid)
 
-    p = tuned_params()
+    p = RegularizerParams()
     print("\nselected preset (the library default):")
     print(f"   iterations={p.iterations} spatial_kernel={p.spatial_kernel} "
-          f"alphas={tuple(a for a, _ in p.alphas)}")
+          f"output_scale={p.output_scale:g} temperature={p.temperature:g}")
 
 
 if __name__ == "__main__":

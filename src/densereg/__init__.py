@@ -16,7 +16,7 @@ from .metrics import RegistrationReport, dice, jacobian_stats, mean_dice
 from .phantom import PhantomPair, PhantomSpec, generate
 from .pipeline import RegistrationResult, register_pair
 from .refine import RefineConfig
-from .regularizer import RegularizerParams, tuned_params
+from .regularizer import RegularizerParams
 from .transform import RegistrationConfig
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "read_field",
     "read_volume",
     "register_pair",
-    "tuned_params",
     "write_field",
     "write_volume",
     "__version__",

@@ -18,13 +18,13 @@ from .correlation import CostTensor6D, dissimilarity_tensor, flop_estimate
 from .features import extract_ssc
 from .geometry import (ControlGrid, DisplacementField, DisplacementSpace,
                        Volume3D, index_to_normalized, normalized_to_index)
-from .metrics import dice, jacobian_stats, mean_dice
+from .metrics import RegistrationReport, dice, jacobian_stats
 from .parallel import resolve_workers
 from .phantom import PhantomSpec, generate
 from .pipeline import register_pair
 from .refine import RefineConfig, refine
-from .regularizer import (RegularizerParams, TUNED_ALPHAS,
-                          exact_lower_envelope, min_convolution)
+from .regularizer import (RegularizerParams, exact_lower_envelope,
+                          min_convolution)
 from .transform import (RegistrationConfig, diffusion_penalty,
                         expected_displacement, nonlocal_label_loss,
                         softmax_probabilities, upsample_field, warp)
@@ -140,7 +140,8 @@ def _build_parser() -> _Parser:
     reg.add_argument("--grid", type=_parse_triple,
                      help="control-grid points per axis (one int or three)")
     reg.add_argument("--lambda", dest="lambda_", type=float,
-                     help="diffusion regularization weight")
+                     help="diffusion regularization weight of the "
+                          "--refine descent (read only with --refine)")
     reg.add_argument("--no-mean-field", action="store_true", default=None,
                      help="skip cost smoothing (ablation wiring)")
     reg.add_argument("--no-nonlocal-loss", action="store_true", default=None,
@@ -218,20 +219,16 @@ def _cmd_register(args) -> int:
 
     q = _pick(merged, "q", 0.4)
     steps = _pick(merged, "steps", (15, 15, 15))
-    lambda_ = _pick(merged, "lambda", 1.5)
-    reg_params = RegularizerParams(alphas=TUNED_ALPHAS, iterations=0,
-                                   spatial_kernel=5) \
-        if merged.get("no-mean-field") else None
-    cfg_kwargs = {"diffusion_weight": lambda_,
-                  "space": DisplacementSpace(q, steps),
+    cfg_kwargs = {"space": DisplacementSpace(q, steps),
                   "grid_counts": _pick(merged, "grid", (32, 32, 32))}
-    if reg_params is not None:
-        cfg_kwargs["reg_params"] = reg_params
+    if merged.get("no-mean-field"):
+        cfg_kwargs["reg_params"] = RegularizerParams(iterations=0)
     cfg = RegistrationConfig(**cfg_kwargs)
 
-    refinement = None
-    if merged.get("refine"):
-        refinement = RefineConfig(diffusion_weight=lambda_)
+    # Built even without --refine, so a bad --lambda is still rejected.
+    refinement = RefineConfig(diffusion_weight=_pick(merged, "lambda", 1.5))
+    if not merged.get("refine"):
+        refinement = None
 
     result = register_pair(fixed, moving, cfg,
                            fixed_labels=fixed_labels,
@@ -291,46 +288,23 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
-def _format_scores(scores: dict, jac: tuple, field_path) -> str:
-    lines = []
-    for label in sorted(scores):
-        value = scores[label]
-        lines.append(f"dice_label_{label}={value:.9g}")
-    lines.append(f"dice_mean={mean_dice(scores):.9g}")
-    if jac is not None:
-        lines.append(f"std_jac={jac[0]:.9g}")
-        lines.append(f"folding_fraction={jac[1]:.9g}")
-        lines.append(f"field={field_path}")
-    return "\n".join(lines) + "\n"
-
-
-def _scores_csv(scores: dict, jac: tuple) -> str:
-    lines = ["metric,value"]
-    for label in sorted(scores):
-        lines.append(f"dice_label_{label},{scores[label]:.9g}")
-    lines.append(f"dice_mean,{mean_dice(scores):.9g}")
-    if jac is not None:
-        lines.append(f"std_jac,{jac[0]:.9g}")
-        lines.append(f"folding_fraction,{jac[1]:.9g}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_evaluate(args) -> int:
     merged = _merge(args, _EVALUATE_KEYS)
     _require(merged, ("fixed-labels", "moving-labels"), "evaluate")
     fixed_labels = vio.read_volume(merged["fixed-labels"], as_labels=True)
     moving_labels = vio.read_volume(merged["moving-labels"], as_labels=True)
-    jac = None
+    # Without a field the Jacobian statistics are not computed and read nan.
+    report = RegistrationReport()
     if merged.get("field") is not None:
         field = vio.read_field(merged["field"])
         moving_labels = warp(moving_labels, field)
-        jac = jacobian_stats(field)
-    scores = dice(fixed_labels, moving_labels)
-    text = _format_scores(scores, jac, merged.get("field"))
+        report.std_jac, report.folding_fraction = jacobian_stats(field)
+        report.notes["field"] = merged["field"]
+    report.per_label_dice = dice(fixed_labels, moving_labels)
     if merged.get("report") is not None:
         with open(merged["report"], "w", encoding="ascii") as fh:
-            fh.write(_scores_csv(scores, jac))
-    sys.stdout.write(text)
+            fh.write(report.to_csv())
+    sys.stdout.write(report.to_text())
     return 0
 
 
@@ -433,9 +407,8 @@ def _selftest_checks():
 
     def minconv_constant():
         values = np.full((2, 2, 2) + space9.steps, 1.25)
-        out = min_convolution(CostTensor6D(values, ControlGrid((2, 2, 2)),
-                                           space9), RegularizerParams())
-        assert np.allclose(out.values, 1.25), "constant min-convolution moved"
+        out = min_convolution(values)
+        assert np.allclose(out, 1.25), "constant min-convolution moved"
 
     def correlation_self_match():
         rng = np.random.default_rng(17)

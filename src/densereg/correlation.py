@@ -41,7 +41,9 @@ class CostTensor6D:
     the usable cores), which is not part of the tensor's value.
     ``values`` is a read-only view of the array it was given, so code
     that holds that array can keep writing it:
-    :func:`densereg.regularizer.regularize` reuses one working buffer.
+    :func:`densereg.regularizer.regularize` runs all its blocks on plain
+    arrays in one working buffer and builds, and so validates, one
+    tensor from the result.
     """
 
     values: np.ndarray

@@ -24,14 +24,13 @@ from itertools import combinations
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Volume3D, index_to_normalized, sample_points_linear
+from .geometry import Volume3D, index_to_normalized
 from .parallel import map_planes
 
 __all__ = [
     "FeatureVolume",
     "extract_ssc",
     "extract_intensity_gradient",
-    "sample_features_at",
     "SSC_PAIRS",
 ]
 
@@ -205,16 +204,3 @@ def extract_intensity_gradient(vol: Volume3D, smooth_sigma: float = 1.0,
     full = np.stack([ch0] + list(grads), axis=0)
     sub, origin, step = _subsample(full, dims, stride)
     return FeatureVolume(sub, origin, step)
-
-
-def sample_features_at(fvol: FeatureVolume, points) -> np.ndarray:
-    """Feature vectors at normalized points of shape ``(..., 3)``.
-
-    Each channel is trilinearly interpolated on the feature grid with
-    border clamping; the result has shape ``(..., C)``.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    fracs = np.stack([fvol.axis_fracs(a, points[..., a]) for a in range(3)], axis=-1)
-    out = np.stack([sample_points_linear(fvol.data[c], fracs)
-                    for c in range(fvol.channels)], axis=-1)
-    return out

@@ -28,8 +28,6 @@ __all__ = [
     "sample_separable",
     "sample_points_linear",
     "sample_points_nearest",
-    "trilinear_sample",
-    "sample_volume",
     "spatial_gradient",
     "present_labels",
 ]
@@ -319,30 +317,6 @@ def sample_points_nearest(data: np.ndarray, fracs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Operations on volumes and fields
 # ---------------------------------------------------------------------------
-
-def _vol_fracs(vol: Volume3D, points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    fracs = np.empty_like(points)
-    for axis in range(3):
-        fracs[..., axis] = normalized_to_index(points[..., axis], vol.dims[axis])
-    return fracs
-
-
-def sample_volume(vol: Volume3D, points: np.ndarray) -> np.ndarray:
-    """Sample a volume at normalized points of shape ``(..., 3)``; trilinear
-    for intensity volumes, nearest-neighbor for label volumes."""
-    fracs = _vol_fracs(vol, points)
-    if vol.is_label:
-        return sample_points_nearest(vol.data, fracs)
-    return sample_points_linear(vol.data, fracs)
-
-
-def trilinear_sample(vol: Volume3D, p) -> float:
-    """Trilinear interpolant of ``vol`` at one normalized point ``p``;
-    coordinates outside (-1, 1) clamp to the border value."""
-    fracs = _vol_fracs(vol, np.asarray(p, dtype=np.float64).reshape(1, 3))
-    return float(sample_points_linear(vol.data, fracs)[0])
-
 
 def present_labels(*volumes: Volume3D) -> np.ndarray:
     """Sorted label values that occur in at least one of the label

@@ -174,11 +174,12 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         "grid": ",".join(str(c) for c in grid.counts),
         "capture_range": format(cfg.space.q, ".9g"),
         "steps": ",".join(str(s) for s in cfg.space.steps),
-        "lambda": format(cfg.diffusion_weight, ".9g"),
         "mean_field_iterations": str(cfg.reg_params.iterations),
         "refine_steps": str(refinement.steps if refinement is not None else 0),
         "flop_estimate": str(flop_estimate(grid, cfg.space, feat_f.channels)),
     }
+    if refinement is not None:
+        notes["lambda"] = format(refinement.diffusion_weight, ".9g")
     if label_loss is not None:
         notes["label_loss"] = format(label_loss, ".9g")
         notes["label_loss_kind"] = loss_kind

@@ -1,9 +1,16 @@
 """Smoothing of the 6D cost tensor before probabilities are extracted.
 
-Two alternating blocks: an approximate min-convolution over the three
-displacement dimensions (one min-pool then two average-pools, all stride 1
+:func:`regularize` alternates two blocks for ``iterations`` rounds: an
+approximate min-convolution over the three displacement dimensions (one
+min-pool then two average-pools, all :data:`DISP_KERNEL` wide, stride 1
 with replicate padding) and a mean-field step that average-pools over the
-three spatial dimensions.  Scale/bias pairs are applied before each block.
+three spatial dimensions.  It then multiplies the result by
+``output_scale``.  Every block is 1-homogeneous, so a scale applied before
+any block would come out as the same factor on the output: one scale is
+all a chain of per-block scales can express.  ``output_scale`` times the
+softmax ``temperature`` sets the sharpness of the probabilities, and
+``output_scale`` alone weighs the data term against the diffusion penalty
+during refinement.
 
 The min-pool is exact and needs no filter: shifted ``np.minimum`` calls
 along each displacement axis, on blocks of rows that fit in cache.  A
@@ -18,8 +25,10 @@ plane (axis 0), the mean-field step per displacement plane (axis 3).  A
 plane is filtered by the same 1D passes as the whole tensor would be, so
 the result does not depend on the worker count.  Each block reads a
 plane completely before writing it, and nothing else reads that plane,
-so :func:`regularize` runs every block and scale/bias pair in one working
-buffer: the caller's tensor is read once and never written.
+so :func:`regularize` runs every block and the output scale in one
+working buffer: the caller's tensor is read once and never written.  The
+blocks take and return plain arrays; :func:`regularize` checks the
+result once, when it wraps it in a :class:`CostTensor6D`.
 
 ``exact_lower_envelope`` computes the true lower envelope of parabolas for
 a 1D cost row; it serves as the reference the pooled approximation is
@@ -36,9 +45,7 @@ from .parallel import map_planes, row_blocks
 
 __all__ = [
     "RegularizerParams",
-    "DEFAULT_ALPHAS",
-    "TUNED_ALPHAS",
-    "tuned_params",
+    "DISP_KERNEL",
     "min_convolution",
     "mean_field_step",
     "regularize",
@@ -46,16 +53,9 @@ __all__ = [
     "lower_envelope_3d",
 ]
 
-# (scale, bias) pairs; the sixth pair is the softmax temperature used by
-# the transform extraction, not consumed here.
-DEFAULT_ALPHAS = ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (10.0, 0.0))
-
-# End-to-end registration preset fitted by the coarse grid search in
-# demos/tune_alphas.py on the synthetic phantom suite.  Pair 5 sets the
-# scale of the regularized cost (and with it the data term seen by the
-# gradient refinement, relative to the diffusion weight); pair 5 times
-# pair 6 is the effective softmax sharpness.
-TUNED_ALPHAS = ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2500.0, 0.0), (4.0, 0.0))
+# Width of the min-pool and of both average pools over each displacement
+# axis.
+DISP_KERNEL = 3
 
 _DISP_AXES = (3, 4, 5)
 _SPATIAL_AXES = (0, 1, 2)
@@ -63,52 +63,33 @@ _SPATIAL_AXES = (0, 1, 2)
 
 @dataclass(frozen=True)
 class RegularizerParams:
-    """Configuration for :func:`regularize`.
+    """Configuration for :func:`regularize` and the softmax that follows.
 
-    ``alphas`` holds six (scale, bias) pairs consumed in order: pair 1
-    before the first min-convolution, pair 2 before the first mean-field
-    step, pairs 3/4 for the second iteration, pair 5 on the final output,
-    pair 6 as the softmax temperature.  ``iterations = 0`` skips all
-    pooling and returns the pair-5-adjusted input (the no-smoothing
-    ablation).  Iterations beyond the second reuse pairs 3/4.
+    ``iterations`` rounds of min-convolution and a ``spatial_kernel``-wide
+    mean-field step, then a multiplication by ``output_scale``;
+    ``iterations = 0`` keeps only the scaling (the no-smoothing
+    ablation).  ``temperature`` multiplies the costs inside
+    :func:`densereg.transform.softmax_probabilities`.  The defaults are
+    the end-to-end preset that demos/tune_alphas.py fitted on the
+    phantom suite.
     """
 
-    alphas: tuple = DEFAULT_ALPHAS
-    iterations: int = 2
-    minpool_kernel: int = 3
-    avgpool_kernel: int = 3
-    spatial_kernel: int = 3
+    output_scale: float = 2500.0
+    temperature: float = 4.0
+    iterations: int = 5
+    spatial_kernel: int = 5
 
     def __post_init__(self):
-        alphas = tuple((float(s), float(b)) for s, b in self.alphas)
-        if len(alphas) != 6:
-            raise ValueError(f"need six (scale, bias) pairs, got {len(alphas)}")
-        flat = [v for pair in alphas for v in pair]
-        if not all(np.isfinite(flat)):
-            raise ValueError("alpha scales and biases must be finite")
-        if alphas[5][0] <= 0.0:
-            raise ValueError("softmax temperature (pair 6 scale) must be positive")
-        for name in ("minpool_kernel", "avgpool_kernel", "spatial_kernel"):
-            k = getattr(self, name)
-            if k < 1 or k % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 1, got {k}")
+        for name in ("output_scale", "temperature"):
+            value = float(getattr(self, name))
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, value)
+        k = self.spatial_kernel
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"spatial_kernel must be odd and >= 1, got {k}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        object.__setattr__(self, "alphas", alphas)
-
-    @property
-    def temperature(self) -> float:
-        return self.alphas[5][0]
-
-
-def tuned_params() -> RegularizerParams:
-    """Regularizer settings used by the end-to-end registration default.
-
-    Five smoothing iterations with a 5-wide spatial kernel and the
-    TUNED_ALPHAS scales; reproduced by demos/tune_alphas.py.
-    """
-    return RegularizerParams(alphas=TUNED_ALPHAS, iterations=5,
-                             spatial_kernel=5)
 
 
 def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:
@@ -153,94 +134,84 @@ def _min_pool(src: np.ndarray, size: tuple, out: np.ndarray,
     return out
 
 
-def min_convolution(cost: CostTensor6D, p: RegularizerParams,
-                    workers: int = None, out: np.ndarray = None) -> CostTensor6D:
-    """Approximate min-convolution over the displacement dimensions: one
-    min-pool followed by two average-pools, spatial dimensions untouched.
-    Evaluated per control plane on up to ``workers`` threads.  The result
-    goes to ``out`` when given, which may be the buffer ``cost`` views:
-    each plane is read into scratch before it is written."""
-    vals = cost.values
-    smin = _pool_size(vals.shape, _DISP_AXES, p.minpool_kernel)[1:]
-    savg = _pool_size(vals.shape, _DISP_AXES, p.avgpool_kernel)[1:]
-    out = np.empty_like(vals) if out is None else out
-    blocks = row_blocks(vals.shape[1], vals[0, 0].nbytes)
-    block_shape = (blocks[0].stop,) + vals.shape[2:]
+def min_convolution(values: np.ndarray, out: np.ndarray = None,
+                    workers: int = None) -> np.ndarray:
+    """Approximate min-convolution over the displacement dimensions of a
+    6D cost array: one min-pool followed by two average-pools, spatial
+    dimensions untouched.  Evaluated per control plane on up to
+    ``workers`` threads.  The result goes to ``out`` when given, which
+    may be ``values`` itself: each plane is read into scratch before it
+    is written.  The output is not checked here; :func:`regularize`
+    validates the tensor it builds from it."""
+    size = _pool_size(values.shape, _DISP_AXES, DISP_KERNEL)[1:]
+    out = np.empty_like(values) if out is None else out
+    blocks = row_blocks(values.shape[1], values[0, 0].nbytes)
+    block_shape = (blocks[0].stop,) + values.shape[2:]
 
     def plane(k):
-        pooled = np.empty(vals.shape[1:])
+        pooled = np.empty(values.shape[1:])
         work = np.empty(block_shape)
         for blk in blocks:
-            _min_pool(vals[k, blk], smin, pooled[blk],
+            _min_pool(values[k, blk], size, pooled[blk],
                       work[:blk.stop - blk.start])
         dst = out[k]
-        ndimage.uniform_filter(pooled, size=savg, output=pooled,
+        ndimage.uniform_filter(pooled, size=size, output=pooled,
                                mode="nearest")
-        ndimage.uniform_filter(pooled, size=savg, output=dst, mode="nearest")
+        ndimage.uniform_filter(pooled, size=size, output=dst, mode="nearest")
         # Sliding-sum rounding can dip epsilon below zero; the true value
         # of a mean of non-negative numbers cannot.
         np.maximum(dst, 0.0, out=dst)
 
-    map_planes(plane, vals, 0, workers)
-    return cost.replace_values(out)
+    map_planes(plane, values, 0, workers)
+    return out
 
 
-def mean_field_step(cost: CostTensor6D, p: RegularizerParams,
-                    workers: int = None, out: np.ndarray = None) -> CostTensor6D:
-    """Average-pool over the spatial dimensions, one pass, independently
-    per displacement bin.  Evaluated per displacement plane (axis 3) on up
-    to ``workers`` threads.  The result goes to ``out`` when given, which
-    may be the buffer ``cost`` views: ndimage reads a batch of lines
-    before it writes them, as it does between its own 1D passes."""
-    vals = cost.values
-    size = _pool_size(vals.shape, _SPATIAL_AXES, p.spatial_kernel)
+def mean_field_step(values: np.ndarray, spatial_kernel: int,
+                    out: np.ndarray = None, workers: int = None) -> np.ndarray:
+    """Average-pool a 6D cost array over the spatial dimensions with a
+    ``spatial_kernel``-wide window, one pass, independently per
+    displacement bin.  Evaluated per displacement plane (axis 3) on up to
+    ``workers`` threads.  The result goes to ``out`` when given, which
+    may be ``values`` itself: ndimage reads a batch of lines before it
+    writes them, as it does between its own 1D passes.  The output is
+    not checked here; :func:`regularize` validates the tensor it builds
+    from it."""
+    size = _pool_size(values.shape, _SPATIAL_AXES, spatial_kernel)
     size = size[:3] + size[4:]
-    out = np.empty_like(vals) if out is None else out
+    out = np.empty_like(values) if out is None else out
 
     def plane(j):
         dst = out[:, :, :, j]
-        ndimage.uniform_filter(vals[:, :, :, j], size=size, output=dst,
+        ndimage.uniform_filter(values[:, :, :, j], size=size, output=dst,
                                mode="nearest")
         np.maximum(dst, 0.0, out=dst)
 
-    map_planes(plane, vals, 3, workers)
-    return cost.replace_values(out)
-
-
-def _affine(cost: CostTensor6D, pair, out: np.ndarray,
-            workers: int) -> CostTensor6D:
-    """``cost * scale + bias`` written into ``out`` (which may be the
-    buffer ``cost`` views), or ``cost`` itself for the identity pair."""
-    scale, bias = pair
-    if scale == 1.0 and bias == 0.0:
-        return cost
-    vals = cost.values
-
-    def plane(k):
-        np.multiply(vals[k], scale, out=out[k])
-        out[k] += bias
-
-    map_planes(plane, vals, 0, workers)
-    return cost.replace_values(out)
+    map_planes(plane, values, 3, workers)
+    return out
 
 
 def regularize(cost: CostTensor6D, p: RegularizerParams,
                workers: int = None) -> CostTensor6D:
-    """Alternate scale/bias + min-convolution with scale/bias + mean-field
-    averaging for ``p.iterations`` rounds, then apply the output pair.
+    """Alternate min-convolution with mean-field averaging for
+    ``p.iterations`` rounds, then multiply by ``p.output_scale``.
     ``workers`` caps the threads of each block (default: the usable
     cores); the result does not depend on it.  Every step after the first
     read of ``cost`` works in place in one buffer of the tensor's size;
-    ``cost`` itself is never written."""
+    ``cost`` itself is never written.  Every block clamps at zero and
+    carries a NaN through, so the one check of the returned tensor
+    stands in for a check after every block."""
     buf = np.empty_like(cost.values)
-    out = cost
-    for it in range(p.iterations):
-        base = min(2 * it, 2)
-        out = min_convolution(_affine(out, p.alphas[base], buf, workers), p,
-                              workers, out=buf)
-        out = mean_field_step(_affine(out, p.alphas[base + 1], buf, workers),
-                              p, workers, out=buf)
-    return _affine(out, p.alphas[4], buf, workers)
+    vals = cost.values
+    for _ in range(p.iterations):
+        vals = min_convolution(vals, out=buf, workers=workers)
+        vals = mean_field_step(vals, p.spatial_kernel, out=buf,
+                               workers=workers)
+
+    def scale(k):
+        np.multiply(vals[k], p.output_scale, out=buf[k])
+
+    map_planes(scale, vals, 0, workers)
+    return cost.replace_values(buf)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .correlation import CostTensor6D
-from .features import FeatureVolume
 from .geometry import (
     ControlGrid,
     DisplacementField,
@@ -31,7 +30,7 @@ from .geometry import (
     spatial_gradient,
 )
 from .parallel import block_view, map_planes, map_slabs, row_blocks
-from .regularizer import RegularizerParams, tuned_params
+from .regularizer import RegularizerParams
 
 __all__ = [
     "ProbTensor6D",
@@ -85,27 +84,25 @@ class ProbTensor6D:
 class RegistrationConfig:
     """End-to-end settings for one registration run.
 
-    ``diffusion_weight`` scales the smoothness penalty; the default pairs
-    with a 32-per-axis control grid.  ``feature`` selects the extractor
-    ("ssc" or "intensity-gradient"); ``feature_stride`` the feature-grid
-    subsampling.  The displacement capture range must stay below 1 so the
-    quantized offsets remain inside the normalized volume.  A spatial
-    smoothing kernel wider than the control grid shrinks to the largest
-    odd width that fits the smallest grid extent above 1, so coarse grids
-    such as 4 per axis keep the tuned preset otherwise unchanged.
+    ``feature`` selects the extractor ("ssc" or "intensity-gradient");
+    ``feature_stride`` the feature-grid subsampling.  The displacement
+    capture range must stay below 1 so the quantized offsets remain
+    inside the normalized volume.  A spatial smoothing kernel wider than
+    the control grid shrinks to the largest odd width that fits the
+    smallest grid extent above 1, so coarse grids such as 4 per axis keep
+    the tuned preset otherwise unchanged.  The diffusion weight belongs
+    to the refinement (:class:`densereg.refine.RefineConfig`), the only
+    stage that reads it.
     """
 
-    diffusion_weight: float = 1.5
     space: DisplacementSpace = dc_field(default_factory=lambda: DisplacementSpace(0.4, 15))
     grid_counts: tuple = (32, 32, 32)
     feature: str = "ssc"
     feature_stride: int = 3
     patch_radius: int = 1
-    reg_params: RegularizerParams = dc_field(default_factory=tuned_params)
+    reg_params: RegularizerParams = dc_field(default_factory=RegularizerParams)
 
     def __post_init__(self):
-        if self.diffusion_weight < 0.0:
-            raise ValueError(f"diffusion weight must be >= 0, got {self.diffusion_weight}")
         if not (0.0 < self.space.q < 1.0):
             raise ValueError(f"capture range must lie in (0, 1), got {self.space.q}")
         if self.feature not in ("ssc", "intensity-gradient"):

@@ -17,7 +17,7 @@ from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
                                normalized_to_index, present_labels,
                                sample_points_linear, sample_points_nearest,
                                sample_separable)
-from densereg.regularizer import _pool_size
+from densereg.regularizer import DISP_KERNEL, _pool_size
 
 
 def naive_trilinear(data, point_norm):
@@ -219,6 +219,43 @@ def naive_frac_trilinear(data, frac):
                           * (w[2] if b2 else 1 - w[2]))
                 val += float(c) * weight
     return val
+
+
+def _vol_fracs(vol, points):
+    points = np.asarray(points, dtype=np.float64)
+    fracs = np.empty_like(points)
+    for axis in range(3):
+        fracs[..., axis] = normalized_to_index(points[..., axis], vol.dims[axis])
+    return fracs
+
+
+def sample_volume(vol, points):
+    """Sample a volume at normalized points of shape ``(..., 3)`` through
+    the library samplers; trilinear for intensity volumes,
+    nearest-neighbor for label volumes."""
+    fracs = _vol_fracs(vol, points)
+    if vol.is_label:
+        return sample_points_nearest(vol.data, fracs)
+    return sample_points_linear(vol.data, fracs)
+
+
+def trilinear_sample(vol, p):
+    """Trilinear interpolant of ``vol`` at one normalized point ``p``
+    through the library sampler; coordinates outside (-1, 1) clamp to the
+    border value."""
+    fracs = _vol_fracs(vol, np.asarray(p, dtype=np.float64).reshape(1, 3))
+    return float(sample_points_linear(vol.data, fracs)[0])
+
+
+def sample_features_at(fvol, points):
+    """Feature vectors at normalized points of shape ``(..., 3)``: each
+    channel trilinearly interpolated on the feature grid through
+    ``FeatureVolume.axis_fracs``, border clamped; shape ``(..., C)``."""
+    points = np.asarray(points, dtype=np.float64)
+    fracs = np.stack([fvol.axis_fracs(a, points[..., a]) for a in range(3)],
+                     axis=-1)
+    return np.stack([sample_points_linear(fvol.data[c], fracs)
+                     for c in range(fvol.channels)], axis=-1)
 
 
 def naive_min_pool(data, kernel, axes):
@@ -467,7 +504,7 @@ def whole_volume_inverse_field(truth, iterations=40, tol=1e-12):
 # ---------------------------------------------------------------------------
 # Whole-plane 6D tensor stages.  Like the oracles above they repeat the
 # library's per-element arithmetic, but on whole planes with fresh
-# temporaries, ndimage's minimum filter and out-of-place scale/bias, so the
+# temporaries, ndimage's minimum filter and an out-of-place scale, so the
 # library's cache-blocked, in-place evaluation must agree bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -526,18 +563,17 @@ def planewise_label_loss(prob, labels_moving, labels_fixed):
     return loss / (grid.num_points * len(labels))
 
 
-def filter_min_convolution(vals, p):
+def filter_min_convolution(vals):
     """Min-convolution values: ``ndimage.minimum_filter`` then two
     uniform filters per control plane, into a fresh tensor."""
-    smin = _pool_size(vals.shape, (3, 4, 5), p.minpool_kernel)[1:]
-    savg = _pool_size(vals.shape, (3, 4, 5), p.avgpool_kernel)[1:]
+    size = _pool_size(vals.shape, (3, 4, 5), DISP_KERNEL)[1:]
     out = np.empty_like(vals)
     for k in range(vals.shape[0]):
         dst = out[k]
         scratch = np.empty_like(dst)
-        ndimage.minimum_filter(vals[k], size=smin, output=dst, mode="nearest")
-        ndimage.uniform_filter(dst, size=savg, output=scratch, mode="nearest")
-        ndimage.uniform_filter(scratch, size=savg, output=dst, mode="nearest")
+        ndimage.minimum_filter(vals[k], size=size, output=dst, mode="nearest")
+        ndimage.uniform_filter(dst, size=size, output=scratch, mode="nearest")
+        ndimage.uniform_filter(scratch, size=size, output=dst, mode="nearest")
         np.maximum(dst, 0.0, out=dst)
     return out
 
@@ -558,17 +594,8 @@ def filter_mean_field(vals, p):
 
 def out_of_place_regularize(vals, p):
     """:func:`densereg.regularizer.regularize` values with a new tensor
-    for every block and every scale/bias pair."""
-
-    def affine(v, pair):
-        scale, bias = pair
-        if scale == 1.0 and bias == 0.0:
-            return v
-        return v * scale + bias
-
+    for every block and for the output scale."""
     out = vals
-    for it in range(p.iterations):
-        base = min(2 * it, 2)
-        out = filter_min_convolution(affine(out, p.alphas[base]), p)
-        out = filter_mean_field(affine(out, p.alphas[base + 1]), p)
-    return affine(out, p.alphas[4])
+    for _ in range(p.iterations):
+        out = filter_mean_field(filter_min_convolution(out), p)
+    return out * p.output_scale

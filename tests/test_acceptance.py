@@ -26,9 +26,8 @@ from densereg.metrics import dice, mean_dice
 from densereg.phantom import PhantomSpec, generate
 from densereg.pipeline import register_pair
 from densereg.refine import RefineConfig, field_energy, field_energy_grad
-from densereg.regularizer import (RegularizerParams, TUNED_ALPHAS,
-                                  exact_lower_envelope, lower_envelope_3d,
-                                  min_convolution)
+from densereg.regularizer import (RegularizerParams, exact_lower_envelope,
+                                  lower_envelope_3d, min_convolution)
 from densereg.transform import RegistrationConfig, softmax_probabilities
 from oracles import naive_dissimilarity, naive_lower_envelope
 
@@ -38,8 +37,7 @@ SUITE_GRID = (16, 16, 16)
 
 def suite_config(**overrides):
     kwargs = {"grid_counts": SUITE_GRID,
-              "space": DisplacementSpace(0.4, 15),
-              "diffusion_weight": 1.5}
+              "space": DisplacementSpace(0.4, 15)}
     kwargs.update(overrides)
     return RegistrationConfig(**kwargs)
 
@@ -68,8 +66,7 @@ def phantom_suite():
                                 **labels)
         nomf = register_pair(
             pair.fixed, pair.moving,
-            suite_config(reg_params=RegularizerParams(
-                alphas=TUNED_ALPHAS, iterations=0, spatial_kernel=5)),
+            suite_config(reg_params=RegularizerParams(iterations=0)),
             **labels)
 
         runs.append(SimpleNamespace(
@@ -186,14 +183,13 @@ def test_criterion_06_envelope_oracle_and_audit():
 
     grid = ControlGrid((1, 1, 1))
     space = DisplacementSpace(0.4, steps=15)
-    p = RegularizerParams()
     acc = 0.0
     cnt = 0
     for seed in range(100):
         r = np.random.default_rng(1000 + seed)
         vals = r.uniform(0.0, 1.0, size=(1, 1, 1, 15, 15, 15))
         t = CostTensor6D(vals, grid, space)
-        d = min_convolution(t, p).values - lower_envelope_3d(t, 0.0075).values
+        d = min_convolution(vals) - lower_envelope_3d(t, 0.0075).values
         acc += float(np.sum(d * d))
         cnt += d.size
     rms = float(np.sqrt(acc / cnt))
@@ -207,7 +203,7 @@ def test_criterion_06_envelope_oracle_and_audit():
         pos = tuple(r.integers(2, 13, size=3))
         vals[(0, 0, 0) + pos] = 0.0
         t = CostTensor6D(vals, grid, space)
-        pooled = min_convolution(t, p).values
+        pooled = min_convolution(vals)
         exact = lower_envelope_3d(t, 0.0075).values
         assert np.argmin(pooled) == np.argmin(exact)
         assert np.unravel_index(np.argmin(pooled[0, 0, 0]),

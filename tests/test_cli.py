@@ -16,7 +16,7 @@ from densereg import parallel
 from densereg.cli import main
 from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.pipeline import register_pair
-from densereg.regularizer import tuned_params
+from densereg.regularizer import RegularizerParams
 from densereg.transform import RegistrationConfig
 
 
@@ -105,8 +105,10 @@ class TestRegister:
         text = read_text(register_dir / "report.txt")
         for key in ("dice_mean=", "std_jac=", "folding_fraction=",
                     "grid=5,5,5", "capture_range=0.4", "steps=5,5,5",
-                    "lambda=1.5", "refine_steps=0", "label_loss_kind=nonlocal"):
+                    "refine_steps=0", "label_loss_kind=nonlocal"):
             assert key in text, key
+        # The diffusion weight is reported only when --refine reads it.
+        assert "lambda=" not in text
         csv = read_text(register_dir / "report.csv")
         assert csv.startswith("label,dice")
         timings = read_text(register_dir / "timings.txt")
@@ -238,7 +240,7 @@ class TestCoarseGrid:
         assert rc == 0
         cfg = RegistrationConfig(grid_counts=16,
                                  space=DisplacementSpace(0.4, 5))
-        object.__setattr__(cfg, "reg_params", tuned_params())
+        object.__setattr__(cfg, "reg_params", RegularizerParams())
         res = register_pair(vio.read_volume(str(phantom_dir / "fixed.hdr")),
                             vio.read_volume(str(phantom_dir / "moving.hdr")),
                             cfg,
@@ -262,12 +264,12 @@ class TestConfigFile:
             f"fixed = {phantom_dir / 'fixed.hdr'}\n"
             f"moving = {phantom_dir / 'moving.hdr'}\n"
             f"out-dir = {tmp_path / 'out'}\n"
-            "grid = 6\nsteps = 5\nq = 0.4\nlambda = 2.0\n",
+            "grid = 6\nsteps = 5\nq = 0.4\nlambda = 2.0\nrefine = true\n",
             encoding="ascii")
         rc = main(["register", "--config", str(cfg)])
         assert rc == 0
         text = read_text(tmp_path / "out" / "report.txt")
-        assert "grid=6,6,6" in text and "lambda=2" in text
+        assert "grid=6,6,6" in text and "lambda=2\n" in text
 
     def test_flags_override_file(self, phantom_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -305,6 +307,8 @@ class TestEvaluate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "dice_mean=1\n" in out
+        # Without a field the Jacobian statistics are not computed.
+        assert "std_jac=nan\n" in out and "field=" not in out
 
     def test_field_warping_and_csv(self, phantom_dir, tmp_path, capsys):
         csv_path = tmp_path / "scores.csv"
@@ -320,9 +324,11 @@ class TestEvaluate:
         # the moving labels with it restores strong overlap.
         warped_mean = float(out.split("dice_mean=")[1].splitlines()[0])
         assert warped_mean > 0.9
+        assert "field=" in out
+        # The same formatter as the register report.
         csv = read_text(csv_path)
-        assert csv.startswith("metric,value")
-        assert "dice_mean," in csv and "folding_fraction," in csv
+        assert csv.startswith("label,dice")
+        assert "\nmean," in csv and "\nfolding," in csv
 
 
 class TestExitCodes:
@@ -337,6 +343,16 @@ class TestExitCodes:
     def test_missing_required(self, capsys):
         assert main(["register"]) == 1
         assert "missing required" in capsys.readouterr().err
+
+    def test_negative_lambda_rejected_without_refine(self, phantom_dir,
+                                                     tmp_path, capsys):
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path), "--lambda", "-1"]
+                  + REGISTER_ARGS)
+        assert rc == 1
+        assert "diffusion_weight" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["register", "--fixed", str(tmp_path / "nope.hdr"),

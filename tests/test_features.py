@@ -7,10 +7,10 @@ from densereg.features import (
     SSC_PAIRS,
     extract_intensity_gradient,
     extract_ssc,
-    sample_features_at,
 )
-from densereg.geometry import Volume3D, index_to_normalized, trilinear_sample
-from oracles import naive_gaussian_smooth, naive_ssc
+from densereg.geometry import Volume3D, index_to_normalized
+from oracles import (naive_gaussian_smooth, naive_ssc, sample_features_at,
+                     trilinear_sample)
 
 
 def test_pair_table_is_canonical():

@@ -18,11 +18,10 @@ from densereg.geometry import (
     sample_points_linear,
     sample_points_nearest,
     sample_separable,
-    sample_volume,
     spatial_gradient,
-    trilinear_sample,
 )
-from oracles import naive_gradient, naive_trilinear
+from oracles import (naive_gradient, naive_trilinear, sample_volume,
+                     trilinear_sample)
 
 
 class TestCoordinateConvention:

@@ -173,15 +173,18 @@ class TestWorkerCountIndependence:
 
     @PROPERTY
     @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
-           iterations=st.integers(0, 3))
-    def test_regularize(self, seed, grid_counts, disp_steps, iterations):
+           iterations=st.integers(0, 3),
+           output_scale=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+           spatial=st.sampled_from((1, 3)))
+    def test_regularize(self, seed, grid_counts, disp_steps, iterations,
+                        output_scale, spatial):
         cost = random_cost(seed, grid_counts, disp_steps)
         # A 3-wide spatial kernel needs extents of 1 or >= 3.
-        spatial = 3 if all(c != 2 for c in grid_counts) else 1
-        params = RegularizerParams(
-            alphas=((1.5, 0.1), (0.5, 0.2), (2.0, 0.0), (1.0, 0.3),
-                    (7.0, 0.0), (4.0, 0.0)),
-            iterations=iterations, spatial_kernel=spatial)
+        if any(c == 2 for c in grid_counts):
+            spatial = 1
+        params = RegularizerParams(output_scale=output_scale,
+                                   iterations=iterations,
+                                   spatial_kernel=spatial)
         assert_same_for_all_workers(
             lambda w: regularize(cost, params, workers=w).values)
 

@@ -13,7 +13,7 @@ from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.phantom import PhantomSpec, generate
 from densereg.pipeline import _plain_label_mse, register_pair
 from densereg.refine import RefineConfig
-from densereg.regularizer import RegularizerParams, TUNED_ALPHAS
+from densereg.regularizer import RegularizerParams
 from densereg.transform import RegistrationConfig
 from oracles import full_range_plain_mse
 
@@ -84,13 +84,15 @@ class TestReportContents:
                             fixed_labels=pair.fixed_labels,
                             moving_labels=pair.moving_labels)
         notes = res.report.notes
-        for key in ("feature", "grid", "capture_range", "steps", "lambda",
+        for key in ("feature", "grid", "capture_range", "steps",
                     "mean_field_iterations", "refine_steps", "flop_estimate",
                     "label_loss", "label_loss_kind"):
             assert key in notes, key
         assert notes["grid"] == "6,6,6"
         assert notes["refine_steps"] == "0"
         assert notes["label_loss_kind"] == "nonlocal"
+        # The diffusion weight is only read by the refinement.
+        assert "lambda" not in notes
         for stage in ("features", "correlation", "regularization",
                       "transform"):
             assert stage in res.report.runtimes, stage
@@ -160,6 +162,7 @@ class TestRefinementPath:
         # Step halving rejects increases, so the recorded trace is monotone.
         assert np.all(np.diff(e) <= 1e-12)
         assert res.report.notes["refine_steps"] == "10"
+        assert res.report.notes["lambda"] == "1.5"
 
     def test_zero_steps_keeps_feedforward_field(self, translation_pair):
         pair = translation_pair
@@ -174,8 +177,7 @@ class TestRefinementPath:
 class TestConfigVariants:
     def test_zero_iterations_disables_mean_field(self, translation_pair):
         pair = translation_pair
-        params = RegularizerParams(alphas=TUNED_ALPHAS, iterations=0,
-                                   spatial_kernel=5)
+        params = RegularizerParams(iterations=0)
         cfg = RegistrationConfig(grid_counts=(6, 6, 6),
                                  space=DisplacementSpace(0.4, 7),
                                  reg_params=params)

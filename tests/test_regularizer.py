@@ -9,7 +9,6 @@ from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import extract_intensity_gradient
 from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
 from densereg.regularizer import (
-    DEFAULT_ALPHAS,
     RegularizerParams,
     exact_lower_envelope,
     lower_envelope_3d,
@@ -18,8 +17,6 @@ from densereg.regularizer import (
     regularize,
 )
 from oracles import naive_avg_pool, naive_lower_envelope, naive_min_pool
-
-IDENTITY_ALPHAS = ((1.0, 0.0),) * 5 + ((1.0, 0.0),)
 
 
 def tensor_on(grid_counts, steps, values):
@@ -30,22 +27,24 @@ def tensor_on(grid_counts, steps, values):
 
 class TestParams:
     def test_defaults(self):
+        # The tuned end-to-end preset.
         p = RegularizerParams()
-        assert p.iterations == 2
-        assert p.temperature == DEFAULT_ALPHAS[5][0]
-
-    def test_needs_six_pairs(self):
-        with pytest.raises(ValueError):
-            RegularizerParams(alphas=((1.0, 0.0),) * 5)
+        assert (p.output_scale, p.temperature, p.iterations,
+                p.spatial_kernel) == (2500.0, 4.0, 5, 5)
 
     def test_temperature_positive(self):
-        bad = ((1.0, 0.0),) * 5 + ((0.0, 0.0),)
-        with pytest.raises(ValueError):
-            RegularizerParams(alphas=bad)
+        for bad in (0.0, -4.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="temperature"):
+                RegularizerParams(temperature=bad)
+
+    def test_output_scale_positive_and_finite(self):
+        for bad in (0.0, -2500.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="output_scale"):
+                RegularizerParams(output_scale=bad)
 
     def test_kernels_odd(self):
         with pytest.raises(ValueError):
-            RegularizerParams(minpool_kernel=4)
+            RegularizerParams(spatial_kernel=4)
         with pytest.raises(ValueError):
             RegularizerParams(spatial_kernel=0)
 
@@ -57,8 +56,8 @@ class TestParams:
 class TestMinConvolution:
     def test_constant_tensor_unchanged(self):
         t = tensor_on((2, 2, 2), (5, 5, 5), np.full((2, 2, 2, 5, 5, 5), 3.25))
-        out = min_convolution(t, RegularizerParams())
-        assert np.allclose(out.values, 3.25, atol=1e-12)
+        out = min_convolution(t.values)
+        assert np.allclose(out, 3.25, atol=1e-12)
 
     def test_hand_example_1d(self):
         # Single control point, displacements along one axis only:
@@ -67,7 +66,7 @@ class TestMinConvolution:
         #             -> avg k=3 -> [0, 5/9, 5/3, 10/3, 40/9]
         vals = np.array([5.0, 0.0, 5.0, 5.0, 5.0]).reshape(1, 1, 1, 5, 1, 1)
         t = tensor_on((1, 1, 1), (5, 1, 1), vals)
-        out = min_convolution(t, RegularizerParams()).values.ravel()
+        out = min_convolution(t.values).ravel()
         want = np.array([0.0, 5.0 / 9.0, 5.0 / 3.0, 10.0 / 3.0, 40.0 / 9.0])
         assert np.allclose(out, want, atol=1e-12)
 
@@ -75,7 +74,7 @@ class TestMinConvolution:
         rng = np.random.default_rng(61)
         vals = rng.uniform(0.0, 2.0, size=(2, 1, 2, 5, 5, 5))
         t = tensor_on((2, 1, 2), (5, 5, 5), vals)
-        out = min_convolution(t, RegularizerParams()).values
+        out = min_convolution(t.values)
         ref = naive_min_pool(vals, 3, axes=(3, 4, 5))
         ref = naive_avg_pool(ref, 3, axes=(3, 4, 5))
         ref = naive_avg_pool(ref, 3, axes=(3, 4, 5))
@@ -91,20 +90,20 @@ class TestMinConvolution:
         vals = np.broadcast_to(spatial[..., None, None, None],
                                (3, 3, 3, 5, 5, 5)).copy()
         t = tensor_on((3, 3, 3), (5, 5, 5), vals)
-        out = min_convolution(t, RegularizerParams())
-        assert np.allclose(out.values, vals, atol=1e-12)
+        out = min_convolution(t.values)
+        assert np.allclose(out, vals, atol=1e-12)
 
     def test_kernel_exceeding_extent_rejected(self):
-        t = tensor_on((1, 1, 1), (3, 3, 3), np.zeros((1, 1, 1, 3, 3, 3)))
+        # An extent of 2 is neither 1 nor as wide as the 3-wide pools.
         with pytest.raises(ValueError):
-            min_convolution(t, RegularizerParams(minpool_kernel=5))
+            min_convolution(np.zeros((1, 1, 1, 2, 2, 2)))
 
     def test_degenerate_axes_pass_through(self):
         # Extent-1 displacement axes have nothing to pool over.
         vals = np.array([5.0, 0.0, 5.0, 5.0, 5.0]).reshape(1, 1, 1, 5, 1, 1)
         t = tensor_on((1, 1, 1), (5, 1, 1), vals)
-        out = min_convolution(t, RegularizerParams())
-        assert out.values.shape == vals.shape
+        out = min_convolution(t.values)
+        assert out.shape == vals.shape
 
 
 class TestExactLowerEnvelope:
@@ -162,8 +161,8 @@ class TestMeanField:
         row = rng.uniform(0.0, 1.0, size=(3, 3, 3))
         vals = np.broadcast_to(row, (4, 4, 4, 3, 3, 3)).copy()
         t = tensor_on((4, 4, 4), (3, 3, 3), vals)
-        out = mean_field_step(t, RegularizerParams())
-        assert np.allclose(out.values, vals, atol=1e-12)
+        out = mean_field_step(t.values, 3)
+        assert np.allclose(out, vals, atol=1e-12)
 
     def test_corner_perturbation_weights(self):
         # Perturbing one corner point by +eps on a 3^3 grid moves each
@@ -174,9 +173,8 @@ class TestMeanField:
         eps = 0.9
         pert = base.copy()
         pert[0, 0, 0, 0, 0, 0] += eps
-        p = RegularizerParams()
-        a = mean_field_step(tensor_on((3, 3, 3), (1, 1, 1), base), p).values
-        b = mean_field_step(tensor_on((3, 3, 3), (1, 1, 1), pert), p).values
+        a = mean_field_step(base, 3)
+        b = mean_field_step(pert, 3)
         diff = (b - a)[..., 0, 0, 0]
         assert diff[0, 0, 0] == pytest.approx(8 * eps / 27, abs=1e-12)
         assert diff[0, 0, 1] == pytest.approx(4 * eps / 27, abs=1e-12)
@@ -189,7 +187,7 @@ class TestMeanField:
         rng = np.random.default_rng(68)
         vals = rng.uniform(0.0, 1.0, size=(4, 5, 4, 3, 3, 3))
         t = tensor_on((4, 5, 4), (3, 3, 3), vals)
-        out = mean_field_step(t, RegularizerParams()).values
+        out = mean_field_step(t.values, 3)
         assert np.allclose(out.mean(axis=(0, 1, 2)), vals.mean(axis=(0, 1, 2)),
                            atol=1e-12)
 
@@ -197,43 +195,44 @@ class TestMeanField:
         rng = np.random.default_rng(69)
         vals = rng.uniform(0.0, 1.0, size=(4, 4, 4, 3, 1, 1))
         t = tensor_on((4, 4, 4), (3, 1, 1), vals)
-        out = mean_field_step(t, RegularizerParams()).values
+        out = mean_field_step(t.values, 3)
         ref = naive_avg_pool(vals, 3, axes=(0, 1, 2))
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_grid_smaller_than_kernel_rejected(self):
         t = tensor_on((2, 3, 3), (3, 3, 3), np.zeros((2, 3, 3, 3, 3, 3)))
         with pytest.raises(ValueError):
-            mean_field_step(t, RegularizerParams())
+            mean_field_step(t.values, 3)
 
     def test_single_point_grid_passes_through(self):
         rng = np.random.default_rng(70)
         vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 3, 3, 3))
         t = tensor_on((1, 1, 1), (3, 3, 3), vals)
-        out = mean_field_step(t, RegularizerParams())
-        assert np.array_equal(out.values, vals)
+        out = mean_field_step(t.values, 3)
+        assert np.array_equal(out, vals)
 
 
 class TestRegularize:
-    def test_constant_identity_alphas(self):
+    def test_constant_unit_scale(self):
         vals = np.full((3, 3, 3, 3, 3, 3), 1.75)
         t = tensor_on((3, 3, 3), (3, 3, 3), vals)
-        out = regularize(t, RegularizerParams(alphas=IDENTITY_ALPHAS))
+        out = regularize(t, RegularizerParams(output_scale=1.0, iterations=2,
+                                              spatial_kernel=3))
         assert np.allclose(out.values, 1.75, atol=1e-12)
 
     def test_zero_iterations_identity(self):
         rng = np.random.default_rng(71)
         vals = rng.uniform(0.0, 1.0, size=(3, 3, 3, 3, 3, 3))
         t = tensor_on((3, 3, 3), (3, 3, 3), vals)
-        out = regularize(t, RegularizerParams(alphas=IDENTITY_ALPHAS, iterations=0))
+        out = regularize(t, RegularizerParams(output_scale=1.0, iterations=0))
         assert out.values.tobytes() == vals.tobytes()
 
-    def test_zero_iterations_applies_output_pair(self):
+    def test_zero_iterations_applies_output_scale(self):
         vals = np.full((1, 1, 1, 3, 3, 3), 2.0)
         t = tensor_on((1, 1, 1), (3, 3, 3), vals)
-        alphas = ((1.0, 0.0),) * 4 + ((0.5, 0.25), (10.0, 0.0))
-        out = regularize(t, RegularizerParams(alphas=alphas, iterations=0))
-        assert np.allclose(out.values, 1.25)
+        out = regularize(t, RegularizerParams(output_scale=0.625,
+                                              iterations=0))
+        assert np.array_equal(out.values, np.full(vals.shape, 1.25))
 
     def test_argmin_stable_for_separated_minimum(self):
         vals = np.full((1, 1, 1, 7, 7, 7), 10.0)
@@ -281,7 +280,6 @@ class TestEnvelopeAudit:
         # RMS 0.01399; the curvature grid search is demos/calibrate_envelope.py.
         grid = ControlGrid((1, 1, 1))
         space = DisplacementSpace(0.4, steps=15)
-        p = RegularizerParams()
         acc = 0.0
         cnt = 0
         agree = 0
@@ -289,7 +287,7 @@ class TestEnvelopeAudit:
             rng = np.random.default_rng(1000 + seed)
             vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 15, 15, 15))
             t = CostTensor6D(vals, grid, space)
-            pooled = min_convolution(t, p).values
+            pooled = min_convolution(vals)
             exact = lower_envelope_3d(t, 0.0075).values
             d = pooled - exact
             acc += float(np.sum(d * d))
@@ -303,14 +301,13 @@ class TestEnvelopeAudit:
         # When one bin is far below all others both routes must point at it.
         grid = ControlGrid((1, 1, 1))
         space = DisplacementSpace(0.4, steps=15)
-        p = RegularizerParams()
         for seed in range(20):
             rng = np.random.default_rng(2000 + seed)
             vals = rng.uniform(5.0, 6.0, size=(1, 1, 1, 15, 15, 15))
             pos = tuple(rng.integers(2, 13, size=3))
             vals[(0, 0, 0) + pos] = 0.0
             t = CostTensor6D(vals, grid, space)
-            pooled = min_convolution(t, p).values
+            pooled = min_convolution(vals)
             exact = lower_envelope_3d(t, 0.0075).values
             assert np.argmin(pooled) == np.argmin(exact)
             assert np.unravel_index(np.argmin(pooled[0, 0, 0]), (15, 15, 15)) == pos

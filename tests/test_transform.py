@@ -1,5 +1,7 @@
 """Probability extraction, field upsampling, warping, and loss terms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from densereg.transform import (
     upsample_field,
     warp,
 )
-from densereg.regularizer import RegularizerParams, tuned_params
+from densereg.regularizer import RegularizerParams
 from hypothesis import given, settings, strategies as st
 
 from densereg import parallel
@@ -414,25 +416,18 @@ class TestNonlocalLabelLoss:
 class TestRegistrationConfig:
     def test_defaults(self):
         cfg = RegistrationConfig()
-        assert cfg.diffusion_weight == 1.5
         assert cfg.space.q == 0.4
         assert cfg.space.steps == (15, 15, 15)
         assert cfg.grid_counts == (32, 32, 32)
         assert cfg.feature == "ssc"
-        # end-to-end default smoothing is the tuned preset, not the bare
-        # RegularizerParams() construction defaults
-        assert cfg.reg_params.iterations == 5
-        assert cfg.reg_params.spatial_kernel == 5
-        assert cfg.reg_params.alphas[4] == (2500.0, 0.0)
-        assert cfg.reg_params.temperature == 4.0
+        # End-to-end default smoothing is the tuned preset.
+        assert cfg.reg_params == RegularizerParams(
+            output_scale=2500.0, temperature=4.0, iterations=5,
+            spatial_kernel=5)
 
     def test_capture_range_bounds(self):
         with pytest.raises(ValueError):
             RegistrationConfig(space=DisplacementSpace(1.5, 15))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            RegistrationConfig(diffusion_weight=-0.1)
 
     def test_scalar_grid_counts(self):
         cfg = RegistrationConfig(grid_counts=16)
@@ -447,8 +442,8 @@ class TestRegistrationConfig:
         # have nothing to pool over and do not count.
         cfg = RegistrationConfig(grid_counts=counts)
         assert cfg.reg_params.spatial_kernel == kernel
-        assert cfg.reg_params.alphas == tuned_params().alphas
-        assert cfg.reg_params.iterations == tuned_params().iterations
+        assert cfg.reg_params == replace(RegularizerParams(),
+                                         spatial_kernel=kernel)
 
     def test_narrow_explicit_kernel_kept(self):
         params = RegularizerParams(spatial_kernel=3)
