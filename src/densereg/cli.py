@@ -1,9 +1,15 @@
 """Command-line front end: register, phantom, evaluate, selftest.
 
-Every flag can also be given in a ``--config`` file as a ``key=value``
-line (the key is the flag name without the leading dashes); values given
-on the command line override the file.  Exit codes: 0 success, 1 usage or
-configuration error, 2 file I/O error, 3 numerical failure.
+A flag's ``dest`` names the setting it fills (``--grid`` fills
+``RegistrationConfig.grid_counts``, ``--lambda``
+``RefineConfig.diffusion_weight``), and a setting the user leaves unset
+keeps its dataclass default.  The config-file keys of a subcommand are
+exactly its long flags without the dashes, ``--config`` and ``--help``
+aside: a ``--config`` file holds ``key=value`` lines, each value is
+converted as its flag's would be (flags that take no value read a
+boolean), and values given on the command line override the file.  Exit
+codes: 0 success, 1 usage or configuration error, 2 file I/O error, 3
+numerical failure.
 """
 
 import argparse
@@ -37,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1) from None
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_bool(text: str) -> bool:
@@ -49,37 +55,32 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_triple(text: str):
-    parts = [int(p) for p in str(text).split(",")]
-    if len(parts) == 1:
-        return (parts[0],) * 3
-    if len(parts) != 3:
-        raise ValueError(f"expected one value or three comma-separated "
-                         f"values, got {text!r}")
-    return tuple(parts)
+def _parse_triple(text: str) -> tuple:
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError(
+            f"expected one int or three comma-separated ints, got {text!r}")
+    return parts * 3 if len(parts) == 1 else parts
 
 
-# per-subcommand config-file keys: name -> conversion
-_COMMON_KEYS = {"seed": int, "threads": int}
-_REGISTER_KEYS = {
-    "fixed": str, "moving": str, "fixed-labels": str, "moving-labels": str,
-    "out-dir": str, "q": float, "steps": _parse_triple,
-    "grid": _parse_triple, "lambda": float, "no-mean-field": _parse_bool,
-    "no-nonlocal-loss": _parse_bool, "refine": _parse_bool, "report": str,
-    **_COMMON_KEYS,
-}
-_PHANTOM_KEYS = {
-    "out-dir": str, "dims": _parse_triple, "deformation": str,
-    "magnitude": float, "noise-sigma": float, "organs": int,
-    **_COMMON_KEYS,
-}
-_EVALUATE_KEYS = {
-    "fixed-labels": str, "moving-labels": str, "field": str, "report": str,
-}
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
+    return threads
 
 
-def _load_config(path: str, allowed: dict) -> dict:
-    """Parse a key=value config file against the subcommand's key table."""
+def _load_config(path: str, command: _Parser) -> dict:
+    """Values by ``dest`` from a key=value file whose keys are the long
+    flags of ``command`` without the dashes."""
+    actions = {a.option_strings[0][2:]: a for a in command._actions
+               if a.option_strings and a.dest not in ("config", "help")}
     values = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -89,37 +90,32 @@ def _load_config(path: str, allowed: dict) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, "
                                  f"got {line!r}")
-            key, _, value = line.partition("=")
+            key, _, text = line.partition("=")
             key = key.strip()
-            if key not in allowed:
+            action = actions.get(key)
+            if action is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            convert = _parse_bool if action.nargs == 0 else action.type or str
             try:
-                values[key] = allowed[key](value.strip())
-            except ValueError as exc:
+                value = convert(text.strip())
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"expected one of "
+                                     f"{', '.join(action.choices)}")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for "
                                  f"{key!r}: {exc}") from None
+            values[action.dest] = value
     return values
 
 
-def _merge(args: argparse.Namespace, allowed: dict) -> dict:
-    """Flags override config-file values; both default to None."""
-    merged = {}
-    if getattr(args, "config", None) is not None:
-        merged.update(_load_config(args.config, allowed))
-    for key in allowed:
-        dest = "lambda_" if key == "lambda" else key.replace("-", "_")
-        flag_value = getattr(args, dest, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
+def _given(opts: dict, *names) -> dict:
+    """The settings among ``names`` that the user gave; the others keep
+    the defaults of the dataclass they are passed to."""
+    return {n: opts[n] for n in names if opts[n] is not None}
 
 
-def _pick(merged: dict, key: str, default):
-    value = merged.get(key)
-    return default if value is None else value
-
-
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="densereg",
                      description="Deformable 3D registration by dense "
                                  "displacement sampling.")
@@ -137,9 +133,9 @@ def _build_parser() -> _Parser:
                                              "in normalized units")
     reg.add_argument("--steps", type=_parse_triple,
                      help="quantization steps per axis (one int or three)")
-    reg.add_argument("--grid", type=_parse_triple,
+    reg.add_argument("--grid", dest="grid_counts", type=_parse_triple,
                      help="control-grid points per axis (one int or three)")
-    reg.add_argument("--lambda", dest="lambda_", type=float,
+    reg.add_argument("--lambda", dest="diffusion_weight", type=float,
                      help="diffusion regularization weight of the "
                           "--refine descent (read only with --refine)")
     reg.add_argument("--no-mean-field", action="store_true", default=None,
@@ -148,14 +144,15 @@ def _build_parser() -> _Parser:
                      help="report plain warped-label MSE instead of the "
                           "probability-weighted loss")
     reg.add_argument("--refine", action=argparse.BooleanOptionalAction,
-                     default=None, help="instance-wise gradient refinement "
-                                        "of the estimate (default off)")
+                     help="instance-wise gradient refinement of the "
+                          "estimate (default off)")
     reg.add_argument("--seed", type=int, help="run seed recorded in the "
                                               "report")
-    reg.add_argument("--threads", type=int, help="worker threads for the "
-                     "SSC features, the 6D tensor stages, the warps and "
-                     "the Jacobian statistics (default: the usable cores); "
-                     "outputs are identical for any count")
+    reg.add_argument("--threads", type=_parse_threads,
+                     help="worker threads for the SSC features, the 6D "
+                          "tensor stages, the warps and the Jacobian "
+                          "statistics (default: the usable cores); outputs "
+                          "are identical for any count")
     reg.add_argument("--report", help="also write the report as CSV here")
 
     pha = sub.add_parser("phantom", help="generate a synthetic labeled "
@@ -172,7 +169,6 @@ def _build_parser() -> _Parser:
     pha.add_argument("--noise-sigma", type=float,
                      help="additive noise standard deviation")
     pha.add_argument("--organs", type=int, help="number of label structures")
-    pha.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
     ev = sub.add_parser("evaluate", help="score label overlap, optionally "
                                          "after warping by a field")
@@ -180,17 +176,21 @@ def _build_parser() -> _Parser:
     ev.add_argument("--moving-labels", help="label volume path to score")
     ev.add_argument("--field", help="displacement field applied to the "
                                     "moving labels before scoring")
+    ev.add_argument("--threads", type=_parse_threads,
+                    help="worker threads for the warp and the Jacobian "
+                         "statistics (default: the usable cores); outputs "
+                         "are identical for any count")
     ev.add_argument("--report", help="also write the scores as CSV here")
     ev.add_argument("--config", help="key=value config file")
 
     sub.add_parser("selftest", help="run the built-in sanity suite")
-    return parser
+    return parser, sub.choices
 
 
-def _require(merged: dict, keys, command: str):
-    missing = [k for k in keys if merged.get(k) is None]
+def _require(opts: dict, dests, command: str):
+    missing = [d for d in dests if opts[d] is None]
     if missing:
-        flags = ", ".join(f"--{k}" for k in missing)
+        flags = ", ".join("--" + d.replace("_", "-") for d in missing)
         raise SystemExit(_fail(f"{command}: missing required {flags}", 1))
 
 
@@ -199,49 +199,42 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _cmd_register(args) -> int:
-    merged = _merge(args, _REGISTER_KEYS)
-    _require(merged, ("fixed", "moving", "out-dir"), "register")
-    threads = merged.get("threads")
-    if threads is not None and threads < 1:
-        raise SystemExit(_fail(f"register: --threads must be >= 1, got "
-                               f"{threads}", 1))
-    workers = resolve_workers(threads)
+def _cmd_register(opts: dict) -> int:
+    _require(opts, ("fixed", "moving", "out_dir"), "register")
+    workers = resolve_workers(opts["threads"])
 
-    fixed = vio.read_volume(merged["fixed"])
-    moving = vio.read_volume(merged["moving"])
+    fixed = vio.read_volume(opts["fixed"])
+    moving = vio.read_volume(opts["moving"])
     fixed_labels = moving_labels = None
-    if merged.get("fixed-labels") is not None:
-        fixed_labels = vio.read_volume(merged["fixed-labels"], as_labels=True)
-    if merged.get("moving-labels") is not None:
-        moving_labels = vio.read_volume(merged["moving-labels"],
-                                        as_labels=True)
+    if opts["fixed_labels"] is not None:
+        fixed_labels = vio.read_volume(opts["fixed_labels"], as_labels=True)
+    if opts["moving_labels"] is not None:
+        moving_labels = vio.read_volume(opts["moving_labels"], as_labels=True)
 
-    q = _pick(merged, "q", 0.4)
-    steps = _pick(merged, "steps", (15, 15, 15))
-    cfg_kwargs = {"space": DisplacementSpace(q, steps),
-                  "grid_counts": _pick(merged, "grid", (32, 32, 32))}
-    if merged.get("no-mean-field"):
+    cfg_kwargs = _given(opts, "grid_counts")
+    if opts["no_mean_field"]:
         cfg_kwargs["reg_params"] = RegularizerParams(iterations=0)
-    cfg = RegistrationConfig(**cfg_kwargs)
+    cfg = RegistrationConfig(space=DisplacementSpace(**_given(opts, "q",
+                                                              "steps")),
+                             **cfg_kwargs)
 
     # Built even without --refine, so a bad --lambda is still rejected.
-    refinement = RefineConfig(diffusion_weight=_pick(merged, "lambda", 1.5))
-    if not merged.get("refine"):
+    refinement = RefineConfig(**_given(opts, "diffusion_weight"))
+    if not opts["refine"]:
         refinement = None
 
     result = register_pair(fixed, moving, cfg,
                            fixed_labels=fixed_labels,
                            moving_labels=moving_labels,
                            refinement=refinement,
-                           use_nonlocal_loss=not merged.get("no-nonlocal-loss"),
+                           use_nonlocal_loss=not opts["no_nonlocal_loss"],
                            threads=workers)
 
     report = result.report
-    if merged.get("seed") is not None:
-        report.notes["seed"] = str(merged["seed"])
+    if opts["seed"] is not None:
+        report.notes["seed"] = str(opts["seed"])
 
-    out_dir = merged["out-dir"]
+    out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     vio.write_field(result.field, os.path.join(out_dir, "field.hdr"))
     vio.write_volume(result.warped, os.path.join(out_dir, "warped.hdr"))
@@ -256,24 +249,19 @@ def _cmd_register(args) -> int:
               encoding="ascii") as fh:
         fh.write(report.timings_text())
         fh.write(f"threads={workers}\n")
-    if merged.get("report") is not None:
-        with open(merged["report"], "w", encoding="ascii") as fh:
+    if opts["report"] is not None:
+        with open(opts["report"], "w", encoding="ascii") as fh:
             fh.write(report.to_csv())
     sys.stdout.write(text)
     return 0
 
 
-def _cmd_phantom(args) -> int:
-    merged = _merge(args, _PHANTOM_KEYS)
-    _require(merged, ("out-dir",), "phantom")
-    spec = PhantomSpec(seed=_pick(merged, "seed", 0),
-                       dims=_pick(merged, "dims", (64, 64, 64)),
-                       organs=_pick(merged, "organs", 5),
-                       deformation=_pick(merged, "deformation", "translation"),
-                       magnitude=_pick(merged, "magnitude", 0.2),
-                       noise_sigma=_pick(merged, "noise-sigma", 0.02))
+def _cmd_phantom(opts: dict) -> int:
+    _require(opts, ("out_dir",), "phantom")
+    spec = PhantomSpec(**_given(opts, "seed", "dims", "organs", "deformation",
+                                "magnitude", "noise_sigma"))
     pair = generate(spec)
-    out_dir = merged["out-dir"]
+    out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     vio.write_volume(pair.fixed, os.path.join(out_dir, "fixed.hdr"))
     vio.write_volume(pair.moving, os.path.join(out_dir, "moving.hdr"))
@@ -288,21 +276,21 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    merged = _merge(args, _EVALUATE_KEYS)
-    _require(merged, ("fixed-labels", "moving-labels"), "evaluate")
-    fixed_labels = vio.read_volume(merged["fixed-labels"], as_labels=True)
-    moving_labels = vio.read_volume(merged["moving-labels"], as_labels=True)
+def _cmd_evaluate(opts: dict) -> int:
+    _require(opts, ("fixed_labels", "moving_labels"), "evaluate")
+    fixed_labels = vio.read_volume(opts["fixed_labels"], as_labels=True)
+    moving_labels = vio.read_volume(opts["moving_labels"], as_labels=True)
     # Without a field the Jacobian statistics are not computed and read nan.
     report = RegistrationReport()
-    if merged.get("field") is not None:
-        field = vio.read_field(merged["field"])
-        moving_labels = warp(moving_labels, field)
-        report.std_jac, report.folding_fraction = jacobian_stats(field)
-        report.notes["field"] = merged["field"]
+    if opts["field"] is not None:
+        field = vio.read_field(opts["field"])
+        moving_labels = warp(moving_labels, field, workers=opts["threads"])
+        report.std_jac, report.folding_fraction = jacobian_stats(
+            field, workers=opts["threads"])
+        report.notes["field"] = opts["field"]
     report.per_label_dice = dice(fixed_labels, moving_labels)
-    if merged.get("report") is not None:
-        with open(merged["report"], "w", encoding="ascii") as fh:
+    if opts["report"] is not None:
+        with open(opts["report"], "w", encoding="ascii") as fh:
             fh.write(report.to_csv())
     sys.stdout.write(report.to_text())
     return 0
@@ -504,7 +492,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(_args) -> int:
+def _cmd_selftest(_opts) -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -530,10 +518,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args, unknown = parser.parse_known_args(argv)
+        opts = vars(args)
+        command = opts.pop("command")
+        if unknown:
+            commands[command].error(f"unrecognized arguments: "
+                                    f"{' '.join(unknown)}")
+        config = opts.pop("config", None)
+        if config is not None:
+            for dest, value in _load_config(config,
+                                            commands[command]).items():
+                if opts[dest] is None:
+                    opts[dest] = value
+        return _COMMANDS[command](opts)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

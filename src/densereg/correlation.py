@@ -72,10 +72,6 @@ class CostTensor6D:
     def grid_shape(self) -> tuple:
         return self.values.shape[:3]
 
-    @property
-    def disp_shape(self) -> tuple:
-        return self.values.shape[3:]
-
     def replace_values(self, values: np.ndarray) -> "CostTensor6D":
         """New tensor over the same grid and displacement space."""
         return CostTensor6D(values, self.grid, self.space, self.workers)

@@ -132,8 +132,7 @@ def _box_mean_strided(diff2: np.ndarray, size: int, stride: int) -> np.ndarray:
     return out
 
 
-def extract_ssc(vol: Volume3D, patch_radius: int = 1,
-                sigma_policy: str = "local-mean", stride: int = 3,
+def extract_ssc(vol: Volume3D, patch_radius: int = 1, stride: int = 3,
                 workers: int = None) -> FeatureVolume:
     """Self-similarity context descriptors.
 
@@ -151,8 +150,6 @@ def extract_ssc(vol: Volume3D, patch_radius: int = 1,
     channels are computed on up to ``workers`` threads; the result is the
     same for any worker count.
     """
-    if sigma_policy != "local-mean":
-        raise ValueError(f"unsupported sigma policy: {sigma_policy!r}")
     if patch_radius < 0 or stride < 1:
         raise ValueError("patch_radius must be >= 0 and stride >= 1")
     dims = vol.dims

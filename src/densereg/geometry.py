@@ -100,9 +100,6 @@ class Volume3D:
     def dims(self) -> tuple:
         return self.data.shape
 
-    def axis_coords(self, axis: int) -> np.ndarray:
-        return axis_centers(self.dims[axis])
-
 
 @dataclass(frozen=True)
 class ControlGrid:
@@ -147,7 +144,7 @@ class DisplacementSpace:
     contributes only the zero offset.
     """
 
-    q: float
+    q: float = 0.4
     steps: tuple = (15, 15, 15)
 
     def __post_init__(self):

@@ -15,6 +15,7 @@ Passes that read or write every voxel of a volume (the warp, the
 Jacobian statistics, the phantom's inverse field) run one axis-0 slab of
 about :data:`SLAB_VOXELS` voxels per task (:func:`map_slabs`); each voxel
 goes through the same arithmetic in whichever slab and thread it falls.
+Every task runs under the calling thread's numpy error state.
 
 Inside a task, the tensor stages walk their plane in blocks of rows
 (:func:`row_blocks`) small enough that a block and its scratch buffers
@@ -24,6 +25,8 @@ stay in cache.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 __all__ = ["resolve_workers", "map_planes", "map_slabs", "row_blocks",
            "block_view"]
@@ -90,8 +93,17 @@ def _map(fn, tasks, workers, task_bytes) -> list:
     workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1 or task_bytes < MIN_THREADED_PLANE_BYTES:
         return [fn(t) for t in tasks]
+    # numpy's floating-point error state is per thread: carry the
+    # caller's into every task, so a task warns or raises as it would
+    # on the calling thread.
+    err = np.geterr()
+
+    def task(t):
+        with np.errstate(**err):
+            return fn(t)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(task, tasks))
 
 
 def row_blocks(count: int, row_bytes: int) -> list:

@@ -75,17 +75,13 @@ class ProbTensor6D:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def grid_shape(self) -> tuple:
-        return self.values.shape[:3]
-
 
 @dataclass(frozen=True)
 class RegistrationConfig:
     """End-to-end settings for one registration run.
 
-    ``feature`` selects the extractor ("ssc" or "intensity-gradient");
-    ``feature_stride`` the feature-grid subsampling.  The displacement
+    ``feature`` selects the extractor ("ssc" or "intensity-gradient"),
+    which runs with its own defaults.  The displacement
     capture range must stay below 1 so the quantized offsets remain
     inside the normalized volume.  A spatial smoothing kernel wider than
     the control grid shrinks to the largest odd width that fits the
@@ -95,11 +91,9 @@ class RegistrationConfig:
     stage that reads it.
     """
 
-    space: DisplacementSpace = dc_field(default_factory=lambda: DisplacementSpace(0.4, 15))
+    space: DisplacementSpace = dc_field(default_factory=DisplacementSpace)
     grid_counts: tuple = (32, 32, 32)
     feature: str = "ssc"
-    feature_stride: int = 3
-    patch_radius: int = 1
     reg_params: RegularizerParams = dc_field(default_factory=RegularizerParams)
 
     def __post_init__(self):

@@ -93,6 +93,14 @@ class TestPhantom:
         assert rc == 1
         capsys.readouterr()
 
+    def test_no_threads_flag(self, tmp_path, capsys):
+        # Generation is single-threaded, so phantom has no --threads.
+        rc = main(["phantom", "--out-dir", str(tmp_path / "ph"),
+                   "--threads", "2"])
+        assert rc == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "ph").exists()
+
 
 class TestRegister:
     def test_artifacts_written(self, register_dir):
@@ -190,7 +198,8 @@ class TestRegister:
                    "--out-dir", str(tmp_path / "out"), "--threads", threads]
                   + REGISTER_ARGS)
         assert rc == 1
-        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert "argument --threads: must be an int >= 1" \
+            in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_thread_count_does_not_change_outputs(self, phantom_dir,
@@ -298,6 +307,60 @@ class TestConfigFile:
         assert rc == 0
         assert (tmp_path / "ph" / "fixed.hdr").exists()
 
+    def test_file_matches_flags(self, phantom_dir, tmp_path):
+        inputs = {"fixed": "fixed.hdr", "moving": "moving.hdr",
+                  "fixed-labels": "fixed_labels.hdr",
+                  "moving-labels": "moving_labels.hdr"}
+        settings = {"grid": "5", "steps": "5", "q": "0.35", "lambda": "2",
+                    "seed": "4", "threads": "2"}
+        flags = [f"--{k}={phantom_dir / v}" for k, v in inputs.items()]
+        flags += [f"--{k}={v}" for k, v in settings.items()]
+        flags += ["--refine", "--no-mean-field", "--no-nonlocal-loss"]
+        lines = [f"{k} = {phantom_dir / v}" for k, v in inputs.items()]
+        lines += [f"{k} = {v}" for k, v in settings.items()]
+        lines += ["refine = true", "no-mean-field = yes",
+                  "no-nonlocal-loss = on"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="ascii")
+        a, b = tmp_path / "flags", tmp_path / "file"
+        assert main(["register", "--out-dir", str(a),
+                     "--report", str(a / "r.csv")] + flags) == 0
+        assert main(["register", "--out-dir", str(b),
+                     "--report", str(b / "r.csv"), "--config", str(cfg)]) == 0
+        text = read_text(a / "report.txt")
+        assert "mean_field_iterations=0" in text and "lambda=2\n" in text
+        assert "label_loss_kind=plain-mse" in text and "seed=4" in text
+        for name in ("field.raw", "warped.raw", "warped_labels.raw",
+                     "report.txt", "r.csv"):
+            assert read_bytes(a / name) == read_bytes(b / name), name
+
+    @pytest.mark.parametrize("command, line, reason", [
+        ("register", "threads = 0", "must be an int >= 1"),
+        ("register", "grid = a,b", "three comma-separated ints"),
+        ("register", "refine = maybe", "expected a boolean"),
+        ("phantom", "deformation = twist", "expected one of"),
+        ("evaluate", "threads = -2", "must be an int >= 1"),
+    ])
+    def test_value_checked_by_its_flag(self, tmp_path, capsys, command, line,
+                                       reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# header\n{line}\n", encoding="ascii")
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        key = line.split(" =")[0]
+        assert f"{cfg}:2: bad value for {key!r}: " in err and reason in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("phantom", "threads"), ("register", "config"), ("register", "help"),
+        ("register", "no-refine"), ("evaluate", "seed"),
+    ])
+    def test_keys_are_the_commands_flags(self, tmp_path, capsys, command,
+                                         key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 1\n", encoding="ascii")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"{cfg}:1: unknown key {key!r}" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_identical_labels_score_one(self, phantom_dir, capsys):
@@ -330,11 +393,48 @@ class TestEvaluate:
         assert csv.startswith("label,dice")
         assert "\nmean," in csv and "\nfolding," in csv
 
+    def test_thread_count_does_not_change_outputs(self, phantom_dir,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # Hand even this small field's slabs to the worker threads.
+        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+        outs = []
+        for threads in ("1", "2"):
+            csv_path = tmp_path / f"scores{threads}.csv"
+            rc = main(["evaluate",
+                       "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                       "--moving-labels",
+                       str(phantom_dir / "moving_labels.hdr"),
+                       "--field", str(phantom_dir / "truth_field.hdr"),
+                       "--report", str(csv_path), "--threads", threads])
+            assert rc == 0
+            outs.append((capsys.readouterr().out, read_bytes(csv_path)))
+        assert outs[0] == outs[1]
+
+    def test_threads_below_one_rejected(self, phantom_dir, capsys):
+        rc = main(["evaluate",
+                   "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                   "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
+                   "--threads", "0"])
+        assert rc == 1
+        assert "argument --threads: must be an int >= 1" \
+            in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert main(["register", "--bogus"]) == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: densereg register")
+        assert "densereg register: error: unrecognized arguments: --bogus" \
+            in err
+
+    def test_bad_value_reason_printed(self, capsys):
+        assert main(["register", "--grid", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: densereg register")
+        assert "densereg register: error: argument --grid: expected one " \
+               "int or three comma-separated ints, got 'abc'" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

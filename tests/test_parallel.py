@@ -98,6 +98,24 @@ class TestMapPlanes:
         with pytest.raises(ArithmeticError, match="plane 3"):
             map_planes(plane, np.zeros(5), 0, workers=2)
 
+    def test_tasks_run_under_callers_error_state(self):
+        with np.errstate(over="raise", under="ignore"):
+            states = map_planes(lambda i: np.geterr(), np.zeros((4, 2)), 0,
+                                workers=2)
+        assert all(s["over"] == "raise" and s["under"] == "ignore"
+                   for s in states)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_caller_overflow_raise_reaches_regularize(self, workers):
+        """A caller's ``over="raise"`` raises in every plane task, so the
+        error does not depend on the worker count."""
+        cost = CostTensor6D(np.full((5, 3, 3, 3, 3, 3), 10.0),
+                            ControlGrid((5, 3, 3)), DisplacementSpace(0.3, 3))
+        params = RegularizerParams(output_scale=1e308, iterations=1,
+                                   spatial_kernel=3)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            regularize(cost, params, workers=workers)
+
 
 class TestMapSlabs:
     def test_slabs_cover_axis_in_order(self, monkeypatch):

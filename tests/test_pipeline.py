@@ -140,8 +140,7 @@ class TestReportContents:
         pair = translation_pair
         cfg = small_config()
         res = register_pair(pair.fixed, pair.moving, cfg)
-        feat = extract_ssc(pair.fixed, stride=cfg.feature_stride,
-                           patch_radius=cfg.patch_radius)
+        feat = extract_ssc(pair.fixed)
         want = flop_estimate(ControlGrid(cfg.grid_counts), cfg.space,
                              feat.channels)
         assert res.report.notes["flop_estimate"] == str(want)
