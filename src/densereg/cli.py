@@ -28,12 +28,12 @@ from .metrics import RegistrationReport, dice, jacobian_stats
 from .parallel import resolve_workers
 from .phantom import PhantomSpec, generate
 from .pipeline import register_pair
-from .refine import RefineConfig, refine
+from .refine import RefineConfig, field_energy, refine_trace
 from .regularizer import (RegularizerParams, exact_lower_envelope,
                           min_convolution)
-from .transform import (RegistrationConfig, diffusion_penalty,
-                        expected_displacement, nonlocal_label_loss,
-                        softmax_probabilities, upsample_field, warp)
+from .transform import (RegistrationConfig, expected_displacement,
+                        nonlocal_label_loss, softmax_probabilities,
+                        upsample_field, warp)
 
 __all__ = ["main"]
 
@@ -358,12 +358,14 @@ def _selftest_checks():
         assert np.array_equal(out.data, labels.data), "zero warp not exact"
 
     def diffusion_basics():
-        const = DisplacementField(np.full((4, 4, 4, 3), 0.2))
-        assert diffusion_penalty(const, 1.5) == 0.0, "constant has gradient"
+        # On an all-zero cost the data term is exactly 0.
+        zero = CostTensor6D(np.zeros((4, 4, 4) + space9.steps), grid4, space9)
+        const = np.full((4, 4, 4, 3), 0.2)
+        assert field_energy(zero, const, 1.5) == 0.0, "constant has gradient"
         rng = np.random.default_rng(3)
-        field = DisplacementField(rng.normal(0, 0.05, (4, 4, 4, 3)))
-        p1 = diffusion_penalty(field, 1.0)
-        p2 = diffusion_penalty(field, 2.0)
+        field = rng.normal(0, 0.05, (4, 4, 4, 3))
+        p1 = field_energy(zero, field, 1.0)
+        p2 = field_energy(zero, field, 2.0)
         assert abs(p2 - 2.0 * p1) < 1e-12, "penalty not linear in weight"
 
     def label_loss_aligned():
@@ -382,7 +384,7 @@ def _selftest_checks():
         values = rng.uniform(0, 1, (2, 2, 2) + space9.steps)
         cost = CostTensor6D(values, ControlGrid((2, 2, 2)), space9)
         init = DisplacementField(rng.uniform(-0.3, 0.3, (2, 2, 2, 3)))
-        out = refine(cost, init, RefineConfig(steps=0))
+        out, _ = refine_trace(cost, init, RefineConfig(steps=0))
         assert np.array_equal(out.vectors, init.vectors), "steps=0 changed init"
 
     def envelope_basics():

@@ -15,7 +15,9 @@ sampler's ``(s1, rows, s2, k3, s3)`` layout, and is written to the tensor
 with one transposed copy.  The block buffers are allocated once per plane
 and fit in cache.  Planes run on :func:`densereg.parallel.map_planes`;
 each plane's arithmetic is the same whatever the worker count or block
-size.
+size.  The tensor is written completely before it is wrapped in a
+:class:`CostTensor6D`, which takes that array without a copy and makes
+it read-only.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureVolume
-from .geometry import (ControlGrid, DisplacementSpace, lerp_axis,
+from .geometry import (ControlGrid, DisplacementSpace, _freeze, lerp_axis,
                        lerp_axis_into, lerp_plan, sample_separable)
 from .parallel import block_view, map_planes, row_blocks
 
@@ -38,12 +40,11 @@ class CostTensor6D:
     cost tensor (scaling, pooling, lower envelopes) preserve both
     properties, so the invariant holds along the whole pipeline.  The
     checks run per control plane on up to ``workers`` threads (default:
-    the usable cores), which is not part of the tensor's value.
-    ``values`` is a read-only view of the array it was given, so code
-    that holds that array can keep writing it:
-    :func:`densereg.regularizer.regularize` runs all its blocks on plain
-    arrays in one working buffer and builds, and so validates, one
-    tensor from the result.
+    the usable cores), which is not part of the tensor's value.  The
+    tensor takes the array it is given and makes it read-only, so no
+    writer is left once it is validated: a stage that works in a buffer,
+    as :func:`densereg.regularizer.regularize` does, finishes all its
+    writes and then builds, and so validates, one tensor from the result.
     """
 
     values: np.ndarray
@@ -61,16 +62,10 @@ class CostTensor6D:
         ranges = map_planes(lambda k: (vals[k].min(), vals[k].max()), vals, 0,
                             self.workers)
         if not all(np.isfinite(lo) and np.isfinite(hi) for lo, hi in ranges):
-            raise ValueError("cost tensor must be finite")
+            raise ArithmeticError("cost tensor must be finite")
         if any(lo < 0.0 for lo, _ in ranges):
             raise ValueError("cost tensor must be non-negative")
-        vals = vals.view()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def grid_shape(self) -> tuple:
-        return self.values.shape[:3]
+        object.__setattr__(self, "values", _freeze(vals))
 
     def replace_values(self, values: np.ndarray) -> "CostTensor6D":
         """New tensor over the same grid and displacement space."""

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Volume3D, index_to_normalized
+from .geometry import Volume3D, _freeze, _require_finite, index_to_normalized
 from .parallel import map_planes
 
 __all__ = [
@@ -60,14 +60,12 @@ class FeatureVolume:
         data = np.ascontiguousarray(self.data, dtype=np.float64)
         if data.ndim != 4:
             raise ValueError(f"feature data must be (C, G1, G2, G3), got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("feature data must be finite")
+        _require_finite(data, "feature data")
         origin = tuple(float(v) for v in self.origin)
         step = tuple(float(v) for v in self.step)
         if len(origin) != 3 or len(step) != 3 or any(s <= 0 for s in step):
             raise ValueError("origin and step must be three values, step positive")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "step", step)
 

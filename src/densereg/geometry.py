@@ -8,6 +8,15 @@ full-resolution displacement fields.
 
 Sampling outside (-1, 1) clamps to the border value: large displacements
 near the volume edge degrade gracefully instead of reading zeros.
+
+The validated array types (:class:`Volume3D`, :class:`DisplacementField`,
+and the feature, cost and probability tensors of the other modules) share
+one contract.  A container takes the array it is given, converted only
+when its dtype or layout differs, and never copies it; once the array is
+validated, :func:`_freeze` makes it read-only, so nothing writes it
+afterwards.  Non-finite data raises :class:`ArithmeticError` (a numerical
+failure); shape, sign, range and normalization violations raise
+:class:`ValueError`.
 """
 
 from dataclasses import dataclass
@@ -28,7 +37,6 @@ __all__ = [
     "sample_separable",
     "sample_points_linear",
     "sample_points_nearest",
-    "spatial_gradient",
     "present_labels",
 ]
 
@@ -58,16 +66,23 @@ def axis_centers(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make ``arr`` itself read-only and return it: the container that
+    validated it now owns it."""
     arr.flags.writeable = False
     return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ArithmeticError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
 class Volume3D:
     """Scalar 3D image: ``data`` indexed ``[z, y, x]``-style as ``(D, H, W)``.
 
-    Intensity volumes hold float64 data; label volumes hold non-negative
-    integers and are sampled nearest-neighbor.
+    Intensity volumes hold finite float64 data; label volumes hold
+    non-negative integers and are sampled nearest-neighbor.
     """
 
     data: np.ndarray
@@ -85,6 +100,7 @@ class Volume3D:
             raise ValueError(f"spacing must be three positive values, got {self.spacing}")
         if self.is_label:
             if not np.issubdtype(data.dtype, np.integer):
+                _require_finite(data, "volume data")
                 if not np.all(data == np.round(data)):
                     raise ValueError("label volume requires integer values")
                 data = data.astype(np.int32)
@@ -93,7 +109,8 @@ class Volume3D:
             data = np.ascontiguousarray(data)
         else:
             data = np.ascontiguousarray(data, dtype=np.float64)
-        object.__setattr__(self, "data", _freeze(data.copy() if data is self.data else data))
+            _require_finite(data, "volume data")
+        object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -127,11 +144,6 @@ class ControlGrid:
 
     def spacing(self, axis: int) -> float:
         return 2.0 / self.counts[axis]
-
-    def points(self) -> np.ndarray:
-        """All control points as a ``(K1, K2, K3, 3)`` array."""
-        g = np.meshgrid(*[self.axis_coords(a) for a in range(3)], indexing="ij")
-        return np.stack(g, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -197,9 +209,8 @@ class DisplacementField:
         vec = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if vec.ndim != 4 or vec.shape[-1] != 3:
             raise ValueError(f"field vectors must have shape (G1, G2, G3, 3), got {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("field vectors must be finite")
-        object.__setattr__(self, "vectors", _freeze(vec.copy() if vec is self.vectors else vec))
+        _require_finite(vec, "field vectors")
+        object.__setattr__(self, "vectors", _freeze(vec))
 
     @property
     def counts(self) -> tuple:
@@ -330,20 +341,3 @@ def present_labels(*volumes: Volume3D) -> np.ndarray:
         seen |= np.bincount(vol.data.ravel(), minlength=top + 1) > 0
     return np.flatnonzero(seen)
 
-
-def spatial_gradient(field: DisplacementField) -> np.ndarray:
-    """Spatial gradients of all field components w.r.t. normalized
-    coordinates: central differences in the interior, one-sided at borders.
-
-    Returns shape ``(G1, G2, G3, 3, 3)`` where ``[..., c, a]`` is the
-    derivative of component ``c`` along axis ``a``.
-    """
-    counts = field.counts
-    if any(c < 2 for c in counts):
-        raise ValueError(f"gradient needs >= 2 points per axis, got grid {counts}")
-    out = np.empty(counts + (3, 3), dtype=np.float64)
-    for c in range(3):
-        comp = field.vectors[..., c]
-        for a in range(3):
-            out[..., c, a] = np.gradient(comp, field.spacing(a), axis=a)
-    return out

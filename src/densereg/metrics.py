@@ -96,9 +96,7 @@ def jacobian_stats(field: DisplacementField, workers: int = None) -> tuple:
                    - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
                    + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]))
 
-    # Working set per voxel: three displacement components, nine
-    # derivatives and the cofactor temporaries, about 16 eight-byte values.
-    map_slabs(slab, dets.shape, 16 * 8, workers)
+    map_slabs(slab, dets.shape, workers)
     std = float(dets.std())
     folding = float(np.count_nonzero(dets <= 0.0)) / dets.size
     return std, folding

@@ -15,6 +15,11 @@ Passes that read or write every voxel of a volume (the warp, the
 Jacobian statistics, the phantom's inverse field) run one axis-0 slab of
 about :data:`SLAB_VOXELS` voxels per task (:func:`map_slabs`); each voxel
 goes through the same arithmetic in whichever slab and thread it falls.
+A volume of two or more slabs always runs on the workers: every such
+slab holds more than ``SLAB_VOXELS / 2`` voxels, and each of these
+passes keeps at least 12 eight-byte values per voxel in flight, so a
+slab's working set (over 1.5 MiB) is always above
+:data:`MIN_THREADED_PLANE_BYTES`.  A single slab runs on the caller.
 Every task runs under the calling thread's numpy error state.
 
 Inside a task, the tensor stages walk their plane in blocks of rows
@@ -73,25 +78,25 @@ def map_planes(fn, array, axis: int, workers=None, plane_bytes=None) -> list:
     count = array.shape[axis]
     if plane_bytes is None:
         plane_bytes = array.nbytes / max(count, 1)
-    return _map(fn, range(count), workers, plane_bytes)
+    workers = resolve_workers(workers)
+    if plane_bytes < MIN_THREADED_PLANE_BYTES:
+        workers = 1
+    return _map(fn, range(count), workers)
 
 
-def map_slabs(fn, shape: tuple, voxel_bytes: int, workers=None) -> list:
+def map_slabs(fn, shape: tuple, workers=None) -> list:
     """``[fn(s) for s in slabs]``: ``slabs`` are slices that cover
     ``range(shape[0])`` in order, each as many axis-0 planes of a volume
     of ``shape`` as fit in :data:`SLAB_VOXELS` voxels, and at least one.
-    ``voxel_bytes`` is the working memory of ``fn`` per voxel; slabs
-    whose working set is below :data:`MIN_THREADED_PLANE_BYTES` run on
-    the calling thread, others on up to ``workers`` threads."""
+    The slabs run on up to ``workers`` threads (see the module
+    docstring)."""
     plane = shape[1] * shape[2]
-    slabs = _cover(shape[0], SLAB_VOXELS // max(plane, 1))
-    depth = slabs[0].stop if slabs else 0
-    return _map(fn, slabs, workers, depth * plane * voxel_bytes)
+    return _map(fn, _cover(shape[0], SLAB_VOXELS // max(plane, 1)), workers)
 
 
-def _map(fn, tasks, workers, task_bytes) -> list:
+def _map(fn, tasks, workers) -> list:
     workers = min(resolve_workers(workers), len(tasks))
-    if workers <= 1 or task_bytes < MIN_THREADED_PLANE_BYTES:
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # numpy's floating-point error state is per thread: carry the
     # caller's into every task, so a task warns or raises as it would

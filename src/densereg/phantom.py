@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DisplacementField, Volume3D, axis_centers,
-                       normalized_to_index, sample_points_linear)
+from .geometry import (DisplacementField, DisplacementSpace, Volume3D,
+                       axis_centers, normalized_to_index, sample_points_linear)
 from .metrics import jacobian_stats
 from .parallel import map_slabs
 from .transform import upsample_field, warp
@@ -35,6 +35,10 @@ __all__ = ["PhantomSpec", "PhantomPair", "CounterRandom", "generate"]
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+# A phantom's displacement stays below the registration's default capture
+# range, so a single registration stage can recover it.
+_CAPTURE_RANGE = DisplacementSpace().q
 
 
 class CounterRandom:
@@ -84,8 +88,8 @@ class PhantomSpec:
     """Generation settings.
 
     ``magnitude`` is the ground-truth field's maximum absolute component in
-    normalized units and must stay below ``capture_range`` so a single
-    registration stage can recover it.
+    normalized units and must stay below the default capture range (0.4)
+    so a single registration stage can recover it.
     """
 
     seed: int = 0
@@ -94,7 +98,6 @@ class PhantomSpec:
     deformation: str = "translation"
     magnitude: float = 0.2
     noise_sigma: float = 0.02
-    capture_range: float = 0.4
 
     def __post_init__(self):
         dims = (int(self.dims),) * 3 if np.isscalar(self.dims) \
@@ -103,9 +106,9 @@ class PhantomSpec:
             raise ValueError(f"dims must be three values >= 8, got {self.dims}")
         if self.deformation not in ("translation", "smooth-random"):
             raise ValueError(f"unknown deformation: {self.deformation!r}")
-        if not (0.0 <= self.magnitude < self.capture_range):
+        if not (0.0 <= self.magnitude < _CAPTURE_RANGE):
             raise ValueError(f"magnitude must lie in [0, capture range "
-                             f"{self.capture_range}), got {self.magnitude}")
+                             f"{_CAPTURE_RANGE}), got {self.magnitude}")
         if self.organs < 1:
             raise ValueError(f"need at least one organ, got {self.organs}")
         if self.noise_sigma < 0.0:
@@ -194,9 +197,7 @@ def _inverse_field(truth: DisplacementField, iterations: int = 40,
         return np.max(np.abs(new[s] - old))
 
     for _ in range(iterations):
-        # Working set per voxel: the coordinates, the sampler's corner
-        # indices and weights and the change, about 16 eight-byte values.
-        delta = float(np.max(map_slabs(slab, dims, 16 * 8)))
+        delta = float(np.max(map_slabs(slab, dims)))
         psi, new = new, psi
         if delta < tol:
             break
@@ -223,13 +224,9 @@ def generate(spec: PhantomSpec) -> PhantomPair:
 
     dims = spec.dims
     fixed_labels = Volume3D(labels, is_label=True)
-    if spec.magnitude == 0.0:
-        moving_clean = clean.copy()
-        moving_labels = Volume3D(labels.copy(), is_label=True)
-    else:
-        inverse = _inverse_field(truth)
-        moving_clean = warp(Volume3D(clean), inverse).data
-        moving_labels = warp(fixed_labels, inverse)
+    inverse = _inverse_field(truth)
+    moving_clean = warp(Volume3D(clean), inverse).data
+    moving_labels = warp(fixed_labels, inverse)
 
     count = int(np.prod(dims))
     noise_f = spec.noise_sigma * noise_rng.normal(count).reshape(dims)

@@ -7,9 +7,12 @@ distribution) is polished by minimizing
 
 where ``C_k`` is the trilinear interpolant of the regularized cost row of
 control point ``k`` over continuous displacement coordinates, clamped to
-the capture range box.  Both terms have closed-form gradients: the data
-term by differentiating the trilinear weights, the diffusion term through
-the adjoint of the finite-difference stencil.  Descent uses step halving:
+the capture range box, and ``diffusion`` sums the squared spatial
+gradients of all three components over the grid points (central
+differences per normalized coordinate, one-sided at the borders).  Both
+terms have closed-form gradients: the data term by differentiating the
+trilinear weights, the diffusion term through the adjoint of the
+finite-difference stencil.  Descent uses step halving:
 a proposal that raises the energy is rejected and the step size halved, so
 the energy trace is non-increasing by construction.
 """
@@ -22,7 +25,7 @@ import numpy as np
 from .correlation import CostTensor6D
 from .geometry import DisplacementField
 
-__all__ = ["RefineConfig", "refine", "refine_trace", "field_energy",
+__all__ = ["RefineConfig", "refine_trace", "field_energy",
            "field_energy_grad", "gradient_adjoint"]
 
 
@@ -75,7 +78,7 @@ def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray, need_grad: bool = Tru
     """
     space = cost.space
     steps = space.steps
-    k1, k2, k3 = cost.grid_shape
+    k1, k2, k3 = cost.grid.counts
     i0, w, inv_h, active = [], [], [], []
     for a in range(3):
         s = steps[a]
@@ -150,10 +153,11 @@ def field_energy_grad(cost: CostTensor6D, phi: np.ndarray, weight: float):
 def refine_trace(cost: CostTensor6D, init: DisplacementField, cfg: RefineConfig):
     """Refine and return ``(field, energies)`` where ``energies[i]`` is the
     objective after ``i`` iterations (rejected proposals repeat the
-    previous value, so the sequence never increases)."""
-    if init.counts != cost.grid_shape:
+    previous value, so the sequence never increases).  ``steps=0``
+    returns the clamped input."""
+    if init.counts != cost.grid.counts:
         raise ValueError(f"init field grid {init.counts} does not match "
-                         f"cost grid {cost.grid_shape}")
+                         f"cost grid {cost.grid.counts}")
     q = cost.space.q
     phi = np.clip(init.vectors, -q, q)
     energy, grad = field_energy_grad(cost, phi, cfg.diffusion_weight)
@@ -169,10 +173,3 @@ def refine_trace(cost: CostTensor6D, init: DisplacementField, cfg: RefineConfig)
             step *= 0.5
         energies.append(energy)
     return DisplacementField(phi), np.asarray(energies)
-
-
-def refine(cost: CostTensor6D, init: DisplacementField, cfg: RefineConfig) -> DisplacementField:
-    """Refined field with ``E(final) <= E(init)``; ``steps=0`` returns the
-    clamped input unchanged."""
-    field, _ = refine_trace(cost, init, cfg)
-    return field

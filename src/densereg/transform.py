@@ -4,8 +4,8 @@ The cost tensor is converted to per-point probability distributions over
 the displacement space with a stabilized softmax; the expected displacement
 under that distribution gives a smooth control-grid field, which is
 trilinearly upsampled to image resolution and used to warp the moving
-volume.  Loss terms (diffusion penalty, probabilistic label loss) quantify
-field smoothness and label agreement.
+volume.  The probabilistic label loss measures label agreement under the
+distribution.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -18,6 +18,7 @@ from .geometry import (
     DisplacementField,
     DisplacementSpace,
     Volume3D,
+    _freeze,
     axis_centers,
     lerp_axis,
     lerp_axis_into,
@@ -27,7 +28,6 @@ from .geometry import (
     sample_points_linear,
     sample_points_nearest,
     sample_separable,
-    spatial_gradient,
 )
 from .parallel import block_view, map_planes, map_slabs, row_blocks
 from .regularizer import RegularizerParams
@@ -39,7 +39,6 @@ __all__ = [
     "expected_displacement",
     "upsample_field",
     "warp",
-    "diffusion_penalty",
     "nonlocal_label_loss",
 ]
 
@@ -49,7 +48,8 @@ class ProbTensor6D:
     """Displacement probabilities per control point, same layout as
     :class:`CostTensor6D`; each point's distribution sums to one.  The
     checks run per control plane on up to ``workers`` threads, which is
-    not part of the tensor's value."""
+    not part of the tensor's value.  Like the cost tensor, it takes the
+    array it is given and makes it read-only."""
 
     values: np.ndarray
     grid: ControlGrid
@@ -68,12 +68,14 @@ class ProbTensor6D:
             return v.min(), v.max(), v.sum(axis=(2, 3, 4))
 
         checks = map_planes(plane, vals, 0, self.workers)
+        # A NaN passes every comparison below, so it is caught first.
+        if not all(np.isfinite(lo) and np.isfinite(hi) for lo, hi, _ in checks):
+            raise ArithmeticError("probabilities must be finite")
         if any(lo < 0.0 or hi > 1.0 for lo, hi, _ in checks):
             raise ValueError("probabilities must lie in [0, 1]")
         if not all(np.allclose(sums, 1.0, atol=1e-5) for _, _, sums in checks):
             raise ValueError("distributions must sum to 1 per control point")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _freeze(vals))
 
 
 @dataclass(frozen=True)
@@ -174,27 +176,22 @@ def upsample_field(ctrl: DisplacementField, dims) -> DisplacementField:
     return DisplacementField(out)
 
 
-def warp(vol: Volume3D, field: DisplacementField, mode: str = None,
+def warp(vol: Volume3D, field: DisplacementField,
          workers: int = None) -> Volume3D:
     """Resample ``vol`` through the field: ``out(x) = vol(x + phi(x))``.
 
     The field must be at volume resolution.  Intensity volumes interpolate
-    trilinearly, label volumes nearest-neighbor; ``mode`` overrides the
-    choice ("intensity" or "label").  A zero field reproduces the input
-    exactly in both modes.  The output is filled one axis-0 slab at a
-    time, the slabs spread over up to ``workers`` threads; every voxel
-    goes through the same arithmetic as in a whole-volume pass, so the
-    output does not depend on the slab size or the thread count.
+    trilinearly, label volumes nearest-neighbor.  A zero field reproduces
+    the input exactly in both cases.  The output is filled one axis-0
+    slab at a time, the slabs spread over up to ``workers`` threads; every
+    voxel goes through the same arithmetic as in a whole-volume pass, so
+    the output does not depend on the slab size or the thread count.
     """
     dims = vol.dims
     if field.counts != dims:
         raise ValueError(f"field resolution {field.counts} does not match "
                          f"volume dims {dims}")
-    if mode is None:
-        mode = "label" if vol.is_label else "intensity"
-    if mode not in ("intensity", "label"):
-        raise ValueError(f"unknown warp mode: {mode!r}")
-    if mode == "label":
+    if vol.is_label:
         sample, dtype = sample_points_nearest, vol.data.dtype
     else:
         sample, dtype = sample_points_linear, np.float64
@@ -211,18 +208,8 @@ def warp(vol: Volume3D, field: DisplacementField, mode: str = None,
         fracs[..., 2] = bases[2] + vec[..., 2] * scales[2]
         data[s] = sample(vol.data, fracs)
 
-    # Working set per voxel: the coordinates plus the sampler's corner
-    # indices and weights, about 12 eight-byte values.
-    map_slabs(slab, dims, 12 * 8, workers)
-    return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))
-
-
-def diffusion_penalty(field: DisplacementField, weight: float) -> float:
-    """Smoothness penalty: weighted sum over grid points of the squared
-    spatial-gradient norms of all three components, gradients taken per
-    normalized coordinate."""
-    grad = spatial_gradient(field)
-    return float(weight) * float(np.sum(grad * grad))
+    map_slabs(slab, dims, workers)
+    return Volume3D(data, spacing=vol.spacing, is_label=vol.is_label)
 
 
 def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,

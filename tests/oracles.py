@@ -457,23 +457,21 @@ def clamped_take(data, offset):
     return out
 
 
-def whole_volume_warp(vol, field, mode=None):
+def whole_volume_warp(vol, field):
     """Warp through one whole-volume coordinate array: the same per-voxel
     arithmetic as the library's slab-by-slab warp, in a single pass."""
     dims = vol.dims
-    if mode is None:
-        mode = "label" if vol.is_label else "intensity"
     fracs = np.empty(dims + (3,))
     for a in range(3):
         shape = [1, 1, 1]
         shape[a] = dims[a]
         base = np.arange(dims[a], dtype=np.float64).reshape(shape)
         fracs[..., a] = base + field.vectors[..., a] * (dims[a] / 2.0)
-    if mode == "label":
+    if vol.is_label:
         data = sample_points_nearest(vol.data, fracs)
     else:
         data = sample_points_linear(vol.data, fracs)
-    return Volume3D(data, spacing=vol.spacing, is_label=(mode == "label"))
+    return Volume3D(data, spacing=vol.spacing, is_label=vol.is_label)
 
 
 def whole_volume_inverse_field(truth, iterations=40, tol=1e-12):

@@ -140,13 +140,14 @@ class TestRegularizeInput:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_result_rejected(self):
         """The blocks do not check their output; the one check of the
-        result still finds an overflow, here in every plane."""
+        result still finds an overflow, here in every plane, and reports
+        it as a numerical failure."""
         cost = CostTensor6D(np.full((5, 3, 3, 3, 3, 3), 10.0),
                             ControlGrid((5, 3, 3)), DisplacementSpace(0.3, 3),
                             workers=2)
         params = RegularizerParams(output_scale=1e308, iterations=1,
                                    spatial_kernel=3)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ArithmeticError, match="finite"):
             regularize(cost, params, workers=2)
 
 
@@ -212,6 +213,12 @@ class TestShiftedMinimumPool:
         assert got.tobytes() == want.tobytes()
 
 
+def _expected_error(bad):
+    """Non-finite data is a numerical failure, any other violation a
+    value error."""
+    return ValueError if np.isfinite(bad) else ArithmeticError
+
+
 class TestThreadedValidation:
     """Every plane of a tensor is checked, also when the planes are spread
     over workers: a bad value in the last plane is still found."""
@@ -223,20 +230,24 @@ class TestThreadedValidation:
     def test_cost_tensor(self, plane, bad, message):
         vals = np.ones((5, 2, 3, 3, 1, 3))
         vals[plane, -1, -1, -1, -1, -1] = bad
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(_expected_error(bad), match=message):
             CostTensor6D(vals, ControlGrid((5, 2, 3)),
                          DisplacementSpace(0.3, (3, 1, 3)), workers=2)
 
     @pytest.mark.parametrize("plane", [0, -1])
-    @pytest.mark.parametrize("bad, message", [(np.nan, "sum to 1"),
-                                              (np.inf, r"\[0, 1\]"),
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"),
+                                              (np.inf, "finite"),
                                               (-1e-12, r"\[0, 1\]")])
     def test_prob_tensor(self, plane, bad, message):
+        # A NaN compares false with both bounds of [0, 1]: the finiteness
+        # check must catch it, on one thread as on two.
         vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)
         vals[plane, -1, -1, -1, -1, -1] = bad
-        with pytest.raises(ValueError, match=message):
-            ProbTensor6D(vals, ControlGrid((5, 2, 3)),
-                         DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+        for workers in (1, 2):
+            with pytest.raises(_expected_error(bad), match=message):
+                ProbTensor6D(vals, ControlGrid((5, 2, 3)),
+                             DisplacementSpace(0.3, (3, 1, 3)),
+                             workers=workers)
 
     def test_unnormalized_last_point_rejected(self):
         vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)

@@ -7,16 +7,17 @@ end confirms the module entry point works outside the test process too.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from densereg import io as vio
-from densereg import parallel
+from densereg import parallel, pipeline
 from densereg.cli import main
-from densereg.geometry import DisplacementSpace, Volume3D
+from densereg.geometry import DisplacementField, DisplacementSpace, Volume3D
 from densereg.pipeline import register_pair
-from densereg.regularizer import RegularizerParams
+from densereg.regularizer import RegularizerParams, regularize
 from densereg.transform import RegistrationConfig
 
 
@@ -396,8 +397,8 @@ class TestEvaluate:
     def test_thread_count_does_not_change_outputs(self, phantom_dir,
                                                   tmp_path, capsys,
                                                   monkeypatch):
-        # Hand even this small field's slabs to the worker threads.
-        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+        # Split even this small field into slabs for the worker threads.
+        monkeypatch.setattr(parallel, "SLAB_VOXELS", 1 << 8)
         outs = []
         for threads in ("1", "2"):
             csv_path = tmp_path / f"scores{threads}.csv"
@@ -473,13 +474,49 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_nan_payload(self, phantom_dir, tmp_path, capsys):
-        bad = Volume3D(np.full((16, 16, 16), np.nan))
-        vio.write_volume(bad, str(tmp_path / "nan.hdr"))
+        # A volume cannot hold NaN, so the payload is written directly.
+        vio.write_volume(Volume3D(np.zeros((16, 16, 16))),
+                         str(tmp_path / "nan.hdr"))
+        (tmp_path / "nan.raw").write_bytes(
+            np.full(16 ** 3, np.nan, dtype="<f4").tobytes())
         rc = main(["register", "--fixed", str(tmp_path / "nan.hdr"),
                    "--moving", str(phantom_dir / "moving.hdr"),
                    "--out-dir", str(tmp_path)])
         assert rc == 3
-        capsys.readouterr()
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_field_payload(self, phantom_dir, tmp_path, capsys):
+        vio.write_field(DisplacementField(np.zeros((16, 16, 16, 3))),
+                        str(tmp_path / "field.hdr"))
+        payload = np.zeros(16 ** 3 * 3, dtype="<f4")
+        payload[1234] = np.nan
+        (tmp_path / "field.raw").write_bytes(payload.tobytes())
+        rc = main(["evaluate",
+                   "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                   "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
+                   "--field", str(tmp_path / "field.hdr")])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_cost(self, phantom_dir, tmp_path, capsys,
+                              monkeypatch):
+        def overflowing(cost, params, workers=None):
+            # SSC costs lie in [0, 1], so the largest finite output scale
+            # is applied twice to make the regularized cost overflow.
+            big = replace(params, output_scale=1e308)
+            once = regularize(cost, big, workers=workers)
+            return regularize(once, replace(big, iterations=0),
+                              workers=workers)
+
+        monkeypatch.setattr(pipeline, "regularize", overflowing)
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path)] + REGISTER_ARGS)
+        assert rc == 3
+        assert "numerical failure: cost tensor must be finite" \
+            in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -37,7 +37,7 @@ class TestCostTensorType:
         space = DisplacementSpace(0.2, steps=3)
         vals = np.zeros((1, 1, 1, 3, 3, 3))
         vals[0, 0, 0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError, match="finite"):
             CostTensor6D(vals, grid, space)
 
 

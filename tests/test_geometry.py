@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from densereg.correlation import CostTensor6D
+from densereg.features import FeatureVolume
 from densereg.geometry import (
     ControlGrid,
     DisplacementField,
@@ -18,10 +20,9 @@ from densereg.geometry import (
     sample_points_linear,
     sample_points_nearest,
     sample_separable,
-    spatial_gradient,
 )
-from oracles import (naive_gradient, naive_trilinear, sample_volume,
-                     trilinear_sample)
+from densereg.transform import ProbTensor6D
+from oracles import naive_trilinear, sample_volume, trilinear_sample
 
 
 class TestCoordinateConvention:
@@ -113,6 +114,60 @@ class TestVolume3D:
         assert vol.data.dtype == np.float64
 
 
+_GRID, _SPACE = ControlGrid((2, 2, 3)), DisplacementSpace(0.2, 3)
+# Per validated type: a valid array of the type's own dtype and layout,
+# the constructor, and the attribute that holds the array.
+CONTAINERS = {
+    "intensity": (np.linspace(0.0, 1.0, 60).reshape(3, 4, 5), Volume3D,
+                  "data"),
+    "labels": (np.arange(60, dtype=np.int32).reshape(3, 4, 5),
+               lambda a: Volume3D(a, is_label=True), "data"),
+    "field": (np.linspace(-0.1, 0.1, 72).reshape(2, 3, 4, 3),
+              DisplacementField, "vectors"),
+    "features": (np.linspace(0.0, 1.0, 120).reshape(2, 3, 4, 5),
+                 lambda a: FeatureVolume(a, (0.0,) * 3, (1.0,) * 3), "data"),
+    "cost": (np.linspace(0.0, 1.0, 324).reshape(2, 2, 3, 3, 3, 3),
+             lambda a: CostTensor6D(a, _GRID, _SPACE), "values"),
+    "prob": (np.full((2, 2, 3, 3, 3, 3), 1.0 / 27.0),
+             lambda a: ProbTensor6D(a, _GRID, _SPACE), "values"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+class TestOwnership:
+    """Every validated type takes the array it is given, never copies it,
+    and makes it read-only; other dtypes and layouts are converted."""
+
+    def test_array_is_taken_and_frozen(self, kind):
+        valid, build, attr = CONTAINERS[kind]
+        given = valid.copy()
+        held = getattr(build(given), attr)
+        assert np.shares_memory(held, given)
+        assert not given.flags.writeable
+        with pytest.raises(ValueError):
+            held.flat[0] = 0
+
+    @pytest.mark.parametrize("convert", ["float32", "fortran"])
+    def test_other_dtype_or_layout_is_converted(self, kind, convert):
+        valid, build, attr = CONTAINERS[kind]
+        given = valid.astype(np.float32) if convert == "float32" \
+            else np.asfortranarray(valid)
+        held = getattr(build(given), attr)
+        assert not np.shares_memory(held, given)
+        assert given.flags.writeable
+        assert held.flags.c_contiguous and not held.flags.writeable
+        assert held.dtype == valid.dtype
+        assert np.array_equal(held, given.astype(valid.dtype))
+
+    def test_non_finite_is_a_numerical_failure(self, kind):
+        valid, build, _ = CONTAINERS[kind]
+        for bad in (np.nan, np.inf):
+            given = valid.astype(np.float64)
+            given.flat[-1] = bad
+            with pytest.raises(ArithmeticError, match="finite"):
+                build(given)
+
+
 class TestControlGrid:
     def test_scalar_count_broadcasts(self):
         g = ControlGrid(5)
@@ -128,11 +183,6 @@ class TestControlGrid:
         assert g.spacing(0) == pytest.approx(0.25)
         assert g.spacing(2) == pytest.approx(1.0)
 
-    def test_points_shape(self):
-        g = ControlGrid((2, 3, 4))
-        pts = g.points()
-        assert pts.shape == (2, 3, 4, 3)
-        assert pts[0, 0, 0, 0] == pytest.approx(-0.5)
 
 
 class TestDisplacementSpace:
@@ -233,31 +283,3 @@ class TestSampling:
             p = [index_to_normalized(idx[a], 4) for a in range(3)]
             assert trilinear_sample(vol, p) == pytest.approx(data[idx], abs=1e-13)
 
-
-class TestSpatialGradient:
-    def test_linear_field_has_constant_gradient(self):
-        # phi_c(x) = a * x_c per normalized coordinate: gradient a on the
-        # diagonal, zero elsewhere.
-        g = ControlGrid((6, 6, 6))
-        coords = np.stack(np.meshgrid(*[g.axis_coords(a) for a in range(3)],
-                                      indexing="ij"), axis=-1)
-        a = 0.37
-        field = DisplacementField(a * coords)
-        grad = spatial_gradient(field)
-        for c in range(3):
-            for ax in range(3):
-                want = a if c == ax else 0.0
-                assert np.allclose(grad[..., c, ax], want, atol=1e-12)
-
-    def test_matches_oracle(self):
-        rng = np.random.default_rng(13)
-        vecs = rng.normal(size=(4, 5, 3, 3)) * 0.1
-        field = DisplacementField(vecs)
-        spac = [field.spacing(i) for i in range(3)]
-        grad = spatial_gradient(field)
-        ref = naive_gradient(vecs, spac)
-        assert np.allclose(grad, ref, atol=1e-12)
-
-    def test_rejects_degenerate_axis(self):
-        with pytest.raises(ValueError):
-            spatial_gradient(DisplacementField(np.zeros((1, 4, 4, 3))))

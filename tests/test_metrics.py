@@ -159,9 +159,8 @@ class TestSlabJacobian:
         field = DisplacementField(rng.normal(size=dims + (3,)) * magnitude)
         want_std, want_folding = lu_jacobian_stats(field)
         with pytest.MonkeyPatch.context() as mp:
-            # One plane per slab at slab=1, and every slab on the workers.
+            # One plane per slab at slab=1.
             mp.setattr(parallel, "SLAB_VOXELS", slab)
-            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
             results = [jacobian_stats(field, workers=w) for w in (1, 2, 3)]
         for got in results[1:]:
             assert np.array(got).tobytes() == np.array(results[0]).tobytes()

@@ -120,31 +120,33 @@ class TestMapPlanes:
 class TestMapSlabs:
     def test_slabs_cover_axis_in_order(self, monkeypatch):
         monkeypatch.setattr(parallel, "SLAB_VOXELS", 30)
-        got = map_slabs(lambda s: (s.start, s.stop), (7, 3, 4), 8, workers=3)
+        got = map_slabs(lambda s: (s.start, s.stop), (7, 3, 4), workers=3)
         assert got == [(0, 2), (2, 4), (4, 6), (6, 7)]
 
     def test_plane_over_budget_is_one_slab(self, monkeypatch):
         monkeypatch.setattr(parallel, "SLAB_VOXELS", 5)
-        got = map_slabs(lambda s: (s.start, s.stop), (3, 3, 4), 8, workers=2)
+        got = map_slabs(lambda s: (s.start, s.stop), (3, 3, 4), workers=2)
         assert got == [(0, 1), (1, 2), (2, 3)]
 
     def test_no_planes(self):
-        assert map_slabs(lambda s: s, (0, 4, 4), 8, workers=2) == []
+        assert map_slabs(lambda s: s, (0, 4, 4), workers=2) == []
 
-    def test_working_bytes_choose_threads(self, monkeypatch):
-        monkeypatch.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 1 << 19)
-        monkeypatch.setattr(parallel, "SLAB_VOXELS", 1 << 12)
+    def test_slab_count_chooses_threads(self):
+        """At the shipped constants, a volume of two or more slabs runs on
+        the workers and a single slab on the caller."""
+        assert parallel.SLAB_VOXELS == 1 << 15
         barrier = threading.Barrier(2, timeout=10)
 
         def slab(s):
             barrier.wait()
             return threading.get_ident()
 
-        # Two slabs of 4096 voxels: 128 bytes each reach 512 KiB, 8 not.
-        assert len(set(map_slabs(slab, (2, 64, 64), 128, workers=2))) == 2
+        # 128 x 128 planes: two per slab, so 3 planes make 2 slabs.
+        assert len(set(map_slabs(slab, (3, 128, 128), workers=2))) == 2
         caller = threading.get_ident()
-        assert set(map_slabs(lambda s: threading.get_ident(), (2, 64, 64),
-                             8, workers=2)) == {caller}
+        for shape in ((2, 128, 128), (4, 5, 6)):
+            assert set(map_slabs(lambda s: threading.get_ident(), shape,
+                                 workers=2)) == {caller}
 
 
 # Grids of 2-5 points per axis plus extent-1 axes; plane counts such as 5

@@ -85,8 +85,7 @@ class TestPhantomSpec:
             PhantomSpec(magnitude=0.4)
         with pytest.raises(ValueError, match="magnitude"):
             PhantomSpec(magnitude=-0.1)
-        # Widening the capture range widens the legal magnitudes.
-        assert PhantomSpec(magnitude=0.5, capture_range=0.6).magnitude == 0.5
+        assert PhantomSpec(magnitude=0.399).magnitude == 0.399
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="organ"):
@@ -146,11 +145,17 @@ class TestGenerate:
         assert biggest <= 0.25 + 1e-12
         assert biggest > 0.125
 
-    def test_folding_specs_are_rejected(self):
-        spec = PhantomSpec(seed=0, dims=(16, 16, 16), magnitude=1.9,
-                           capture_range=2.0, deformation="smooth-random")
+    def test_folding_specs_are_rejected(self, monkeypatch):
+        # A shift of 1.9 normalized units along axis 0 on one half of the
+        # volume and none on the other folds at the seam.
+        def folding_field(spec, rng):
+            vecs = np.zeros(spec.dims + (3,))
+            vecs[spec.dims[0] // 2:, ..., 0] = -1.9
+            return DisplacementField(vecs)
+
+        monkeypatch.setattr(phantom, "_truth_field", folding_field)
         with pytest.raises(RuntimeError, match="fold"):
-            generate(spec)
+            generate(PhantomSpec(seed=0, dims=(16, 16, 16)))
 
     @pytest.mark.parametrize("mode", ["translation", "smooth-random"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -211,6 +216,5 @@ class TestSlabInverseField:
         want = whole_volume_inverse_field(truth, iterations, tol)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(parallel, "SLAB_VOXELS", slab)
-            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
             got = phantom._inverse_field(truth, iterations, tol)
         assert got.vectors.tobytes() == want.vectors.tobytes()

@@ -10,7 +10,6 @@ from densereg.refine import (
     field_energy,
     field_energy_grad,
     gradient_adjoint,
-    refine,
     refine_trace,
 )
 
@@ -116,7 +115,7 @@ class TestRefine:
         vals = rng.uniform(0.0, 1.0, size=(2, 2, 2, 5, 5, 5))
         cost = CostTensor6D(vals, ControlGrid((2, 2, 2)), space)
         init = DisplacementField(rng.uniform(-0.3, 0.3, size=(2, 2, 2, 3)))
-        out = refine(cost, init, RefineConfig(steps=0))
+        out, _ = refine_trace(cost, init, RefineConfig(steps=0))
         assert np.array_equal(out.vectors, init.vectors)
 
     def test_single_point_converges_to_minimum(self):
@@ -125,7 +124,7 @@ class TestRefine:
         cost = bowl_cost(space, target)
         init = DisplacementField((target + 0.1).reshape(1, 1, 1, 3))
         cfg = RefineConfig(steps=100, step_size=0.05, diffusion_weight=0.0)
-        out = refine(cost, init, cfg)
+        out, _ = refine_trace(cost, init, cfg)
         err = np.abs(out.vectors[0, 0, 0] - target)
         assert err.max() <= space.spacing(0)
 
@@ -147,7 +146,7 @@ class TestRefine:
         vals = np.broadcast_to(-offs[..., 0] + 0.4, (1, 1, 1, 5, 5, 5)).copy()
         cost = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
         init = DisplacementField(np.zeros((1, 1, 1, 3)))
-        out = refine(cost, init, RefineConfig(steps=60, diffusion_weight=0.0))
+        out, _ = refine_trace(cost, init, RefineConfig(steps=60, diffusion_weight=0.0))
         assert np.all(np.abs(out.vectors) <= 0.4 + 1e-12)
         assert out.vectors[0, 0, 0, 0] == pytest.approx(0.4, abs=1e-6)
 
@@ -156,7 +155,7 @@ class TestRefine:
         target = space.offsets()[5, 3, 2]
         cost = bowl_cost(space, target)
         init = DisplacementField(target.reshape(1, 1, 1, 3).copy())
-        out = refine(cost, init, RefineConfig(steps=50, diffusion_weight=0.0))
+        out, _ = refine_trace(cost, init, RefineConfig(steps=50, diffusion_weight=0.0))
         assert np.abs(out.vectors - init.vectors).max() < 1e-6
 
     def test_diffusion_dominated_smoothing(self):
@@ -174,9 +173,9 @@ class TestRefine:
 
         prev = None
         for steps in range(0, 12, 2):
-            out = refine(cost, DisplacementField(init_vec),
-                         RefineConfig(steps=steps, step_size=1e-6,
-                                      diffusion_weight=weight))
+            out, _ = refine_trace(cost, DisplacementField(init_vec),
+                                  RefineConfig(steps=steps, step_size=1e-6,
+                                               diffusion_weight=weight))
             r = roughness(out.vectors)
             if prev is not None:
                 assert r <= prev + 1e-9
@@ -187,4 +186,4 @@ class TestRefine:
         cost = CostTensor6D(np.zeros((2, 2, 2, 3, 3, 3)), ControlGrid((2, 2, 2)), space)
         init = DisplacementField(np.zeros((3, 3, 3, 3)))
         with pytest.raises(ValueError):
-            refine(cost, init, RefineConfig())
+            refine_trace(cost, init, RefineConfig())

@@ -257,7 +257,7 @@ class TestRegularize:
         cost = dissimilarity_tensor(ff, fm, grid, space)
 
         def argmin_tv(c):
-            flat = c.values.reshape(c.grid_shape + (-1,))
+            flat = c.values.reshape(c.grid.counts + (-1,))
             offs = c.space.offsets().reshape(-1, 3)
             field = offs[np.argmin(flat, axis=-1)]
             tv = 0.0

@@ -16,19 +16,19 @@ from densereg.geometry import (
 from densereg.transform import (
     ProbTensor6D,
     RegistrationConfig,
-    diffusion_penalty,
     expected_displacement,
     nonlocal_label_loss,
     softmax_probabilities,
     upsample_field,
     warp,
 )
+from densereg.refine import field_energy
 from densereg.regularizer import RegularizerParams
 from hypothesis import given, settings, strategies as st
 
 from densereg import parallel
 from oracles import (full_range_label_loss, naive_frac_trilinear,
-                     whole_volume_warp)
+                     naive_gradient, whole_volume_warp)
 
 
 def cost_tensor(grid_counts, steps, values, q=0.4):
@@ -230,14 +230,6 @@ class TestWarp:
         with pytest.raises(ValueError):
             warp(vol, field)
 
-    def test_explicit_mode_override(self):
-        labels = (np.arange(64).reshape(4, 4, 4) % 3)
-        vol = Volume3D(labels, is_label=True)
-        t = np.full((4, 4, 4, 3), 0.1)
-        out = warp(vol, DisplacementField(t), mode="intensity")
-        assert not out.is_label
-        assert out.data.dtype == np.float64
-
 
 class TestSlabWarp:
     """Slab-by-slab warping equals the whole-volume pass bit for bit, for
@@ -247,53 +239,69 @@ class TestSlabWarp:
     @given(seed=st.integers(0, 2**16),
            dims=st.tuples(*[st.integers(1, 9)] * 3),
            slab=st.sampled_from((1, 7, 20, 1 << 15)),
-           magnitude=st.sampled_from((0.0, 0.2, 1.5)),
-           mode=st.sampled_from((None, "intensity", "label")))
-    def test_matches_whole_volume(self, seed, dims, slab, magnitude, mode):
+           magnitude=st.sampled_from((0.0, 0.2, 1.5)))
+    def test_matches_whole_volume(self, seed, dims, slab, magnitude):
         rng = np.random.default_rng(seed)
         field = DisplacementField(rng.normal(size=dims + (3,)) * magnitude)
         intensity = Volume3D(rng.normal(size=dims))
         labels = Volume3D(rng.integers(0, 4, size=dims), is_label=True)
-        if mode == "label":
-            # A label-mode override needs integer-valued intensities.
-            intensity = Volume3D(np.abs(np.round(intensity.data * 3)))
         # Hypothesis runs many examples per test call, so the slab size is
         # patched per example rather than through the monkeypatch fixture.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(parallel, "SLAB_VOXELS", slab)
-            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
             for vol in (intensity, labels):
-                want = whole_volume_warp(vol, field, mode)
+                want = whole_volume_warp(vol, field)
                 for workers in (1, 2, 3):
-                    got = warp(vol, field, mode, workers=workers)
+                    got = warp(vol, field, workers=workers)
                     assert got.is_label == want.is_label
                     assert got.data.dtype == want.data.dtype
                     assert got.data.tobytes() == want.data.tobytes()
 
 
+def diffusion_term(vecs, weight):
+    """The diffusion term of the refinement objective: ``field_energy`` on
+    an all-zero cost, where the data term is exactly 0."""
+    space = DisplacementSpace(0.4, 3)
+    zero = CostTensor6D(np.zeros(vecs.shape[:3] + space.steps),
+                        ControlGrid(vecs.shape[:3]), space)
+    return field_energy(zero, vecs, weight)
+
+
 class TestDiffusionPenalty:
     def test_constant_field_zero(self):
-        field = DisplacementField(np.full((5, 5, 5, 3), 0.3))
-        assert diffusion_penalty(field, 1.5) == 0.0
+        assert diffusion_term(np.full((5, 5, 5, 3), 0.3), 1.5) == 0.0
 
     def test_linear_field_matches_analytic(self):
+        # phi_0 = a * x_0 has gradient a along axis 0 and 0 elsewhere:
+        # 1.5 * a^2 per grid point.
         g = 6
         coords = axis_centers(g)
         a = 0.25
         vecs = np.zeros((g, g, g, 3))
         vecs[..., 0] = a * coords[:, None, None]
-        field = DisplacementField(vecs)
-        got = diffusion_penalty(field, 1.5)
+        got = diffusion_term(vecs, 1.5)
         want = 1.5 * a * a * g ** 3
         assert got == pytest.approx(want, rel=1e-10)
+        # phi_c = a * x_c for every component: three such terms.
+        grid = np.stack(np.meshgrid(coords, coords, coords, indexing="ij"),
+                        axis=-1)
+        got = diffusion_term(a * grid, 1.5)
+        assert got == pytest.approx(3.0 * want, rel=1e-10)
 
     def test_linear_in_weight(self):
         rng = np.random.default_rng(90)
-        field = DisplacementField(rng.normal(size=(4, 4, 4, 3)) * 0.05)
-        p1 = diffusion_penalty(field, 1.0)
-        p2 = diffusion_penalty(field, 2.0)
+        vecs = rng.normal(size=(4, 4, 4, 3)) * 0.05
+        p1 = diffusion_term(vecs, 1.0)
+        p2 = diffusion_term(vecs, 2.0)
         assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
         assert p1 > 0
+
+    def test_matches_naive_gradient(self):
+        rng = np.random.default_rng(13)
+        vecs = rng.normal(size=(4, 5, 3, 3)) * 0.1
+        grad = naive_gradient(vecs, [2.0 / n for n in vecs.shape[:3]])
+        want = 1.5 * np.sum(grad * grad)
+        assert diffusion_term(vecs, 1.5) == pytest.approx(want, rel=1e-12)
 
 
 class TestNonlocalLabelLoss:
