@@ -282,11 +282,17 @@ class TestDiffusionPenalty:
         got = diffusion_term(vecs, 1.5)
         want = 1.5 * a * a * g ** 3
         assert got == pytest.approx(want, rel=1e-10)
-        # phi_c = a * x_c for every component: three such terms.
+
+    def test_linear_field_has_constant_gradient(self):
+        # phi_c = a * x_c for every component: gradient a on the diagonal
+        # and 0 elsewhere, so three terms of 1.5 * a^2 per grid point.
+        g = 6
+        coords = axis_centers(g)
+        a = 0.37
         grid = np.stack(np.meshgrid(coords, coords, coords, indexing="ij"),
                         axis=-1)
         got = diffusion_term(a * grid, 1.5)
-        assert got == pytest.approx(3.0 * want, rel=1e-10)
+        assert got == pytest.approx(3.0 * 1.5 * a * a * g ** 3, rel=1e-10)
 
     def test_linear_in_weight(self):
         rng = np.random.default_rng(90)
