@@ -140,9 +140,6 @@ def _build_parser():
                           "--refine descent (read only with --refine)")
     reg.add_argument("--no-mean-field", action="store_true", default=None,
                      help="skip cost smoothing (ablation wiring)")
-    reg.add_argument("--no-nonlocal-loss", action="store_true", default=None,
-                     help="report plain warped-label MSE instead of the "
-                          "probability-weighted loss")
     reg.add_argument("--refine", action=argparse.BooleanOptionalAction,
                      help="instance-wise gradient refinement of the "
                           "estimate (default off)")
@@ -227,7 +224,6 @@ def _cmd_register(opts: dict) -> int:
                            fixed_labels=fixed_labels,
                            moving_labels=moving_labels,
                            refinement=refinement,
-                           use_nonlocal_loss=not opts["no_nonlocal_loss"],
                            threads=workers)
 
     report = result.report

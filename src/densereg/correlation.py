@@ -67,10 +67,6 @@ class CostTensor6D:
             raise ValueError("cost tensor must be non-negative")
         object.__setattr__(self, "values", _freeze(vals))
 
-    def replace_values(self, values: np.ndarray) -> "CostTensor6D":
-        """New tensor over the same grid and displacement space."""
-        return CostTensor6D(values, self.grid, self.space, self.workers)
-
 
 def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
                          grid: ControlGrid, space: DisplacementSpace,

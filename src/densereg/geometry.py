@@ -142,9 +142,6 @@ class ControlGrid:
     def axis_coords(self, axis: int) -> np.ndarray:
         return axis_centers(self.counts[axis])
 
-    def spacing(self, axis: int) -> float:
-        return 2.0 / self.counts[axis]
-
 
 @dataclass(frozen=True)
 class DisplacementSpace:
@@ -216,9 +213,6 @@ class DisplacementField:
     def counts(self) -> tuple:
         return self.vectors.shape[:3]
 
-    def spacing(self, axis: int) -> float:
-        return 2.0 / self.counts[axis]
-
 
 # ---------------------------------------------------------------------------
 # Interpolation primitives (fractional-index space)
@@ -243,21 +237,20 @@ def lerp_plan(n: int, t, ndim: int, axis: int) -> tuple:
 
 def lerp_axis(data: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
     """Linear interpolation of ``data`` along ``axis`` at fractional indices
-    ``t`` (1D), clamped to the border.  The axis length becomes ``len(t)``."""
-    i0, i1, w0, w1 = lerp_plan(data.shape[axis], t, data.ndim, axis)
-    a = np.take(data, i0, axis=axis)
-    if w1 is None:
-        return a
-    return a * w0 + np.take(data, i1, axis=axis) * w1
+    ``t`` (1D), clamped to the border, as float64 in a new array.  The
+    axis length becomes ``len(t)``."""
+    data = np.asarray(data, dtype=np.float64)
+    plan = lerp_plan(data.shape[axis], t, data.ndim, axis)
+    shape = data.shape[:axis] + (len(plan[0]),) + data.shape[axis + 1:]
+    return lerp_axis_into(data, plan, axis, np.empty(shape), np.empty(shape))
 
 
 def lerp_axis_into(data: np.ndarray, plan: tuple, axis: int,
                    out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """:func:`lerp_axis` of float64 ``data`` by a :func:`lerp_plan`,
-    written into ``out`` with ``work`` (same shape) as scratch and no
-    other temporary.  It takes, scales and adds in the same order, so the
-    result is bit-identical; a plan made once serves every array and
-    block sampled at the same positions."""
+    """Linear interpolation of float64 ``data`` along ``axis`` by a
+    :func:`lerp_plan`, written into ``out`` with ``work`` (same shape) as
+    scratch and no other temporary.  A plan made once serves every array
+    and block sampled at the same positions."""
     i0, i1, w0, w1 = plan
     np.take(data, i0, axis=axis, out=out, mode="clip")
     if w1 is not None:

@@ -18,8 +18,12 @@ are stored in normalized units as interleaved f32 triples; the header's
 ``voxel_factor`` records the per-axis factor that converts them to voxel
 units.
 
-All read failures raise a :class:`VolumeIOError` subclass so callers can
-separate file-format problems from OS-level ones.
+A file that cannot be parsed raises a :class:`VolumeIOError` subclass,
+so callers can separate file-format problems from OS-level ones.  The
+payload is handed as stored to :class:`Volume3D` or
+:class:`DisplacementField`, which convert and validate it once; data
+they reject raises their :class:`ArithmeticError` (non-finite values)
+or :class:`ValueError` (say, a fractional or negative label).
 """
 
 import os
@@ -268,8 +272,10 @@ def _dispatch(path: str) -> str:
 def read_volume(path: str, as_labels=None) -> Volume3D:
     """Read a scalar volume; ``as_labels`` overrides the stored kind.
 
-    Integer payloads are promoted to the internal real representation
-    unless the volume is a label map.
+    The payload goes to :class:`Volume3D` as stored, which converts it
+    once: intensities become float64, u8 and i16 labels keep their dtype,
+    and f32 labels must be finite (else :class:`ArithmeticError`) and
+    integer-valued (else :class:`ValueError`) and become int32.
     """
     if _dispatch(path) == "raw":
         fields, payload, spacing = _read_raw(path)
@@ -281,10 +287,7 @@ def read_volume(path: str, as_labels=None) -> Volume3D:
     else:
         payload, spacing = _read_nifti(path)
         is_label = bool(as_labels)
-    if is_label:
-        return Volume3D(payload.astype(np.int32), spacing=spacing,
-                        is_label=True)
-    return Volume3D(payload.astype(np.float64), spacing=spacing)
+    return Volume3D(payload, spacing=spacing, is_label=is_label)
 
 
 def write_volume(vol: Volume3D, path: str, dtype: str = None) -> None:
@@ -325,7 +328,7 @@ def read_field(path: str) -> DisplacementField:
     if fields.get("kind") != "field" or payload.ndim != 4:
         raise HeaderError(f"{path}: not a displacement field "
                           f"(kind={fields.get('kind')!r})")
-    return DisplacementField(payload.astype(np.float64))
+    return DisplacementField(payload)
 
 
 def write_field(field: DisplacementField, path: str) -> None:

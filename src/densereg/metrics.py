@@ -1,6 +1,6 @@
 """Registration quality measures and the run report.
 
-Dice overlap per label, Jacobian-determinant statistics of a full-resolution
+Dice overlap per label present, Jacobian-determinant statistics of a full-resolution
 field (computed on interior voxels in voxel units so values are comparable
 across volume sizes, slab by slab on worker threads), and a report
 container with deterministic text and CSV serializations.  Stage runtimes
@@ -12,37 +12,29 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import DisplacementField, Volume3D
+from .geometry import DisplacementField, Volume3D, present_labels
 from .parallel import map_slabs
 
 __all__ = ["dice", "mean_dice", "jacobian_stats", "RegistrationReport"]
 
 
-def dice(a: Volume3D, b: Volume3D, labels=None) -> dict:
-    """Per-label Dice overlap: ``2 |A and B| / (|A| + |B|)``.
-
-    ``labels`` defaults to every nonzero label present in either volume.
-    A label absent from both volumes is undefined (NaN, excluded from the
-    mean); absent from exactly one gives 0.
-    """
+def dice(a: Volume3D, b: Volume3D) -> dict:
+    """Per-label Dice overlap ``2 |A and B| / (|A| + |B|)`` of every
+    nonzero label present in either volume; a label absent from one of
+    them scores 0."""
     if not (a.is_label and b.is_label):
         raise ValueError("dice needs label volumes")
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    if labels is None:
-        present = set(np.unique(a.data)) | set(np.unique(b.data))
-        labels = sorted(int(l) for l in present if l != 0)
     out = {}
-    for lab in labels:
+    for lab in present_labels(a, b).tolist():
+        if lab == 0:
+            continue
         in_a = a.data == lab
         in_b = b.data == lab
-        na = int(np.count_nonzero(in_a))
-        nb = int(np.count_nonzero(in_b))
-        if na + nb == 0:
-            out[int(lab)] = float("nan")
-        else:
-            inter = int(np.count_nonzero(in_a & in_b))
-            out[int(lab)] = 2.0 * inter / (na + nb)
+        inter = int(np.count_nonzero(in_a & in_b))
+        total = int(np.count_nonzero(in_a)) + int(np.count_nonzero(in_b))
+        out[lab] = 2.0 * inter / total
     return out
 
 

@@ -2,7 +2,8 @@
 
 Stages run in a fixed order: feature extraction, dissimilarity correlation,
 cost regularization, probabilistic transform extraction, optional
-instance-wise refinement, field upsampling, warping, evaluation.  Per-stage
+instance-wise refinement, the label loss when labels are given, field
+upsampling, warping, evaluation.  Per-stage
 wall times land in the report's ``runtimes``, which both serializations
 exclude, so identical runs produce identical report bytes.
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .correlation import dissimilarity_tensor, flop_estimate
 from .features import extract_intensity_gradient, extract_ssc
-from .geometry import DisplacementField, Volume3D, present_labels
+from .geometry import DisplacementField, Volume3D
 from .metrics import RegistrationReport, dice, jacobian_stats
 from .parallel import resolve_workers
 from .refine import RefineConfig, refine_trace
@@ -52,35 +53,19 @@ def _extract(vol: Volume3D, cfg: RegistrationConfig, workers: int):
     return extract_intensity_gradient(vol)
 
 
-def _plain_label_mse(warped_labels: Volume3D,
-                     fixed_labels: Volume3D) -> float:
-    """Hard one-hot MSE between two label volumes over all voxels,
-    averaged over the labels present in either volume (an absent class
-    adds exactly 0, so label numbering does not change the result)."""
-    a = warped_labels.data
-    b = fixed_labels.data
-    labels = present_labels(warped_labels, fixed_labels)
-    total = 0.0
-    for cls in labels:
-        diff = (a == cls).astype(np.float64) - (b == cls)
-        total += float(np.sum(diff * diff))
-    return total / (a.size * len(labels))
-
-
 def register_pair(fixed: Volume3D, moving: Volume3D,
                   cfg: RegistrationConfig = None,
                   fixed_labels: Volume3D = None,
                   moving_labels: Volume3D = None,
                   refinement: RefineConfig = None,
-                  use_nonlocal_loss: bool = True,
                   threads: int = None) -> RegistrationResult:
     """Register ``moving`` onto ``fixed`` and evaluate the result.
 
     ``refinement`` enables instance-wise gradient descent on the regularized
     cost when given.  When both label volumes are present the report gains
-    per-label Dice plus a label-agreement loss: the probability-weighted
-    one-hot loss by default, or (``use_nonlocal_loss=False``) the plain
-    one-hot MSE of the hard-warped labels.
+    per-label Dice plus the label-agreement loss: the one-hot label
+    mismatch averaged under the displacement distribution
+    (:func:`densereg.transform.nonlocal_label_loss`).
 
     ``threads`` caps the worker threads of the SSC features, the 6D
     tensor stages, the warps and the Jacobian statistics (default: the
@@ -128,18 +113,13 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         timings["refinement"] = time.perf_counter() - t0
 
     label_loss = None
-    loss_kind = None
-    num_classes = 0
-    if fixed_labels is not None and moving_labels is not None:
-        num_classes = 1 + int(max(fixed_labels.data.max(initial=0),
-                                  moving_labels.data.max(initial=0)))
-        if use_nonlocal_loss:
-            t0 = time.perf_counter()
-            label_loss = nonlocal_label_loss(prob, moving_labels,
-                                             fixed_labels, num_classes,
-                                             workers=workers)
-            loss_kind = "nonlocal"
-            timings["label_loss"] = time.perf_counter() - t0
+    if fixed_labels is not None:
+        num_classes = 1 + int(max(fixed_labels.data.max(),
+                                  moving_labels.data.max()))
+        t0 = time.perf_counter()
+        label_loss = nonlocal_label_loss(prob, moving_labels, fixed_labels,
+                                         num_classes, workers=workers)
+        timings["label_loss"] = time.perf_counter() - t0
     del prob
 
     t0 = time.perf_counter()
@@ -152,11 +132,8 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     t0 = time.perf_counter()
     std_jac, folding = jacobian_stats(field, workers=workers)
     scores = {}
-    if fixed_labels is not None and warped_labels is not None:
+    if warped_labels is not None:
         scores = dice(fixed_labels, warped_labels)
-        if not use_nonlocal_loss:
-            label_loss = _plain_label_mse(warped_labels, fixed_labels)
-            loss_kind = "plain-mse"
     timings["evaluation"] = time.perf_counter() - t0
     if not np.isfinite(std_jac):
         raise ArithmeticError("non-finite Jacobian statistics")
@@ -174,7 +151,7 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         notes["lambda"] = format(refinement.diffusion_weight, ".9g")
     if label_loss is not None:
         notes["label_loss"] = format(label_loss, ".9g")
-        notes["label_loss_kind"] = loss_kind
+        notes["label_loss_kind"] = "nonlocal"
 
     timings["total"] = time.perf_counter() - t_total
     report = RegistrationReport(per_label_dice=scores, std_jac=std_jac,

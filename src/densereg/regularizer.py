@@ -35,7 +35,7 @@ a 1D cost row; it serves as the reference the pooled approximation is
 audited against, and as a drop-in alternative for small problems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -211,7 +211,7 @@ def regularize(cost: CostTensor6D, p: RegularizerParams,
         np.multiply(vals[k], p.output_scale, out=buf[k])
 
     map_planes(scale, vals, 0, workers)
-    return cost.replace_values(buf)
+    return replace(cost, values=buf)
 
 
 # ---------------------------------------------------------------------------
@@ -276,4 +276,4 @@ def lower_envelope_3d(cost: CostTensor6D, curvature: float) -> CostTensor6D:
     for axis in _DISP_AXES:
         if out.shape[axis] > 1:
             out = np.apply_along_axis(exact_lower_envelope, axis, out, curvature)
-    return cost.replace_values(out)
+    return replace(cost, values=out)

@@ -85,10 +85,12 @@ class RegistrationConfig:
     ``feature`` selects the extractor ("ssc" or "intensity-gradient"),
     which runs with its own defaults.  The displacement
     capture range must stay below 1 so the quantized offsets remain
-    inside the normalized volume.  A spatial smoothing kernel wider than
-    the control grid shrinks to the largest odd width that fits the
-    smallest grid extent above 1, so coarse grids such as 4 per axis keep
-    the tuned preset otherwise unchanged.  The diffusion weight belongs
+    inside the normalized volume.  ``grid_counts`` (one int or three)
+    needs at least 2 points per axis, the fewest the field upsampling
+    can interpolate between.  A spatial smoothing kernel wider than the
+    control grid shrinks to the largest odd width that fits its smallest
+    extent, so coarse grids such as 4 per axis keep the tuned preset
+    otherwise unchanged.  The diffusion weight belongs
     to the refinement (:class:`densereg.refine.RefineConfig`), the only
     stage that reads it.
     """
@@ -103,15 +105,15 @@ class RegistrationConfig:
             raise ValueError(f"capture range must lie in (0, 1), got {self.space.q}")
         if self.feature not in ("ssc", "intensity-gradient"):
             raise ValueError(f"unknown feature choice: {self.feature!r}")
-        counts = self.grid_counts
-        counts = (int(counts),) * 3 if np.isscalar(counts) else tuple(int(c) for c in counts)
+        counts = ControlGrid(self.grid_counts).counts
+        if min(counts) < 2:
+            raise ValueError(f"control grid needs >= 2 points per axis to "
+                             f"upsample, got {counts}")
         object.__setattr__(self, "grid_counts", counts)
-        extents = [c for c in counts if c > 1]
-        if extents:
-            fit = min(extents) - 1 + min(extents) % 2
-            if self.reg_params.spatial_kernel > fit:
-                object.__setattr__(self, "reg_params", replace(
-                    self.reg_params, spatial_kernel=fit))
+        fit = min(counts) - 1 + min(counts) % 2
+        if self.reg_params.spatial_kernel > fit:
+            object.__setattr__(self, "reg_params", replace(
+                self.reg_params, spatial_kernel=fit))
 
     def control_grid(self) -> ControlGrid:
         return ControlGrid(self.grid_counts)

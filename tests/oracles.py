@@ -404,19 +404,6 @@ def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
     return loss / (grid.num_points * present)
 
 
-def full_range_plain_mse(a, b, num_classes):
-    """Hard one-hot MSE of two label arrays over every class id in
-    ``range(num_classes)``, averaged over the ids that occur in either
-    array."""
-    total = 0.0
-    present = 0
-    for cls in range(num_classes):
-        present += bool(np.any(a == cls) or np.any(b == cls))
-        diff = (a == cls).astype(np.float64) - (b == cls)
-        total += float(np.sum(diff * diff))
-    return total / (a.size * present)
-
-
 def full_resolution_ssc(vol, patch_radius=1, stride=3):
     """SSC descriptors computed on every voxel, then subsampled.
 

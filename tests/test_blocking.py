@@ -3,6 +3,7 @@ references in ``oracles``: the same bytes for any row-block size and any
 worker count, and the shifted-minimum pool against ndimage."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,5 +260,5 @@ class TestThreadedValidation:
     def test_replace_values_keeps_workers(self):
         cost = CostTensor6D(np.ones((3, 1, 1, 3, 3, 3)), ControlGrid((3, 1, 1)),
                             DisplacementSpace(0.3, 3), workers=1)
-        assert cost.replace_values(cost.values * 2.0).workers == 1
+        assert replace(cost, values=cost.values * 2.0).workers == 1
         assert "workers" not in repr(cost)

@@ -236,6 +236,22 @@ class TestCoarseGrid:
         assert rc == 0
         assert "grid=4,4,4" in read_text(d / "report.txt")
 
+    def test_grid_1_rejected_before_correlation(self, phantom_dir, tmp_path,
+                                                capsys, monkeypatch):
+        # Upsampling needs two control points per axis; the config says
+        # so before any stage runs.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("correlation reached")
+
+        monkeypatch.setattr(pipeline, "dissimilarity_tensor", unreachable)
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path / "g1"), "--grid", "1"])
+        assert rc == 1
+        assert ">= 2 points per axis" in capsys.readouterr().err
+        assert not (tmp_path / "g1").exists()
+
     def test_grid_16_keeps_tuned_kernel(self, phantom_dir, tmp_path):
         # Where the tuned kernel fits, the output is that of the tuned
         # preset itself, set on the config behind its back.
@@ -316,11 +332,10 @@ class TestConfigFile:
                     "seed": "4", "threads": "2"}
         flags = [f"--{k}={phantom_dir / v}" for k, v in inputs.items()]
         flags += [f"--{k}={v}" for k, v in settings.items()]
-        flags += ["--refine", "--no-mean-field", "--no-nonlocal-loss"]
+        flags += ["--refine", "--no-mean-field"]
         lines = [f"{k} = {phantom_dir / v}" for k, v in inputs.items()]
         lines += [f"{k} = {v}" for k, v in settings.items()]
-        lines += ["refine = true", "no-mean-field = yes",
-                  "no-nonlocal-loss = on"]
+        lines += ["refine = true", "no-mean-field = yes"]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n", encoding="ascii")
         a, b = tmp_path / "flags", tmp_path / "file"
@@ -330,7 +345,7 @@ class TestConfigFile:
                      "--report", str(b / "r.csv"), "--config", str(cfg)]) == 0
         text = read_text(a / "report.txt")
         assert "mean_field_iterations=0" in text and "lambda=2\n" in text
-        assert "label_loss_kind=plain-mse" in text and "seed=4" in text
+        assert "label_loss_kind=nonlocal" in text and "seed=4" in text
         for name in ("field.raw", "warped.raw", "warped_labels.raw",
                      "report.txt", "r.csv"):
             assert read_bytes(a / name) == read_bytes(b / name), name
@@ -484,6 +499,33 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @staticmethod
+    def f32_labels(tmp_path, value):
+        """A label file holding f32 data: zeros with ``value`` at one voxel."""
+        (tmp_path / "lab.hdr").write_text(
+            "dims=16,16,16\ndtype=f32\nkind=label\ndata=lab.raw\n",
+            encoding="ascii")
+        payload = np.zeros(16 ** 3, dtype="<f4")
+        payload[321] = value
+        (tmp_path / "lab.raw").write_bytes(payload.tobytes())
+        return str(tmp_path / "lab.hdr")
+
+    @pytest.mark.parametrize("command", ["register", "evaluate"])
+    @pytest.mark.parametrize("value, code, reason", [
+        (np.nan, 3, "finite"), (1.5, 1, "integer values")])
+    def test_f32_label_payload_checked(self, phantom_dir, tmp_path, capsys,
+                                       command, value, code, reason):
+        labels = self.f32_labels(tmp_path, value)
+        argv = ["--fixed-labels", labels,
+                "--moving-labels", str(phantom_dir / "moving_labels.hdr")]
+        if command == "register":
+            argv += ["--fixed", str(phantom_dir / "fixed.hdr"),
+                     "--moving", str(phantom_dir / "moving.hdr"),
+                     "--out-dir", str(tmp_path / "out")]
+        rc = main([command] + argv)
+        assert rc == code
+        assert reason in capsys.readouterr().err
 
     def test_nan_field_payload(self, phantom_dir, tmp_path, capsys):
         vio.write_field(DisplacementField(np.zeros((16, 16, 16, 3))),

@@ -69,6 +69,31 @@ class TestRawRoundTrip:
         back = vio.read_volume(path)
         assert back.data[0, 0, 0] == 300
 
+    @pytest.mark.parametrize("dtype, want", [
+        ("u8", np.uint8), ("i16", np.int16), ("f32", np.int32)])
+    def test_labels_converted_only_from_f32(self, tmp_path, dtype, want):
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 200, size=(4, 5, 6))
+        path = str(tmp_path / "seg.hdr")
+        vio.write_volume(Volume3D(data, is_label=True), path, dtype=dtype)
+        back = vio.read_volume(path)
+        assert back.data.dtype == want
+        assert np.array_equal(back.data, data)
+
+    @pytest.mark.parametrize("value, error, reason", [
+        (np.nan, ArithmeticError, "finite"),
+        (np.inf, ArithmeticError, "finite"),
+        (1.5, ValueError, "integer values")])
+    def test_f32_labels_checked_before_conversion(self, tmp_path, value,
+                                                  error, reason):
+        path = str(tmp_path / "seg.hdr")
+        vio.write_volume(Volume3D(np.zeros((3, 3, 3))), path)
+        payload = np.zeros(27, dtype="<f4")
+        payload[13] = value
+        (tmp_path / "seg.raw").write_bytes(payload.tobytes())
+        with pytest.raises(error, match=reason):
+            vio.read_volume(path, as_labels=True)
+
     def test_u8_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         vol = Volume3D(rng.integers(0, 256, size=(3, 3, 3)).astype(np.float64))
@@ -168,6 +193,7 @@ class TestNifti:
         vio.write_volume(vol, path)
         back = vio.read_volume(path, as_labels=True)
         assert back.is_label
+        assert back.data.dtype == np.uint8
         assert np.array_equal(back.data, vol.data)
 
     def test_first_dimension_varies_fastest(self, tmp_path):

@@ -11,11 +11,10 @@ import pytest
 
 from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.phantom import PhantomSpec, generate
-from densereg.pipeline import _plain_label_mse, register_pair
+from densereg.pipeline import register_pair
 from densereg.refine import RefineConfig
 from densereg.regularizer import RegularizerParams
 from densereg.transform import RegistrationConfig
-from oracles import full_range_plain_mse
 
 
 def small_config(grid=6, steps=7):
@@ -106,32 +105,6 @@ class TestReportContents:
         assert res.report.per_label_dice == {}
         assert "label_loss" not in res.report.notes
         assert np.isnan(res.report.mean_dice) or res.report.per_label_dice == {}
-
-    def test_plain_label_loss_mode(self, translation_pair):
-        pair = translation_pair
-        res = register_pair(pair.fixed, pair.moving, small_config(),
-                            fixed_labels=pair.fixed_labels,
-                            moving_labels=pair.moving_labels,
-                            use_nonlocal_loss=False)
-        assert res.report.notes["label_loss_kind"] == "plain-mse"
-        assert float(res.report.notes["label_loss"]) >= 0.0
-
-    def test_plain_mse_sparse_ids_match_full_range_oracle(self):
-        # Only present labels are visited and counted; the result must
-        # equal the loop over every id up to the largest, averaged over
-        # the ids that occur, bit for bit.
-        rng = np.random.default_rng(94)
-        ids = np.array([0, 2, 17, 41, 53, 2035])
-        a = ids[rng.integers(0, 6, size=(7, 8, 9))]
-        b = ids[rng.integers(0, 5, size=(7, 8, 9))]
-        got = _plain_label_mse(Volume3D(a, is_label=True),
-                               Volume3D(b, is_label=True))
-        assert got > 0.0
-        assert got == full_range_plain_mse(a, b, 2036)
-        # Renumbering the labels leaves the value unchanged.
-        dense = np.searchsorted(ids, a), np.searchsorted(ids, b)
-        assert got == _plain_label_mse(Volume3D(dense[0], is_label=True),
-                                       Volume3D(dense[1], is_label=True))
 
     def test_flop_note_matches_helper(self, translation_pair):
         from densereg.correlation import flop_estimate

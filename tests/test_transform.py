@@ -449,15 +449,24 @@ class TestRegistrationConfig:
 
     @pytest.mark.parametrize("counts, kernel", [
         ((2, 2, 2), 1), ((3, 3, 3), 3), ((4, 4, 4), 3), ((4, 6, 9), 3),
-        ((1, 4, 6), 3), ((6, 6, 6), 5), ((5, 5, 5), 5), ((16, 16, 16), 5),
-        ((1, 1, 1), 5)])
+        ((3, 4, 6), 3), ((6, 6, 6), 5), ((5, 5, 5), 5), ((16, 16, 16), 5),
+        ((8, 7, 12), 5)])
     def test_spatial_kernel_fits_coarse_grids(self, counts, kernel):
-        # Largest odd width <= the smallest extent above 1; extent-1 axes
-        # have nothing to pool over and do not count.
+        # Largest odd width <= the smallest extent.
         cfg = RegistrationConfig(grid_counts=counts)
         assert cfg.reg_params.spatial_kernel == kernel
         assert cfg.reg_params == replace(RegularizerParams(),
                                          spatial_kernel=kernel)
+
+    @pytest.mark.parametrize("counts, reason", [
+        ((1, 4, 6), ">= 2 points per axis"),
+        ((1, 1, 1), ">= 2 points per axis"),
+        (1, ">= 2 points per axis"),
+        ((16, 16), "three positive ints"),
+        ((4, 0, 4), "three positive ints")])
+    def test_grid_the_upsampling_cannot_use_rejected(self, counts, reason):
+        with pytest.raises(ValueError, match=reason):
+            RegistrationConfig(grid_counts=counts)
 
     def test_narrow_explicit_kernel_kept(self):
         params = RegularizerParams(spatial_kernel=3)
