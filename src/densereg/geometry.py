@@ -19,6 +19,7 @@ failure); shape, sign, range and normalization violations raise
 :class:`ValueError`.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,36 +272,25 @@ def sample_separable(data: np.ndarray, fracs) -> np.ndarray:
     return out
 
 
-def _corner_setup(data: np.ndarray, fracs: np.ndarray):
-    idx0, weights = [], []
-    for axis in range(3):
-        n = data.shape[axis]
-        t = np.clip(fracs[..., axis], 0.0, n - 1.0)
-        i0 = np.minimum(t.astype(np.intp), max(n - 2, 0))
-        idx0.append(i0)
-        weights.append(t - i0 if n > 1 else np.zeros_like(t))
-    return idx0, weights
-
-
 def sample_points_linear(data: np.ndarray, fracs: np.ndarray) -> np.ndarray:
     """Trilinear sampling of a 3D array at arbitrary fractional-index
-    points ``fracs`` of shape ``(..., 3)``, clamped to the border.  Axes
-    of ``data`` after the first three (a vector field's components) are
-    sampled together and trail the result; each is computed exactly as
-    if it were sampled alone."""
+    points ``fracs`` of shape ``(..., 3)``, clamped to the border by
+    :func:`lerp_plan`'s rule.  Axes of ``data`` after the first three (a
+    vector field's components) are sampled together and trail the
+    result; each is computed exactly as if it were sampled alone."""
     fracs = np.asarray(fracs, dtype=np.float64)
-    idx0, w = _corner_setup(data, fracs)
-    out = np.zeros(fracs.shape[:-1] + data.shape[3:], dtype=np.float64)
+    shape = fracs.shape[:-1]
+    corners = []
+    for axis in range(3):
+        plan = lerp_plan(data.shape[axis], fracs[..., axis].ravel(), 1, 0)
+        i0, i1, w0, w1 = (a if a is None else a.reshape(shape) for a in plan)
+        # An extent-1 axis has one corner, of weight 1.
+        corners.append([(i0, w0), (i1, w1)] if i1 is not None
+                       else [(i0, np.float64(1.0))])
+    out = np.zeros(shape + data.shape[3:], dtype=np.float64)
     trail = (...,) + (None,) * (data.ndim - 3)
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                i = [np.minimum(idx0[a] + b, data.shape[a] - 1)
-                     for a, b in zip(range(3), (b0, b1, b2))]
-                weight = ((w[0] if b0 else 1.0 - w[0])
-                          * (w[1] if b1 else 1.0 - w[1])
-                          * (w[2] if b2 else 1.0 - w[2]))
-                out += data[tuple(i)] * weight[trail]
+    for (i0, w0), (i1, w1), (i2, w2) in itertools.product(*corners):
+        out += data[i0, i1, i2] * (w0 * w1 * w2)[trail]
     return out
 
 

@@ -39,11 +39,8 @@ def dice(a: Volume3D, b: Volume3D) -> dict:
 
 
 def mean_dice(scores: dict) -> float:
-    """Mean over defined (non-NaN) per-label Dice values."""
-    vals = [v for v in scores.values() if not np.isnan(v)]
-    if not vals:
-        return float("nan")
-    return float(np.mean(vals))
+    """Mean of the per-label Dice scores; NaN when there are none."""
+    return float(np.mean(list(scores.values()))) if scores else float("nan")
 
 
 def jacobian_stats(field: DisplacementField, workers: int = None) -> tuple:

@@ -29,10 +29,6 @@ so :func:`regularize` runs every block and the output scale in one
 working buffer: the caller's tensor is read once and never written.  The
 blocks take and return plain arrays; :func:`regularize` checks the
 result once, when it wraps it in a :class:`CostTensor6D`.
-
-``exact_lower_envelope`` computes the true lower envelope of parabolas for
-a 1D cost row; it serves as the reference the pooled approximation is
-audited against, and as a drop-in alternative for small problems.
 """
 
 from dataclasses import dataclass, replace
@@ -49,8 +45,6 @@ __all__ = [
     "min_convolution",
     "mean_field_step",
     "regularize",
-    "exact_lower_envelope",
-    "lower_envelope_3d",
 ]
 
 # Width of the min-pool and of both average pools over each displacement
@@ -212,68 +206,3 @@ def regularize(cost: CostTensor6D, p: RegularizerParams,
 
     map_planes(scale, vals, 0, workers)
     return replace(cost, values=buf)
-
-
-# ---------------------------------------------------------------------------
-# Exact lower envelope of parabolas (reference for the pooled approximation)
-# ---------------------------------------------------------------------------
-
-def exact_lower_envelope(cost_row, curvature: float) -> np.ndarray:
-    """Lower envelope of parabolas rooted at each index of a 1D cost row:
-    ``out[i] = min_j cost[j] + curvature * (i - j)^2``.
-
-    Linear-time two-pass algorithm; +inf entries are allowed and simply
-    contribute no parabola.
-    """
-    f = np.asarray(cost_row, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError(f"cost row must be 1D, got shape {f.shape}")
-    if not curvature > 0.0:
-        raise ValueError(f"curvature must be positive, got {curvature}")
-    n = f.size
-    finite = np.flatnonzero(np.isfinite(f))
-    if finite.size == 0:
-        return f.copy()
-    x = finite.astype(np.float64)
-    g = f[finite]
-    m = finite.size
-    v = np.zeros(m, dtype=np.intp)     # indices (into x/g) of envelope parabolas
-    z = np.empty(m + 1)                # boundaries between envelope segments
-    z[0], z[1] = -np.inf, np.inf
-    k = 0
-
-    def intersect(p, q):
-        return ((g[q] + curvature * x[q] ** 2) - (g[p] + curvature * x[p] ** 2)) \
-            / (2.0 * curvature * (x[q] - x[p]))
-
-    for q in range(1, m):
-        s = intersect(v[k], q)
-        while s <= z[k]:
-            k -= 1
-            s = intersect(v[k], q)
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-
-    out = np.empty(n)
-    k = 0
-    for i in range(n):
-        while z[k + 1] < i:
-            k += 1
-        r = v[k]
-        out[i] = g[r] + curvature * (i - x[r]) ** 2
-    return out
-
-
-def lower_envelope_3d(cost: CostTensor6D, curvature: float) -> CostTensor6D:
-    """Separable 3D lower envelope over the displacement dimensions.
-
-    The squared displacement metric separates per axis, so three 1D passes
-    compute the exact 3D envelope.
-    """
-    out = cost.values.copy()
-    for axis in _DISP_AXES:
-        if out.shape[axis] > 1:
-            out = np.apply_along_axis(exact_lower_envelope, axis, out, curvature)
-    return replace(cost, values=out)

@@ -2,22 +2,27 @@
 
 Everything here is written as plain loops from the mathematical definition,
 deliberately ignoring how the library computes the same quantity, so tests
-can compare the two routes.  Slow on purpose; use tiny inputs.
+can compare the two routes.  Slow on purpose; use tiny inputs.  The one
+exception is :func:`exact_lower_envelope`, the linear-time exact envelope
+of parabolas that the pooled min-convolution is audited against; it is
+itself checked against :func:`naive_lower_envelope`.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from scipy import ndimage
 
+from densereg.correlation import CostTensor6D
 from densereg.features import SSC_PAIRS, FeatureVolume
 from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
                                index_to_normalized,
                                normalized_to_index, present_labels,
                                sample_points_linear, sample_points_nearest,
                                sample_separable)
-from densereg.regularizer import DISP_KERNEL, _pool_size
+from densereg.regularizer import _DISP_AXES, DISP_KERNEL, _pool_size
 
 
 def naive_trilinear(data, point_norm):
@@ -300,6 +305,67 @@ def naive_lower_envelope(costs, curvature):
     for i in range(n):
         out[i] = min(costs[j] + curvature * (i - j) ** 2 for j in range(n))
     return out
+
+
+def exact_lower_envelope(cost_row, curvature: float) -> np.ndarray:
+    """Lower envelope of parabolas rooted at each index of a 1D cost row:
+    ``out[i] = min_j cost[j] + curvature * (i - j)^2``.
+
+    Linear-time two-pass algorithm; +inf entries are allowed and simply
+    contribute no parabola.
+    """
+    f = np.asarray(cost_row, dtype=np.float64)
+    if f.ndim != 1:
+        raise ValueError(f"cost row must be 1D, got shape {f.shape}")
+    if not curvature > 0.0:
+        raise ValueError(f"curvature must be positive, got {curvature}")
+    n = f.size
+    finite = np.flatnonzero(np.isfinite(f))
+    if finite.size == 0:
+        return f.copy()
+    x = finite.astype(np.float64)
+    g = f[finite]
+    m = finite.size
+    v = np.zeros(m, dtype=np.intp)     # indices (into x/g) of envelope parabolas
+    z = np.empty(m + 1)                # boundaries between envelope segments
+    z[0], z[1] = -np.inf, np.inf
+    k = 0
+
+    def intersect(p, q):
+        return ((g[q] + curvature * x[q] ** 2) - (g[p] + curvature * x[p] ** 2)) \
+            / (2.0 * curvature * (x[q] - x[p]))
+
+    for q in range(1, m):
+        s = intersect(v[k], q)
+        while s <= z[k]:
+            k -= 1
+            s = intersect(v[k], q)
+        k += 1
+        v[k] = q
+        z[k] = s
+        z[k + 1] = np.inf
+
+    out = np.empty(n)
+    k = 0
+    for i in range(n):
+        while z[k + 1] < i:
+            k += 1
+        r = v[k]
+        out[i] = g[r] + curvature * (i - x[r]) ** 2
+    return out
+
+
+def lower_envelope_3d(cost: CostTensor6D, curvature: float) -> CostTensor6D:
+    """Separable 3D lower envelope over the displacement dimensions.
+
+    The squared displacement metric separates per axis, so three 1D passes
+    compute the exact 3D envelope.
+    """
+    out = cost.values.copy()
+    for axis in _DISP_AXES:
+        if out.shape[axis] > 1:
+            out = np.apply_along_axis(exact_lower_envelope, axis, out, curvature)
+    return replace(cost, values=out)
 
 
 def naive_softmax_rows(cost6, temperature):

@@ -26,10 +26,10 @@ from densereg.metrics import dice, mean_dice
 from densereg.phantom import PhantomSpec, generate
 from densereg.pipeline import register_pair
 from densereg.refine import RefineConfig, field_energy, field_energy_grad
-from densereg.regularizer import (RegularizerParams, exact_lower_envelope,
-                                  lower_envelope_3d, min_convolution)
+from densereg.regularizer import RegularizerParams, min_convolution
 from densereg.transform import RegistrationConfig, softmax_probabilities
-from oracles import naive_dissimilarity, naive_lower_envelope
+from oracles import (exact_lower_envelope, lower_envelope_3d,
+                     naive_dissimilarity, naive_lower_envelope)
 
 SUITE_SEEDS = (0, 1, 2, 3, 4)
 SUITE_GRID = (16, 16, 16)

@@ -183,11 +183,9 @@ class TestRegister:
         rc = main(["register",
                    "--fixed", str(phantom_dir / "fixed.hdr"),
                    "--moving", str(phantom_dir / "moving.hdr"),
-                   "--out-dir", str(d), "--seed", "17", "--threads", "2"]
-                  + REGISTER_ARGS)
+                   "--out-dir", str(d), "--threads", "2"] + REGISTER_ARGS)
         assert rc == 0
-        text = read_text(d / "report.txt")
-        assert "seed=17" in text and "threads" not in text
+        assert "threads" not in read_text(d / "report.txt")
         assert "threads=2" in read_text(d / "timings.txt").splitlines()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -329,7 +327,7 @@ class TestConfigFile:
                   "fixed-labels": "fixed_labels.hdr",
                   "moving-labels": "moving_labels.hdr"}
         settings = {"grid": "5", "steps": "5", "q": "0.35", "lambda": "2",
-                    "seed": "4", "threads": "2"}
+                    "threads": "2"}
         flags = [f"--{k}={phantom_dir / v}" for k, v in inputs.items()]
         flags += [f"--{k}={v}" for k, v in settings.items()]
         flags += ["--refine", "--no-mean-field"]
@@ -345,7 +343,7 @@ class TestConfigFile:
                      "--report", str(b / "r.csv"), "--config", str(cfg)]) == 0
         text = read_text(a / "report.txt")
         assert "mean_field_iterations=0" in text and "lambda=2\n" in text
-        assert "label_loss_kind=nonlocal" in text and "seed=4" in text
+        assert "label_loss_kind=nonlocal" in text
         for name in ("field.raw", "warped.raw", "warped_labels.raw",
                      "report.txt", "r.csv"):
             assert read_bytes(a / name) == read_bytes(b / name), name
@@ -368,7 +366,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, key", [
         ("phantom", "threads"), ("register", "config"), ("register", "help"),
-        ("register", "no-refine"), ("evaluate", "seed"),
+        ("register", "no-refine"), ("register", "seed"), ("evaluate", "seed"),
     ])
     def test_keys_are_the_commands_flags(self, tmp_path, capsys, command,
                                          key):
@@ -567,11 +565,35 @@ class TestExitCodes:
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
-        rc = main(["selftest"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("ok ") >= 15
+        assert main(["selftest"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_zero_field_fails_the_dice_check(self, monkeypatch, capsys):
+        # A registration that does not move the labels cannot raise Dice.
+        monkeypatch.setattr(pipeline, "expected_displacement", lambda prob:
+                            DisplacementField(np.zeros(prob.grid.counts
+                                                       + (3,))))
+        assert main(["selftest"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert len(failed) == 1 and "above the unregistered Dice" in failed[0]
+
+    def test_run_to_run_difference_fails_the_byte_check(self, monkeypatch,
+                                                        capsys):
+        # The second registration's field differs by a tiny shift.
+        calls = []
+        real = pipeline.expected_displacement
+
+        def drifting(prob):
+            calls.append(prob)
+            field = real(prob)
+            return DisplacementField(field.vectors + 1e-6 * (len(calls) - 1))
+
+        monkeypatch.setattr(pipeline, "expected_displacement", drifting)
+        assert main(["selftest"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert len(failed) == 1 and "byte-identical" in failed[0]
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "densereg.cli",

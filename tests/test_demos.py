@@ -1,9 +1,8 @@
 """Smoke test for the scripts in ``demos/``: each one imports against the
-current API and has a ``main``; the cheapest one also runs, and the
-sweep's registration step runs once on a tiny pair."""
+current API and has a ``main``, and the sweep's registration step runs
+once on a tiny pair."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ def load(path):
 
 
 def test_demos_found():
-    assert len(DEMOS) >= 3
+    assert len(DEMOS) >= 2
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -46,11 +45,3 @@ def test_tune_alphas_run_scores_like_the_pipeline():
     assert demo.run(pair, 4, params) == (want.mean_dice,
                                          want.folding_fraction)
 
-
-def test_calibrate_envelope_runs(monkeypatch, capsys):
-    demo = load(next(p for p in DEMOS if p.stem == "calibrate_envelope"))
-    monkeypatch.setattr(sys, "argv", ["calibrate_envelope.py", "--cases", "2"])
-    demo.main()
-    out = capsys.readouterr().out
-    assert "selected curvature" in out
-    assert "argmin agreement" in out

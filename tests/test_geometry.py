@@ -233,16 +233,18 @@ class TestSampling:
         assert np.allclose(out, [2.0, 6.0])
 
     def test_separable_equals_pointwise(self):
+        # Extent-1 axes included: there every point takes the one value.
         rng = np.random.default_rng(11)
-        data = rng.normal(size=(5, 6, 7))
-        f0 = np.array([0.5, 2.25])
-        f1 = np.array([1.0, 4.75, 0.1])
+        f0 = np.array([0.5, 2.25, -1.0])
+        f1 = np.array([1.0, 4.75, 0.1, 9.0])
         f2 = np.array([3.2])
-        grid = sample_separable(data, (f0, f1, f2))
-        assert grid.shape == (2, 3, 1)
         pts = np.stack(np.meshgrid(f0, f1, f2, indexing="ij"), axis=-1)
-        direct = sample_points_linear(data, pts)
-        assert np.allclose(grid, direct)
+        for shape in ((5, 6, 7), (1, 7, 5), (6, 1, 1), (1, 1, 1)):
+            data = rng.normal(size=shape)
+            grid = sample_separable(data, (f0, f1, f2))
+            assert grid.shape == (3, 4, 1)
+            direct = sample_points_linear(data, pts)
+            assert np.allclose(grid, direct), shape
 
     def test_vector_components_sampled_as_if_alone(self):
         rng = np.random.default_rng(13)

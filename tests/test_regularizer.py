@@ -1,5 +1,5 @@
 """Cost-tensor smoothing: pooled min-convolution, mean-field averaging,
-and the exact parabola envelope they approximate."""
+and the exact parabola envelope (a test oracle) the pooling approximates."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,12 @@ from densereg.features import extract_intensity_gradient
 from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
 from densereg.regularizer import (
     RegularizerParams,
-    exact_lower_envelope,
-    lower_envelope_3d,
     mean_field_step,
     min_convolution,
     regularize,
 )
-from oracles import naive_avg_pool, naive_lower_envelope, naive_min_pool
+from oracles import (exact_lower_envelope, lower_envelope_3d, naive_avg_pool,
+                     naive_lower_envelope, naive_min_pool)
 
 
 def tensor_on(grid_counts, steps, values):
@@ -273,41 +272,24 @@ class TestRegularize:
 
 
 class TestEnvelopeAudit:
-    def test_pooled_approximation_rms(self):
-        # Frozen from the calibration run: over 100 seeded uniform [0,1]
-        # cost rows of shape 15^3, the pooled min-convolution deviates from
-        # the exact envelope with curvature 0.0075 (per squared bin) by
-        # RMS 0.01399; the curvature grid search is demos/calibrate_envelope.py.
-        grid = ControlGrid((1, 1, 1))
+    def test_audit_curvature_is_the_best_fit(self):
+        # test_acceptance.py audits the pooled min-convolution against the
+        # exact envelope of curvature 0.0075 per squared bin.  Over the
+        # audit's 100 seeded uniform [0, 1] cost rows of shape 15^3, that
+        # curvature fits the pooling better than its neighbours on the
+        # curvature sweep: RMS 0.01527 at 0.006, 0.01399 at 0.0075 and
+        # 0.01467 at 0.009.
         space = DisplacementSpace(0.4, steps=15)
-        acc = 0.0
-        cnt = 0
-        agree = 0
+        curvatures = (0.006, 0.0075, 0.009)
+        sq = dict.fromkeys(curvatures, 0.0)
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 15, 15, 15))
-            t = CostTensor6D(vals, grid, space)
+            t = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
             pooled = min_convolution(vals)
-            exact = lower_envelope_3d(t, 0.0075).values
-            d = pooled - exact
-            acc += float(np.sum(d * d))
-            cnt += d.size
-            if np.argmin(pooled) == np.argmin(exact):
-                agree += 1
-        rms = np.sqrt(acc / cnt)
-        assert rms <= 0.015
-
-    def test_argmin_agreement_on_separated_minima(self):
-        # When one bin is far below all others both routes must point at it.
-        grid = ControlGrid((1, 1, 1))
-        space = DisplacementSpace(0.4, steps=15)
-        for seed in range(20):
-            rng = np.random.default_rng(2000 + seed)
-            vals = rng.uniform(5.0, 6.0, size=(1, 1, 1, 15, 15, 15))
-            pos = tuple(rng.integers(2, 13, size=3))
-            vals[(0, 0, 0) + pos] = 0.0
-            t = CostTensor6D(vals, grid, space)
-            pooled = min_convolution(vals)
-            exact = lower_envelope_3d(t, 0.0075).values
-            assert np.argmin(pooled) == np.argmin(exact)
-            assert np.unravel_index(np.argmin(pooled[0, 0, 0]), (15, 15, 15)) == pos
+            for c in curvatures:
+                d = pooled - lower_envelope_3d(t, c).values
+                sq[c] += float(np.sum(d * d))
+        rms = {c: np.sqrt(v / (100 * 15 ** 3)) for c, v in sq.items()}
+        assert rms[0.0075] == pytest.approx(0.01399, abs=5e-6)
+        assert rms[0.0075] < min(rms[0.006], rms[0.009]), rms
