@@ -45,6 +45,13 @@ class CostTensor6D:
     writer is left once it is validated: a stage that works in a buffer,
     as :func:`densereg.regularizer.regularize` does, finishes all its
     writes and then builds, and so validates, one tensor from the result.
+    The one exception is the pipeline's hand-off
+    (:func:`densereg.pipeline._hand_over`): it makes the array of a
+    tensor it built and reads no more writable again, so that
+    :func:`~densereg.regularizer.regularize` and then
+    :func:`~densereg.transform.softmax_probabilities` write their results
+    into it instead of a second tensor, and the tensor each builds from
+    it freezes the array again.
     """
 
     values: np.ndarray

@@ -14,9 +14,10 @@ and the feature, cost and probability tensors of the other modules) share
 one contract.  A container takes the array it is given, converted only
 when its dtype or layout differs, and never copies it; once the array is
 validated, :func:`_freeze` makes it read-only, so nothing writes it
-afterwards.  Non-finite data raises :class:`ArithmeticError` (a numerical
-failure); shape, sign, range and normalization violations raise
-:class:`ValueError`.
+afterwards; only the pipeline hands the array of a 6D tensor it built
+on to the next stage to write (:mod:`densereg.pipeline`).  Non-finite
+data raises :class:`ArithmeticError` (a numerical failure); shape,
+sign, range and normalization violations raise :class:`ValueError`.
 """
 
 import itertools

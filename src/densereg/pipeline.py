@@ -7,6 +7,14 @@ upsampling, warping, evaluation.  Per-stage
 wall times land in the report's ``runtimes``, which both serializations
 exclude, so identical runs produce identical report bytes.
 
+The 6D tensor is the largest object of a run, and without refinement
+only one is ever alive.  The correlation's array is handed on
+(:func:`_hand_over`): :func:`regularize` smooths it in place, and
+:func:`softmax_probabilities` then writes the probabilities into the
+same array, after which the pipeline holds no cost tensor.  Refinement
+reads the regularized cost after the softmax, so with it the
+probabilities get an array of their own and two tensors are alive.
+
 Every non-finite value raises :class:`ArithmeticError`, so drivers can
 tell numerical breakdown from configuration mistakes.  The volumes,
 feature volumes, tensors and fields reject non-finite data themselves
@@ -53,6 +61,17 @@ def _extract(vol: Volume3D, cfg: RegistrationConfig, workers: int):
     return extract_intensity_gradient(vol)
 
 
+def _hand_over(tensor):
+    """Make the array of a tensor the pipeline built writable again, and
+    return the tensor.  A validated tensor's array is read-only, and
+    :func:`regularize` and :func:`softmax_probabilities` write their
+    result into their input's array only when it is writable; the
+    tensor they return validates and freezes that array again.  Call it
+    only on a tensor that nothing reads once the next stage has run."""
+    tensor.values.flags.writeable = True
+    return tensor
+
+
 def register_pair(fixed: Volume3D, moving: Volume3D,
                   cfg: RegistrationConfig = None,
                   fixed_labels: Volume3D = None,
@@ -62,9 +81,11 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     """Register ``moving`` onto ``fixed`` and evaluate the result.
 
     ``refinement`` enables instance-wise gradient descent on the regularized
-    cost when given.  When both label volumes are present the report gains
-    per-label Dice plus the label-agreement loss: the one-hot label
-    mismatch averaged under the displacement distribution
+    cost when given.  The cost must then outlive the softmax, so a
+    refined run holds two 6D tensors at its peak, one without it holds
+    one (see the module docstring).  When both label volumes are present
+    the report gains per-label Dice plus the label-agreement loss: the
+    one-hot label mismatch averaged under the displacement distribution
     (:func:`densereg.transform.nonlocal_label_loss`).
 
     ``threads`` caps the worker threads of the SSC features, the 6D
@@ -97,10 +118,14 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     timings["correlation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cost = regularize(cost, cfg.reg_params, workers=workers)
+    cost = regularize(_hand_over(cost), cfg.reg_params, workers=workers)
     timings["regularization"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # Refinement reads the cost after the softmax; without it, the
+    # probabilities take over the cost's array.
+    if refinement is None:
+        _hand_over(cost)
     prob = softmax_probabilities(cost, cfg.reg_params.temperature,
                                  workers=workers)
     ctrl = expected_displacement(prob)
@@ -111,6 +136,7 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         t0 = time.perf_counter()
         ctrl, energies = refine_trace(cost, ctrl, refinement)
         timings["refinement"] = time.perf_counter() - t0
+    del cost
 
     label_loss = None
     if fixed_labels is not None:

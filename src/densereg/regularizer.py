@@ -26,7 +26,10 @@ plane is filtered by the same 1D passes as the whole tensor would be, so
 the result does not depend on the worker count.  Each block reads a
 plane completely before writing it, and nothing else reads that plane,
 so :func:`regularize` runs every block and the output scale in one
-working buffer: the caller's tensor is read once and never written.  The
+working buffer.  A validated tensor's array is read-only, and then the
+buffer is a new one: a caller's tensor is read once and never written.
+A tensor the pipeline has handed over has a writable array, and that
+array is the buffer, so the smoothing adds no second tensor.  The
 blocks take and return plain arrays; :func:`regularize` checks the
 result once, when it wraps it in a :class:`CostTensor6D`.
 """
@@ -190,12 +193,15 @@ def regularize(cost: CostTensor6D, p: RegularizerParams,
     ``p.iterations`` rounds, then multiply by ``p.output_scale``.
     ``workers`` caps the threads of each block (default: the usable
     cores); the result does not depend on it.  Every step after the first
-    read of ``cost`` works in place in one buffer of the tensor's size;
-    ``cost`` itself is never written.  Every block clamps at zero and
-    carries a NaN through, so the one check of the returned tensor
-    stands in for a check after every block."""
-    buf = np.empty_like(cost.values)
+    read of ``cost`` works in place in one buffer of the tensor's size.
+    That buffer is ``cost``'s own array when it is writable, as it is
+    only after the pipeline handed the tensor over; a validated
+    tensor's array is read-only, and such a ``cost`` is never written.
+    Either way the result is the same, bit for bit.  Every block clamps
+    at zero and carries a NaN through, so the one check of the returned
+    tensor stands in for a check after every block."""
     vals = cost.values
+    buf = vals if vals.flags.writeable else np.empty_like(vals)
     for _ in range(p.iterations):
         vals = min_convolution(vals, out=buf, workers=workers)
         vals = mean_field_step(vals, p.spatial_kernel, out=buf,

@@ -49,7 +49,9 @@ class ProbTensor6D:
     :class:`CostTensor6D`; each point's distribution sums to one.  The
     checks run per control plane on up to ``workers`` threads, which is
     not part of the tensor's value.  Like the cost tensor, it takes the
-    array it is given and makes it read-only."""
+    array it is given and makes it read-only; in a run without
+    refinement that array is the cost tensor's, which
+    :func:`softmax_probabilities` overwrote."""
 
     values: np.ndarray
     grid: ControlGrid
@@ -127,11 +129,18 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
     per-point max subtraction so arbitrarily large costs stay finite.  Any
     uniform bias on a point's costs cancels.  Evaluated per control plane
     on up to ``workers`` threads.
+
+    The probabilities go to a new array when ``cost``'s array is
+    read-only, as a validated tensor's is, and ``cost`` is not written.
+    A tensor the pipeline has handed over has a writable array; the
+    probabilities then replace the costs in it, each plane's elementwise
+    steps and per-point reductions reading the plane before writing it,
+    so the result is the same bit for bit and ``cost`` is spent.
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     vals = cost.values
-    e = np.empty_like(vals)
+    e = vals if vals.flags.writeable else np.empty_like(vals)
 
     def plane(k):
         z = e[k]

@@ -2,10 +2,13 @@
 
 Everything here is written as plain loops from the mathematical definition,
 deliberately ignoring how the library computes the same quantity, so tests
-can compare the two routes.  Slow on purpose; use tiny inputs.  The one
-exception is :func:`exact_lower_envelope`, the linear-time exact envelope
-of parabolas that the pooled min-convolution is audited against; it is
-itself checked against :func:`naive_lower_envelope`.
+can compare the two routes.  Slow on purpose; use tiny inputs.  The
+exceptions are the exact envelopes of parabolas that the pooled
+min-convolution is audited against: :func:`exact_lower_envelope`, the
+linear-time algorithm, and :func:`lower_envelope_rows`, the quadratic
+definition evaluated for all rows at once, which
+:func:`lower_envelope_3d` runs.  Both are checked against
+:func:`naive_lower_envelope`.
 """
 
 import math
@@ -355,16 +358,28 @@ def exact_lower_envelope(cost_row, curvature: float) -> np.ndarray:
     return out
 
 
+def lower_envelope_rows(values, curvature: float, axis: int) -> np.ndarray:
+    """:func:`naive_lower_envelope` of every row of ``values`` along
+    ``axis`` at once: a broadcast minimum over ``j`` of
+    ``values[..., j] + curvature * (i - j)^2``, with the same arithmetic
+    per term, so +inf entries contribute no parabola."""
+    f = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
+    idx = np.arange(f.shape[-1], dtype=np.float64)
+    penalty = curvature * np.subtract.outer(idx, idx) ** 2   # [i, j]
+    out = np.min(f[..., None, :] + penalty, axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
 def lower_envelope_3d(cost: CostTensor6D, curvature: float) -> CostTensor6D:
     """Separable 3D lower envelope over the displacement dimensions.
 
     The squared displacement metric separates per axis, so three 1D passes
     compute the exact 3D envelope.
     """
-    out = cost.values.copy()
+    out = cost.values
     for axis in _DISP_AXES:
         if out.shape[axis] > 1:
-            out = np.apply_along_axis(exact_lower_envelope, axis, out, curvature)
+            out = lower_envelope_rows(out, curvature, axis)
     return replace(cost, values=out)
 
 

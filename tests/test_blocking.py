@@ -1,6 +1,7 @@
 """Cache-blocked, in-place 6D tensor stages against their whole-plane
 references in ``oracles``: the same bytes for any row-block size and any
-worker count, and the shifted-minimum pool against ndimage."""
+worker count, in a new array or in a handed-over input's, and the
+shifted-minimum pool against ndimage."""
 
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from densereg.features import FeatureVolume
 from densereg.geometry import (ControlGrid, DisplacementField,
                                DisplacementSpace, Volume3D)
 from densereg.metrics import jacobian_stats
+from densereg.pipeline import _hand_over
 from densereg.regularizer import RegularizerParams, _min_pool, regularize
 from densereg.transform import (ProbTensor6D, nonlocal_label_loss,
                                 softmax_probabilities, warp)
@@ -129,14 +131,49 @@ class TestAgainstWholePlaneOracles:
 class TestRegularizeInput:
     @pytest.mark.parametrize("output_scale", [1.0, 2.0])
     def test_input_bytes_unchanged(self, output_scale):
+        """A caller's validated tensor is read-only, and both stages leave
+        it so, with the same bytes, and put their result elsewhere."""
         cost = random_cost(7, (4, 3, 3), (3, 3, 3))
         before = cost.values.tobytes()
         params = RegularizerParams(output_scale=output_scale, iterations=3,
                                    spatial_kernel=3)
-        out = regularize(cost, params, workers=2)
-        assert cost.values.tobytes() == before
-        assert not np.shares_memory(out.values, cost.values)
-        assert not out.values.flags.writeable
+        for stage in (lambda c: regularize(c, params, workers=2),
+                      lambda c: softmax_probabilities(c, 3.0, workers=2)):
+            out = stage(cost)
+            assert cost.values.tobytes() == before
+            assert not cost.values.flags.writeable
+            assert not np.shares_memory(out.values, cost.values)
+            assert not out.values.flags.writeable
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           rows=block_rows, iterations=st.integers(0, 3),
+           output_scale=scales)
+    def test_handed_over_tensor_gives_the_same_bytes(
+            self, seed, grid_counts, disp_steps, rows, iterations,
+            output_scale):
+        """Handed over, each stage writes its result into its input's
+        array, frozen again, with the bytes of the out-of-place path."""
+        spatial = 1 if any(c == 2 for c in grid_counts) else 3
+        params = RegularizerParams(output_scale=output_scale,
+                                   iterations=iterations,
+                                   spatial_kernel=spatial)
+        stages = (lambda c, w: regularize(c, params, workers=w),
+                  lambda c, w: softmax_probabilities(c, 3.0, workers=w))
+
+        def both_ways(w):
+            cost = random_cost(seed, grid_counts, disp_steps)
+            for stage in stages:
+                want = stage(cost, w).values.tobytes()
+                out = stage(_hand_over(cost), w)
+                assert np.shares_memory(out.values, cost.values)
+                assert not out.values.flags.writeable
+                assert out.values.tobytes() == want
+                # The regularized tensor goes on to the softmax, as in
+                # the pipeline.
+                cost = out
+
+        for_each_setting(rows, grid_counts, disp_steps, both_ways)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_result_rejected(self):

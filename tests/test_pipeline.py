@@ -6,6 +6,8 @@ volumes small enough to keep the suite fast.  Accuracy at realistic sizes
 is covered by the acceptance tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,30 @@ class TestRefinementPath:
                                refinement=RefineConfig(steps=0))
         assert np.array_equal(plain.control_field.vectors,
                               frozen.control_field.vectors)
+
+
+class TestPeakMemory:
+    def test_one_tensor_alive_without_refinement(self):
+        """Regularization and softmax work in the correlation's array, so
+        the run's allocations peak at one 6D tensor plus per-plane
+        scratch (1.36x on two threads); a second tensor would bring the
+        peak above 2.3x."""
+        pair = generate(PhantomSpec(seed=5, dims=(32,) * 3, organs=3,
+                                    deformation="smooth-random",
+                                    magnitude=0.2, noise_sigma=0.01))
+        cfg = small_config(grid=8, steps=15)
+        tensor_bytes = 8 * cfg.control_grid().num_points \
+            * cfg.space.num_offsets
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            register_pair(pair.fixed, pair.moving, cfg,
+                          fixed_labels=pair.fixed_labels,
+                          moving_labels=pair.moving_labels, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.6 * tensor_bytes
 
 
 class TestConfigVariants:

@@ -14,7 +14,8 @@ from densereg.regularizer import (
     min_convolution,
     regularize,
 )
-from oracles import (exact_lower_envelope, lower_envelope_3d, naive_avg_pool,
+from oracles import (exact_lower_envelope, lower_envelope_3d,
+                     lower_envelope_rows, naive_avg_pool,
                      naive_lower_envelope, naive_min_pool)
 
 
@@ -133,6 +134,20 @@ class TestExactLowerEnvelope:
         # The global minimum's own parabola is the envelope there.
         j = int(np.argmin(f))
         assert out[j] == f[j]
+
+    def test_rows_at_once_match_the_row_oracles(self):
+        """The broadcast envelope that the audits run equals the quadratic
+        definition bit for bit, and the linear-time algorithm, on random
+        rows with +inf entries (no parabola) and one all-+inf row."""
+        rng = np.random.default_rng(66)
+        rows = rng.uniform(0.0, 3.0, size=(40, 15))
+        rows[rng.uniform(size=rows.shape) < 0.2] = np.inf
+        rows[-1] = np.inf
+        for a in (0.0075, 0.1, 1.5):
+            got = lower_envelope_rows(rows.T, a, axis=0).T
+            for row, out in zip(rows, got):
+                assert np.array_equal(out, naive_lower_envelope(row, a))
+                assert np.array_equal(out, exact_lower_envelope(row, a))
 
     def test_curvature_must_be_positive(self):
         with pytest.raises(ValueError):
