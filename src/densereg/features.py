@@ -12,9 +12,11 @@ features extracted from differently strided grids stay comparable.
 
 SSC is only ever read on its strided grid, so it is never computed
 anywhere else: each channel's squared neighbor differences are
-box-filtered and subsampled axis by axis, the normalization and the
-exponential run on the strided grid only, and the 12 channels run as
-separate tasks on :func:`densereg.parallel.map_planes`.  The values are
+box-filtered and subsampled axis by axis by a numpy running sum that
+divides only at the kept positions, the normalization and the exponential
+run on the strided grid only, and the 12 channels run as separate tasks on
+:func:`densereg.parallel.map_planes`.  The running sum repeats
+``scipy.ndimage.uniform_filter``'s own arithmetic, so the values are
 bit-identical to filtering and exponentiating every voxel first.
 """
 
@@ -111,22 +113,61 @@ def _subsample(full: np.ndarray, dims, stride: int):
     return (sub,) + _grid_frame(dims, stride)
 
 
+def _running_mean_strided(x: np.ndarray, size: int, axis: int,
+                          stride: int) -> np.ndarray:
+    """``ndimage.uniform_filter1d(x, size, axis, mode="nearest")`` read at
+    positions ``stride // 2, stride // 2 + stride, ...`` along ``axis``.
+
+    The running sum walks along ``axis`` one slice at a time with
+    ndimage's arithmetic, on the edge-replicated line ``p``:
+    ``S_0 = ((0 + p_0) + p_1) + ... + p_(size-1)``, then
+    ``S_l = S_(l-1) + (p_(l+size-1) - p_(l-1))``, and ``out_l = S_l / size``.
+    So the kept values are the same bits, but only they are divided and
+    stored: a long strided line costs one add and one subtract per step,
+    where ndimage copies every line into a buffer and back.
+    """
+    n = x.shape[axis]
+    keep = range(stride // 2, n, stride)
+    shape = list(x.shape)
+    shape[axis] = len(keep)
+    out = np.empty(shape)
+    src = np.moveaxis(x, axis, 0)
+    dst = np.moveaxis(out, axis, 0)
+    # p_i is slice i - size // 2 of x, the nearest one at either end.
+    padded = [src[min(max(i - size // 2, 0), n - 1)]
+              for i in range(n + size - 1)]
+    total = np.zeros(src.shape[1:])
+    for p in padded[:size]:
+        total += p
+    change = np.empty_like(total)
+    pos = 0
+    for k, kept in enumerate(keep):
+        while pos < kept:
+            pos += 1
+            np.subtract(padded[pos + size - 1], padded[pos - 1], out=change)
+            total += change
+        np.divide(total, size, out=dst[k])
+    return out
+
+
 def _box_mean_strided(diff2: np.ndarray, size: int, stride: int) -> np.ndarray:
     """``ndimage.uniform_filter(diff2, size, mode="nearest")`` read at the
     centers of the stride-blocks.
 
     ``uniform_filter`` is one ``uniform_filter1d`` pass per axis in axis
-    order.  A 1D pass treats every line on its own, so the lines a later
-    pass or the final grid never reads can be dropped right after the pass
-    along their axis: the kept values are the same bits, and the work is
-    1 + 1/s + 1/s^2 full-volume passes instead of 3.
+    order (none at ``size == 1``).  A 1D pass treats every line on its own,
+    so each pass keeps only the stride positions that the next pass or the
+    final grid reads (:func:`_running_mean_strided`): the kept values are
+    the same bits, and the work is 1 + 1/s + 1/s^2 full-volume passes
+    instead of 3.
     """
     out = diff2
     keep = slice(stride // 2, None, stride)
     for axis in range(3):
         if size > 1:
-            out = ndimage.uniform_filter1d(out, size, axis=axis, mode="nearest")
-        out = out[(slice(None),) * axis + (keep,)]
+            out = _running_mean_strided(out, size, axis, stride)
+        else:
+            out = out[(slice(None),) * axis + (keep,)]
     return out
 
 
@@ -143,10 +184,11 @@ def extract_ssc(vol: Volume3D, patch_radius: int = 1, stride: int = 3,
     unchanged.
 
     Only the stride-block centers are kept, so each channel's squared
-    differences are box-filtered and subsampled axis by axis, and the
-    normalization and exponential run on the strided grid alone.  The 12
-    channels are computed on up to ``workers`` threads; the result is the
-    same for any worker count.
+    differences are box-filtered and subsampled axis by axis, by a running
+    sum that gives ``ndimage.uniform_filter``'s bits at the kept voxels
+    only, and the normalization and exponential run on the strided grid
+    alone.  The 12 channels are computed on up to ``workers`` threads; the
+    result is the same for any worker count.
     """
     if patch_radius < 0 or stride < 1:
         raise ValueError("patch_radius must be >= 0 and stride >= 1")

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from densereg.features import (
     SSC_PAIRS,
+    _running_mean_strided,
     extract_intensity_gradient,
     extract_ssc,
 )
@@ -70,6 +73,33 @@ class TestSSC:
         a = extract_ssc(Volume3D(data))
         b = extract_ssc(Volume3D(data.copy()))
         assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestRunningMean:
+    """The running sum that replaces ``ndimage.uniform_filter1d`` in SSC
+    gives ndimage's bytes at every kept position: its sliding-sum residues
+    (the tiny negatives ``extract_ssc`` clamps) included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), size=st.sampled_from((1, 3, 5, 7)),
+           axis=st.integers(0, 2), stride=st.integers(1, 4),
+           dims=st.tuples(*[st.integers(1, 11)] * 3),
+           scale=st.sampled_from((1e-6, 1.0, 1e6)),
+           constant_run=st.booleans())
+    def test_equals_uniform_filter1d(self, seed, size, axis, stride, dims,
+                                     scale, constant_run):
+        rng = np.random.default_rng(seed)
+        # Squared differences, as extract_ssc filters them.
+        x = rng.normal(size=dims) ** 2 * scale
+        if constant_run:
+            # Zeros after varying values: the sliding sum leaves residues
+            # there, often negative, instead of exact zeros.
+            x[(slice(None),) * axis + (slice(dims[axis] // 2, None),)] = 0.0
+        want = ndimage.uniform_filter1d(x, size, axis=axis, mode="nearest")
+        want = want[(slice(None),) * axis + (slice(stride // 2, None, stride),)]
+        got = _running_mean_strided(x, size, axis, stride)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestIntensityGradient:

@@ -1,9 +1,11 @@
 """File formats: raw header pairs and the NIfTI-1 subset."""
 
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densereg.geometry import DisplacementField, Volume3D
 from densereg import io as vio
@@ -316,3 +318,82 @@ class TestFieldRoundTrip:
         vio.write_volume(f32_volume(np.random.default_rng(10), (3, 3, 3)), path)
         with pytest.raises(vio.HeaderError, match="field"):
             vio.read_field(path)
+
+
+# Every way a reader may refuse a file: anything else escaping it is a crash.
+READ_ERRORS = (vio.VolumeIOError, ValueError, ArithmeticError, OSError)
+READERS = (vio.read_volume, partial(vio.read_volume, as_labels=True),
+           vio.read_field)
+RAW_KEYS = ("dims", "spacing", "dtype", "byteorder", "components", "kind",
+            "data")
+HOSTILE = ("nan", "-4,5,6", "4,5,6,7", "99999999999999999999,1,1", "f64",
+           "big", "", "inf,1,1", "0,1,1", "1,1", "label", "field", "3",
+           "-1", "1e400,1,1", "nan,nan,nan", "field.raw", "vol.raw")
+# The NIfTI header fields the reader interprets: sizeof_hdr, dim,
+# datatype and bitpix, pixdim and vox_offset, magic.
+NIFTI_FIELDS = tuple(range(0, 4)) + tuple(range(40, 56)) \
+    + tuple(range(70, 112)) + tuple(range(344, 348))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One well-formed file of every kind, for the fuzz tests to mutate."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(11)
+    vio.write_volume(f32_volume(rng, (3, 4, 5)), str(root / "vol.hdr"))
+    vio.write_volume(Volume3D(rng.integers(0, 300, size=(3, 4, 5)),
+                              is_label=True), str(root / "labels.hdr"))
+    vio.write_field(DisplacementField(rng.uniform(-0.3, 0.3, size=(3, 4, 5, 3))),
+                    str(root / "field.hdr"))
+    vio.write_volume(f32_volume(rng, (3, 4, 5)), str(root / "vol.nii"))
+    return root
+
+
+def read_every_way(path):
+    for read in READERS:
+        try:
+            read(path)
+        except READ_ERRORS:
+            pass
+
+
+class TestHeaderFuzz:
+    """Mutated headers are refused with the readers' own errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=st.sampled_from(("vol", "labels", "field")),
+           dropped=st.sets(st.sampled_from(RAW_KEYS)),
+           # No "/" in a value, so "data" cannot name a file elsewhere.
+           values=st.dictionaries(
+               st.sampled_from(RAW_KEYS),
+               st.sampled_from(HOSTILE) | st.text(
+                   st.characters(exclude_categories=("Cs",),
+                                 exclude_characters="/"), max_size=12)),
+           junk=st.none() | st.tuples(
+               st.integers(0, 200),
+               st.binary(min_size=1, max_size=4).map(
+                   lambda b: bytes(c | 0x80 for c in b))))
+    def test_raw_header(self, fuzz_dir, source, dropped, values, junk):
+        lines = (fuzz_dir / f"{source}.hdr").read_text().splitlines()
+        fields = dict(line.split("=", 1) for line in lines)
+        fields.update(values)
+        text = "".join(f"{key}={value}\n" for key, value in fields.items()
+                       if key not in dropped).encode("utf-8")
+        if junk is not None:
+            at, noise = junk
+            text = text[:at] + noise + text[at:]
+        path = fuzz_dir / "mutant.hdr"
+        path.write_bytes(text)
+        read_every_way(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=st.lists(st.tuples(
+        st.sampled_from(NIFTI_FIELDS) | st.integers(0, 351),
+        st.integers(1, 255)), min_size=1, max_size=8))
+    def test_nifti_header(self, fuzz_dir, flips):
+        blob = bytearray((fuzz_dir / "vol.nii").read_bytes())
+        for at, mask in flips:
+            blob[at] ^= mask
+        path = fuzz_dir / "mutant.nii"
+        path.write_bytes(bytes(blob))
+        read_every_way(str(path))

@@ -24,7 +24,7 @@ from densereg.transform import (
 )
 from densereg.refine import field_energy
 from densereg.regularizer import RegularizerParams
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densereg import parallel
 from oracles import (full_range_label_loss, naive_frac_trilinear,
@@ -63,12 +63,25 @@ class TestSoftmax:
             assert p.values.min() >= 0.0
             assert p.values.max() <= 1.0
 
-    def test_per_point_bias_invariance(self):
-        rng = np.random.default_rng(82)
-        vals = rng.uniform(0.0, 2.0, size=(2, 2, 2, 5, 5, 5))
-        shifted = vals + rng.uniform(0.0, 10.0, size=(2, 2, 2, 1, 1, 1))
-        pa = softmax_probabilities(cost_tensor((2, 2, 2), (5, 5, 5), vals), 3.0)
-        pb = softmax_probabilities(cost_tensor((2, 2, 2), (5, 5, 5), shifted), 3.0)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           counts=st.tuples(*[st.integers(1, 3)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           spread=st.sampled_from((2.0, 50.0)),
+           bias=st.sampled_from((10.0, 1e4)),
+           temperature=st.sampled_from((0.5, 3.0, 40.0)))
+    @example(seed=82, counts=(2, 2, 2), steps=(5, 5, 5), spread=2.0,
+             bias=10.0, temperature=3.0)
+    def test_per_point_bias_invariance(self, seed, counts, steps, spread,
+                                       bias, temperature):
+        # Adding a constant to every offset's cost of one control point
+        # leaves that point's distribution unchanged.
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, spread, size=counts + steps)
+        shifted = vals + rng.uniform(0.0, bias, size=counts + (1, 1, 1))
+        pa = softmax_probabilities(cost_tensor(counts, steps, vals), temperature)
+        pb = softmax_probabilities(cost_tensor(counts, steps, shifted),
+                                   temperature)
         assert np.allclose(pa.values, pb.values, atol=1e-6)
 
     def test_huge_costs_stay_finite(self):
@@ -184,22 +197,33 @@ class TestUpsampleField:
             upsample_field(DisplacementField(np.zeros((1, 4, 4, 3))), (8, 8, 8))
 
 
-class TestWarp:
-    def test_zero_field_is_identity(self):
-        rng = np.random.default_rng(87)
-        data = rng.normal(size=(6, 6, 6))
-        vol = Volume3D(data)
-        zero = DisplacementField(np.zeros((6, 6, 6, 3)))
-        out = warp(vol, zero)
-        assert out.data.tobytes() == vol.data.tobytes()
+@st.composite
+def volume_data(draw):
+    """f64 intensities or u8/i16 labels, on odd and even extents."""
+    dims = draw(st.tuples(*[st.integers(1, 8)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    dtype = draw(st.sampled_from((np.float64, np.uint8, np.int16)))
+    if dtype is np.float64:
+        return rng.normal(size=dims) * draw(st.sampled_from((1.0, 1e-300, 1e300)))
+    return rng.integers(0, np.iinfo(dtype).max, size=dims, endpoint=True,
+                        dtype=dtype)
 
-    def test_zero_field_label_mode(self):
-        labels = np.arange(27).reshape(3, 3, 3) % 4
-        vol = Volume3D(labels, is_label=True)
-        zero = DisplacementField(np.zeros((3, 3, 3, 3)))
-        out = warp(vol, zero)
-        assert out.is_label
-        assert np.array_equal(out.data, vol.data)
+
+class TestWarp:
+    @settings(max_examples=40, deadline=None)
+    @given(data=volume_data(), workers=st.sampled_from((1, 2, 3)))
+    @example(data=np.random.default_rng(87).normal(size=(6, 6, 6)), workers=1)
+    @example(data=np.arange(27).reshape(3, 3, 3) % 4, workers=1)
+    def test_zero_field_is_identity(self, data, workers):
+        vol = Volume3D(data, is_label=data.dtype.kind in "iu")
+        zero = DisplacementField(np.zeros(data.shape + (3,)))
+        # One-plane slabs, so every worker count splits the volume.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "SLAB_VOXELS", 1)
+            out = warp(vol, zero, workers=workers)
+        assert out.is_label == vol.is_label
+        assert out.data.dtype == vol.data.dtype
+        assert out.data.tobytes() == vol.data.tobytes()
 
     def test_constant_integer_shift(self):
         # t = 2 voxels along the last axis in normalized units: 2 * 2/n.
