@@ -225,6 +225,14 @@ class TestWarp:
         assert out.data.dtype == vol.data.dtype
         assert out.data.tobytes() == vol.data.tobytes()
 
+    def test_zero_field_label_mode(self):
+        labels = np.arange(27).reshape(3, 3, 3) % 4
+        vol = Volume3D(labels, is_label=True)
+        zero = DisplacementField(np.zeros((3, 3, 3, 3)))
+        out = warp(vol, zero)
+        assert out.is_label
+        assert np.array_equal(out.data, vol.data)
+
     def test_constant_integer_shift(self):
         # t = 2 voxels along the last axis in normalized units: 2 * 2/n.
         rng = np.random.default_rng(88)
