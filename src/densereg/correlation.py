@@ -127,9 +127,6 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
                 if c:
                     acc += diff
             acc /= chans
-            # Clamp tiny negative rounding residue (cannot occur for sums
-            # of squares, kept as a guard for future metric plug-ins).
-            np.maximum(acc, 0.0, out=acc)
             out[k1, blk] = acc.reshape(s1, n, s2, k3, s3).transpose(1, 3, 0, 2, 4)
 
     map_planes(plane, out, 0, workers)

@@ -98,8 +98,9 @@ class Volume3D:
         if any(s <= 0 for s in data.shape):
             raise ValueError(f"volume dimensions must be positive, got {data.shape}")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0.0 for s in spacing):
-            raise ValueError(f"spacing must be three positive values, got {self.spacing}")
+        if len(spacing) != 3 or not all(0.0 < s < np.inf for s in spacing):
+            raise ValueError(f"spacing must be three positive finite values, "
+                             f"got {self.spacing}")
         if self.is_label:
             if not np.issubdtype(data.dtype, np.integer):
                 _require_finite(data, "volume data")

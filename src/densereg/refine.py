@@ -70,7 +70,7 @@ def gradient_adjoint(y: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray, need_grad: bool = True):
+def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray):
     """Sum of interpolated cost rows and its gradient w.r.t. the field.
 
     ``phi`` must already be clamped to the capture-range box.  Axes with a
@@ -97,14 +97,12 @@ def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray, need_grad: bool = Tru
         active.append(True)
     kk = np.ogrid[:k1, :k2, :k3]
     energy = 0.0
-    grad = np.zeros((k1, k2, k3, 3)) if need_grad else None
+    grad = np.zeros((k1, k2, k3, 3))
     for b in product((0, 1), repeat=3):
         idx = tuple(np.minimum(i0[a] + b[a], steps[a] - 1) for a in range(3))
         corner = cost.values[kk[0], kk[1], kk[2], idx[0], idx[1], idx[2]]
         wt = [(w[a] if b[a] else 1.0 - w[a]) for a in range(3)]
         energy += float(np.sum(wt[0] * wt[1] * wt[2] * corner))
-        if grad is None:
-            continue
         for a in range(3):
             if not active[a]:
                 continue
@@ -117,30 +115,27 @@ def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray, need_grad: bool = Tru
     return energy, grad
 
 
-def _diffusion_energy_grad(phi: np.ndarray, weight: float, need_grad: bool = True):
+def _diffusion_energy_grad(phi: np.ndarray, weight: float):
     """Diffusion term and gradient; zero on grids with a degenerate axis
     (a single point has no neighbors to differ from)."""
     counts = phi.shape[:3]
     if weight == 0.0 or any(c < 2 for c in counts):
-        return 0.0, (np.zeros_like(phi) if need_grad else None)
+        return 0.0, np.zeros_like(phi)
     spacings = [2.0 / c for c in counts]
     energy = 0.0
-    grad = np.zeros_like(phi) if need_grad else None
+    grad = np.zeros_like(phi)
     for c in range(3):
         comp = phi[..., c]
         for a in range(3):
             g = np.gradient(comp, spacings[a], axis=a)
             energy += float(np.sum(g * g))
-            if grad is not None:
-                grad[..., c] += 2.0 * gradient_adjoint(g, spacings[a], axis=a)
-    return weight * energy, (weight * grad if grad is not None else None)
+            grad[..., c] += 2.0 * gradient_adjoint(g, spacings[a], axis=a)
+    return weight * energy, weight * grad
 
 
 def field_energy(cost: CostTensor6D, phi: np.ndarray, weight: float) -> float:
     """Total refinement objective at a clamped field."""
-    e_data, _ = _data_energy_grad(cost, phi, need_grad=False)
-    e_diff, _ = _diffusion_energy_grad(phi, weight, need_grad=False)
-    return e_data + e_diff
+    return field_energy_grad(cost, phi, weight)[0]
 
 
 def field_energy_grad(cost: CostTensor6D, phi: np.ndarray, weight: float):
@@ -165,10 +160,9 @@ def refine_trace(cost: CostTensor6D, init: DisplacementField, cfg: RefineConfig)
     step = cfg.step_size
     for _ in range(cfg.steps):
         trial = np.clip(phi - step * grad, -q, q)
-        e_trial = field_energy(cost, trial, cfg.diffusion_weight)
+        e_trial, g_trial = field_energy_grad(cost, trial, cfg.diffusion_weight)
         if e_trial <= energy:
-            phi = trial
-            energy, grad = field_energy_grad(cost, phi, cfg.diffusion_weight)
+            phi, energy, grad = trial, e_trial, g_trial
         else:
             step *= 0.5
         energies.append(energy)

@@ -525,6 +525,44 @@ class TestExitCodes:
         assert rc == code
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacing", ["nan,1,1", "inf,1,1"])
+    def test_non_finite_spacing(self, phantom_dir, tmp_path, capsys, spacing):
+        header = read_text(phantom_dir / "fixed.hdr").replace(
+            "spacing=1,1,1", f"spacing={spacing}")
+        (tmp_path / "fixed.hdr").write_text(header, encoding="ascii")
+        (tmp_path / "fixed.raw").write_bytes(read_bytes(phantom_dir /
+                                                        "fixed.raw"))
+        rc = main(["register", "--fixed", str(tmp_path / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "positive finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_label_ids_beyond_i16(self, phantom_dir, tmp_path, capsys):
+        # Atlas label IDs above 32767 arrive in f32 payloads, and the
+        # warped labels go back out in one.
+        argv = ["register", "--out-dir", str(tmp_path / "out"),
+                "--fixed", str(phantom_dir / "fixed.hdr"),
+                "--moving", str(phantom_dir / "moving.hdr")] + REGISTER_ARGS
+        for name in ("fixed_labels", "moving_labels"):
+            labels = vio.read_volume(str(phantom_dir / f"{name}.hdr")).data
+            payload = labels.astype("<f4")
+            payload[labels == 1] = 40000
+            (tmp_path / f"{name}.raw").write_bytes(payload.tobytes())
+            (tmp_path / f"{name}.hdr").write_text(
+                f"dims=16,16,16\ndtype=f32\nkind=label\ndata={name}.raw\n",
+                encoding="ascii")
+            argv += [f"--{name.replace('_', '-')}",
+                     str(tmp_path / f"{name}.hdr")]
+        assert main(argv) == 0
+        out = tmp_path / "out"
+        assert "dtype=f32" in read_text(out / "warped_labels.hdr")
+        warped = vio.read_volume(str(out / "warped_labels.hdr"))
+        assert warped.data.dtype == np.int32 and warped.data.max() == 40000
+        assert "dice_label_40000=" in read_text(out / "report.txt")
+        capsys.readouterr()
+
     def test_nan_field_payload(self, phantom_dir, tmp_path, capsys):
         vio.write_field(DisplacementField(np.zeros((16, 16, 16, 3))),
                         str(tmp_path / "field.hdr"))

@@ -64,6 +64,9 @@ class TestVolume3D:
     def test_validates_spacing(self):
         with pytest.raises(ValueError):
             Volume3D(np.zeros((4, 4, 4)), spacing=(1.0, 0.0, 1.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive finite"):
+                Volume3D(np.zeros((4, 4, 4)), spacing=(1.0, bad, 1.0))
 
     def test_label_volume_requires_integers(self):
         with pytest.raises(ValueError):

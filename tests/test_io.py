@@ -74,11 +74,14 @@ class TestRawRoundTrip:
     @pytest.mark.parametrize("dtype, want", [
         ("u8", np.uint8), ("i16", np.int16), ("f32", np.int32)])
     def test_labels_converted_only_from_f32(self, tmp_path, dtype, want):
-        rng = np.random.default_rng(7)
-        data = rng.integers(0, 200, size=(4, 5, 6))
-        path = str(tmp_path / "seg.hdr")
-        vio.write_volume(Volume3D(data, is_label=True), path, dtype=dtype)
-        back = vio.read_volume(path)
+        # The largest label picks the payload dtype.
+        top = {"u8": 200, "i16": 300, "f32": 40000}[dtype]
+        data = np.random.default_rng(7).integers(0, top, size=(4, 5, 6))
+        data[1, 2, 3] = top
+        path = tmp_path / "seg.hdr"
+        vio.write_volume(Volume3D(data, is_label=True), str(path))
+        assert f"dtype={dtype}\n" in path.read_text()
+        back = vio.read_volume(str(path))
         assert back.data.dtype == want
         assert np.array_equal(back.data, data)
 
@@ -97,11 +100,15 @@ class TestRawRoundTrip:
             vio.read_volume(path, as_labels=True)
 
     def test_u8_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        vol = Volume3D(rng.integers(0, 256, size=(3, 3, 3)).astype(np.float64))
-        path = str(tmp_path / "vol.hdr")
-        vio.write_volume(vol, path, dtype="u8")
-        assert np.array_equal(vio.read_volume(path).data, vol.data)
+        # Intensities are written as f32, so the u8 payload is made by hand.
+        data = np.random.default_rng(2).integers(0, 256, size=(3, 3, 3))
+        path = tmp_path / "vol.hdr"
+        vio.write_volume(Volume3D(np.zeros((3, 3, 3))), str(path))
+        path.write_text(path.read_text().replace("dtype=f32", "dtype=u8"))
+        (tmp_path / "vol.raw").write_bytes(data.astype("<u1").tobytes())
+        back = vio.read_volume(str(path))
+        assert back.data.dtype == np.float64
+        assert np.array_equal(back.data, data)
 
     def test_write_is_deterministic(self, tmp_path):
         vol = f32_volume(np.random.default_rng(3), (5, 5, 5))
@@ -126,14 +133,14 @@ class TestRawErrors:
         raw = tmp_path / "vol.raw"
         # Header promises 1000 values; keep only 999.
         raw.write_bytes(raw.read_bytes()[: 999 * 4])
-        with pytest.raises(vio.TruncatedPayloadError, match="truncated"):
+        with pytest.raises(vio.VolumeIOError, match="truncated"):
             vio.read_volume(str(path))
 
     def test_oversized_payload(self, tmp_path):
         path = self.write_sample(tmp_path)
         raw = tmp_path / "vol.raw"
         raw.write_bytes(raw.read_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(vio.HeaderError, match="promises"):
+        with pytest.raises(vio.VolumeIOError, match="promises"):
             vio.read_volume(str(path))
 
     def replace_line(self, path, key, replacement):
@@ -150,31 +157,38 @@ class TestRawErrors:
     def test_missing_required_key(self, tmp_path):
         path = self.write_sample(tmp_path)
         self.replace_line(path, "dims", None)
-        with pytest.raises(vio.HeaderError, match="dims"):
+        with pytest.raises(vio.VolumeIOError, match="dims"):
             vio.read_volume(str(path))
 
     def test_big_endian_rejected(self, tmp_path):
         path = self.write_sample(tmp_path)
         self.replace_line(path, "byteorder", "byteorder=big")
-        with pytest.raises(vio.UnsupportedFormatError, match="little"):
+        with pytest.raises(vio.VolumeIOError, match="little"):
             vio.read_volume(str(path))
 
     def test_unknown_dtype(self, tmp_path):
         path = self.write_sample(tmp_path)
         self.replace_line(path, "dtype", "dtype=f64")
-        with pytest.raises(vio.UnsupportedDatatypeError, match="f64"):
+        with pytest.raises(vio.VolumeIOError, match="f64"):
+            vio.read_volume(str(path))
+
+    @pytest.mark.parametrize("spacing", ["nan,1,1", "inf,1,1"])
+    def test_non_finite_spacing(self, tmp_path, spacing):
+        path = self.write_sample(tmp_path)
+        self.replace_line(path, "spacing", f"spacing={spacing}")
+        with pytest.raises(ValueError, match="positive finite"):
             vio.read_volume(str(path))
 
     def test_malformed_line(self, tmp_path):
         path = self.write_sample(tmp_path)
         path.write_text(path.read_text() + "just some words\n")
-        with pytest.raises(vio.HeaderError, match="key=value"):
+        with pytest.raises(vio.VolumeIOError, match="key=value"):
             vio.read_volume(str(path))
 
     def test_unknown_extension(self, tmp_path):
         target = tmp_path / "vol.pgm"
         target.write_bytes(b"")
-        with pytest.raises(vio.UnsupportedFormatError, match="format"):
+        with pytest.raises(vio.VolumeIOError, match="format"):
             vio.read_volume(str(target))
 
 
@@ -216,22 +230,34 @@ class TestNifti:
         back = vio.read_volume(str(path))
         assert np.array_equal(back.data.ravel(order="F"), data)
 
+    @pytest.mark.parametrize("pixdim", [0.0, -2.0, np.nan])
+    def test_non_positive_pixdim_reads_as_one(self, tmp_path, pixdim):
+        path = tmp_path / "vol.nii"
+        path.write_bytes(nifti_bytes(spacing=(pixdim, 2.0, 1.0)))
+        assert vio.read_volume(str(path)).spacing == (1.0, 2.0, 1.0)
+
+    def test_infinite_pixdim_rejected(self, tmp_path):
+        path = tmp_path / "vol.nii"
+        path.write_bytes(nifti_bytes(spacing=(np.inf, 1.0, 1.0)))
+        with pytest.raises(ValueError, match="positive finite"):
+            vio.read_volume(str(path))
+
     def test_two_file_form_rejected(self, tmp_path):
         path = tmp_path / "two.nii"
         path.write_bytes(nifti_bytes(magic=b"ni1\x00"))
-        with pytest.raises(vio.UnsupportedFormatError, match="two-file"):
+        with pytest.raises(vio.VolumeIOError, match="two-file"):
             vio.read_volume(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nii"
         path.write_bytes(nifti_bytes(magic=b"zzz\x00"))
-        with pytest.raises(vio.BadMagicError, match="magic"):
+        with pytest.raises(vio.VolumeIOError, match="magic"):
             vio.read_volume(str(path))
 
     def test_wrong_sizeof_hdr_rejected(self, tmp_path):
         path = tmp_path / "bad.nii"
         path.write_bytes(nifti_bytes(sizeof_hdr=1234))
-        with pytest.raises(vio.BadMagicError, match="sizeof_hdr"):
+        with pytest.raises(vio.VolumeIOError, match="sizeof_hdr"):
             vio.read_volume(str(path))
 
     def test_big_endian_detected(self, tmp_path):
@@ -239,52 +265,52 @@ class TestNifti:
         blob[0:4] = struct.pack(">i", 348)
         path = tmp_path / "be.nii"
         path.write_bytes(bytes(blob))
-        with pytest.raises(vio.UnsupportedFormatError, match="big-endian"):
+        with pytest.raises(vio.VolumeIOError, match="big-endian"):
             vio.read_volume(str(path))
 
     def test_four_dimensional_rejected(self, tmp_path):
         path = tmp_path / "4d.nii"
         path.write_bytes(nifti_bytes(ndim=4))
-        with pytest.raises(vio.UnsupportedDimensionError, match="3D"):
+        with pytest.raises(vio.VolumeIOError, match="3D"):
             vio.read_volume(str(path))
 
     def test_unsupported_datatype_code(self, tmp_path):
         path = tmp_path / "f64.nii"
         payload = bytes(3 * 4 * 5 * 8)
         path.write_bytes(nifti_bytes(code=64, payload=payload))
-        with pytest.raises(vio.UnsupportedDatatypeError, match="code 64"):
+        with pytest.raises(vio.VolumeIOError, match="code 64"):
             vio.read_volume(str(path))
 
     def test_low_vox_offset_rejected(self, tmp_path):
         path = tmp_path / "low.nii"
         path.write_bytes(nifti_bytes(vox_offset=200.0))
-        with pytest.raises(vio.HeaderError, match="vox_offset"):
+        with pytest.raises(vio.VolumeIOError, match="vox_offset"):
             vio.read_volume(str(path))
 
     def test_truncated_payload(self, tmp_path):
         data = np.zeros(59, dtype=np.float32)  # header promises 60
         path = tmp_path / "short.nii"
         path.write_bytes(nifti_bytes(dims=(3, 4, 5), payload=data.tobytes()))
-        with pytest.raises(vio.TruncatedPayloadError, match="truncated"):
+        with pytest.raises(vio.VolumeIOError, match="truncated"):
             vio.read_volume(str(path))
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.nii"
         path.write_bytes(b"\x00" * 100)
-        with pytest.raises(vio.TruncatedPayloadError, match="header"):
+        with pytest.raises(vio.VolumeIOError, match="header"):
             vio.read_volume(str(path))
 
 
 class TestLossyWriteRefusal:
-    def test_fractional_values_cannot_be_u8(self, tmp_path):
-        vol = Volume3D(np.full((3, 3, 3), 0.5))
-        with pytest.raises(ValueError, match="non-integer"):
-            vio.write_volume(vol, str(tmp_path / "x.hdr"), dtype="u8")
-
-    def test_range_overflow_cannot_be_u8(self, tmp_path):
-        vol = Volume3D(np.full((3, 3, 3), 300.0))
-        with pytest.raises(ValueError, match="outside"):
-            vio.write_volume(vol, str(tmp_path / "x.hdr"), dtype="u8")
+    def test_label_beyond_f32_refused(self, tmp_path):
+        # 2**24 + 1 is the smallest integer f32 rounds.
+        data = np.zeros((3, 3, 3), dtype=np.int64)
+        data[1, 1, 1] = 2 ** 24 + 1
+        for name in ("x.hdr", "x.nii"):
+            with pytest.raises(ValueError, match="exactly"):
+                vio.write_volume(Volume3D(data, is_label=True),
+                                 str(tmp_path / name))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFieldRoundTrip:
@@ -310,13 +336,13 @@ class TestFieldRoundTrip:
     def test_field_header_is_not_a_volume(self, tmp_path):
         path = str(tmp_path / "field.hdr")
         vio.write_field(self.make_field(9), path)
-        with pytest.raises(vio.HeaderError, match="components"):
+        with pytest.raises(vio.VolumeIOError, match="components"):
             vio.read_volume(path)
 
     def test_volume_header_is_not_a_field(self, tmp_path):
         path = str(tmp_path / "vol.hdr")
         vio.write_volume(f32_volume(np.random.default_rng(10), (3, 3, 3)), path)
-        with pytest.raises(vio.HeaderError, match="field"):
+        with pytest.raises(vio.VolumeIOError, match="field"):
             vio.read_field(path)
 
 

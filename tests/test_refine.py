@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from densereg.correlation import CostTensor6D
 from densereg.geometry import ControlGrid, DisplacementField, DisplacementSpace
@@ -128,15 +129,30 @@ class TestRefine:
         err = np.abs(out.vectors[0, 0, 0] - target)
         assert err.max() <= space.spacing(0)
 
-    def test_energy_monotone_nonincreasing(self):
-        rng = np.random.default_rng(106)
-        space = DisplacementSpace(0.4, (5, 5, 5))
-        vals = rng.uniform(0.0, 1.0, size=(3, 3, 3, 5, 5, 5))
-        cost = CostTensor6D(vals, ControlGrid((3, 3, 3)), space)
-        init = DisplacementField(rng.uniform(-0.35, 0.35, size=(3, 3, 3, 3)))
-        out, energies = refine_trace(cost, init, RefineConfig(steps=40))
-        assert np.all(np.diff(energies) <= 1e-12)
-        assert energies[-1] <= energies[0]
+    # Fields may start outside the box; refinement clamps them first.
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.tuples(*[st.integers(1, 3)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           q=st.floats(0.05, 1.0), weight=st.floats(0.0, 20.0),
+           step_size=st.floats(1e-4, 2.0), spread=st.floats(0.0, 1.5))
+    @example(seed=106, counts=(3, 3, 3), steps=(5, 5, 5), q=0.4, weight=1.5,
+             step_size=0.05, spread=0.35)
+    def test_energy_monotone_nonincreasing(self, seed, counts, steps, q,
+                                           weight, step_size, spread):
+        rng = np.random.default_rng(seed)
+        space = DisplacementSpace(q, steps)
+        vals = rng.uniform(0.0, 1.0, size=counts + steps)
+        cost = CostTensor6D(vals, ControlGrid(counts), space)
+        init = DisplacementField(rng.uniform(-spread, spread,
+                                             size=counts + (3,)))
+        cfg = RefineConfig(steps=40, step_size=step_size,
+                           diffusion_weight=weight)
+        out, energies = refine_trace(cost, init, cfg)
+        assert len(energies) == 41
+        assert np.all(np.diff(energies) <= 0.0)
+        assert np.all(np.abs(out.vectors) <= q)
+        assert energies[-1] == field_energy(cost, out.vectors, weight)
 
     def test_output_respects_capture_range(self):
         # Costs that keep decreasing toward the box edge: the minimizer

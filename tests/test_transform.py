@@ -154,13 +154,22 @@ class TestExpectedDisplacement:
         phi = expected_displacement(ProbTensor6D(vals, ControlGrid((2, 2, 2)), space))
         assert np.allclose(phi.vectors, 0.0, atol=1e-12)
 
-    def test_components_bounded_by_capture_range(self):
-        rng = np.random.default_rng(85)
-        vals = rng.uniform(0.0, 1.0, size=(3, 3, 3, 5, 5, 5))
+    # A large ``sharpness`` concentrates each distribution on few offsets,
+    # down to near-delta rows at the capture-range corners.
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.tuples(*[st.integers(1, 3)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           q=st.floats(0.01, 1.0), sharpness=st.floats(0.0, 60.0))
+    @example(seed=85, counts=(3, 3, 3), steps=(5, 5, 5), q=0.4, sharpness=1.0)
+    def test_components_bounded_by_capture_range(self, seed, counts, steps,
+                                                 q, sharpness):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, 1.0, size=counts + steps) ** sharpness
         vals /= vals.sum(axis=(3, 4, 5), keepdims=True)
-        space = DisplacementSpace(0.4, (5, 5, 5))
-        phi = expected_displacement(ProbTensor6D(vals, ControlGrid((3, 3, 3)), space))
-        assert np.all(np.abs(phi.vectors) <= 0.4 + 1e-12)
+        space = DisplacementSpace(q, steps)
+        phi = expected_displacement(ProbTensor6D(vals, ControlGrid(counts), space))
+        assert np.all(np.abs(phi.vectors) <= q * (1 + 1e-12))
 
 
 class TestUpsampleField:
