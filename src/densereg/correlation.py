@@ -5,17 +5,11 @@ mean squared feature difference between the fixed features at k and the
 moving features at k + d.  Costs are stored positive (minimization
 semantics); the probabilistic transform negates them inside its softmax.
 
-The moving-feature sample positions factorize per axis (control coordinate
-plus offset), so costs are built from three 1D interpolation passes per
-channel instead of one gather per (k, d) pair.  The tensor is evaluated
-one control plane ``k1`` at a time, and each plane in blocks of ``k2``
-rows sized by :func:`densereg.parallel.row_blocks`: a block samples only
-the moving rows its own offsets reach, accumulates its channels in the
-sampler's ``(s1, rows, s2, k3, s3)`` layout, and is written to the tensor
-with one transposed copy.  The block buffers are allocated once per plane
-and fit in cache.  Planes run on :func:`densereg.parallel.map_planes`;
-each plane's arithmetic is the same whatever the worker count or block
-size.  The tensor is written completely before it is wrapped in a
+The positions x_k + d factorize per axis, so :func:`map_displaced`
+reads an array there in three 1D interpolation passes instead of one
+gather per (k, d) pair, a control plane at a time and each plane in
+cache-sized row blocks.  The label loss reads the moving labels through
+it too.  The tensor is written completely before it is wrapped in a
 :class:`CostTensor6D`, which takes that array without a copy and makes
 it read-only.
 """
@@ -29,7 +23,27 @@ from .geometry import (ControlGrid, DisplacementSpace, _freeze, lerp_axis,
                        lerp_axis_into, lerp_plan, sample_separable)
 from .parallel import block_view, map_planes, row_blocks
 
-__all__ = ["CostTensor6D", "dissimilarity_tensor", "flop_estimate"]
+__all__ = ["CostTensor6D", "dissimilarity_tensor", "flop_estimate", "map_displaced"]
+
+
+def _checked_planes(tensor, what: str, sums: bool = False):
+    """``tensor.values`` as float64, checked for shape and finiteness, and
+    per control plane its ``(min, max)`` and, with ``sums``, point sums."""
+    vals = np.ascontiguousarray(tensor.values, dtype=np.float64)
+    grid, space = tensor.grid, tensor.space
+    if vals.shape != grid.counts + space.steps:
+        raise ValueError(f"{what} shape {vals.shape} does not match grid "
+                         f"{grid.counts} x space {space.steps}")
+
+    def plane(k):
+        v = vals[k]
+        return (v.min(), v.max()) + ((v.sum(axis=(2, 3, 4)),) if sums else ())
+
+    checks = map_planes(plane, vals, 0, tensor.workers)
+    # min and max propagate NaN, so both finite means every value is.
+    if not all(np.isfinite(c[0]) and np.isfinite(c[1]) for c in checks):
+        raise ArithmeticError(f"{what} must be finite")
+    return vals, checks
 
 
 @dataclass(frozen=True)
@@ -60,19 +74,62 @@ class CostTensor6D:
     workers: int = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        want = tuple(self.grid.counts) + tuple(self.space.steps)
-        if vals.shape != want:
-            raise ValueError(f"cost tensor shape {vals.shape} does not match "
-                             f"grid {self.grid.counts} x space {self.space.steps}")
-        # min and max propagate NaN, so both finite means every value is.
-        ranges = map_planes(lambda k: (vals[k].min(), vals[k].max()), vals, 0,
-                            self.workers)
-        if not all(np.isfinite(lo) and np.isfinite(hi) for lo, hi in ranges):
-            raise ArithmeticError("cost tensor must be finite")
+        vals, ranges = _checked_planes(self, "cost tensor")
         if any(lo < 0.0 for lo, _ in ranges):
             raise ValueError("cost tensor must be non-negative")
         object.__setattr__(self, "values", _freeze(vals))
+
+
+def map_displaced(arrays, to_index, grid: ControlGrid,
+                  space: DisplacementSpace, block, like, workers=None) -> None:
+    """Sample the 3D ``arrays`` trilinearly, border-clamped, at every
+    displaced control position x_k + d.
+
+    ``to_index(axis, coords)`` maps normalized coordinates to the arrays'
+    fractional indices.  For every control plane ``k1`` and block ``blk``
+    of its ``k2`` rows (:func:`densereg.parallel.row_blocks`) this calls
+    ``block(k1, blk, sample, spare)``: ``sample(c)`` returns ``arrays[c]``
+    at the block's positions, shaped ``(s1, rows, s2, k3, s3)``, in a
+    buffer the next call overwrites; ``spare`` is a C-contiguous scratch
+    buffer of that shape.  Every element goes through the same arithmetic
+    whatever the block size.  The planes run on up to ``workers`` threads
+    (:func:`~densereg.parallel.map_planes` over ``like``, the tensor that
+    sizes them), so ``block`` runs for several planes at once.
+    """
+    fracs = [to_index(a, np.add.outer(grid.axis_coords(a),
+                                      space.axis_offsets(a)).ravel())
+             for a in range(3)]
+    _, k2, k3 = grid.counts
+    s1, s2, s3 = space.steps
+    _, height, width = arrays[0].shape
+    blocks = row_blocks(k2, s1 * s2 * k3 * s3 * like.itemsize)
+    rows = blocks[0].stop
+    # The sample positions of a block's rows, and of every block's
+    # columns, are the same in every plane and array.
+    plans = [lerp_plan(height, fracs[1][b.start * s2:b.stop * s2], 3, 1)
+             for b in blocks]
+    plan2 = lerp_plan(width, fracs[2], 3, 2)
+
+    def plane(k1):
+        # The first-axis pass is shared by every block of the plane.
+        t0 = fracs[0][k1 * s1:(k1 + 1) * s1]
+        m_rows = [lerp_axis(a, t0, 0) for a in arrays]
+        partial = [np.empty(s1 * rows * s2 * width) for _ in range(2)]
+        sampled = [np.empty(s1 * rows * s2 * k3 * s3) for _ in range(3)]
+        for blk, plan1 in zip(blocks, plans):
+            n = blk.stop - blk.start
+            mid = [block_view(b, (s1, n * s2, width)) for b in partial]
+            out, work, spare = [block_view(b, (s1, n * s2, k3 * s3))
+                                for b in sampled]
+
+            def sample(c):
+                lerp_axis_into(m_rows[c], plan1, 1, *mid)
+                lerp_axis_into(mid[0], plan2, 2, out, work)
+                return out.reshape(s1, n, s2, k3, s3)
+
+            block(k1, blk, sample, spare.reshape(s1, n, s2, k3, s3))
+
+    map_planes(plane, like, 0, workers)
 
 
 def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
@@ -88,48 +145,25 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
     if fixed.channels != moving.channels:
         raise ValueError(f"channel mismatch: fixed {fixed.channels}, "
                          f"moving {moving.channels}")
-    ctrl = [grid.axis_coords(a) for a in range(3)]
-    f_fracs = [fixed.axis_fracs(a, ctrl[a]) for a in range(3)]
-    m_fracs = [moving.axis_fracs(a, np.add.outer(ctrl[a], space.axis_offsets(a)).ravel())
-               for a in range(3)]
-    _, k2, k3 = grid.counts
-    s1, s2, s3 = space.steps
-    chans = fixed.channels
-    _, height, width = moving.grid_counts
-    f_at_k = [sample_separable(fixed.data[c], f_fracs)[:, :, None, :, None]
-              for c in range(chans)]
+    f_fracs = [fixed.axis_fracs(a, grid.axis_coords(a)) for a in range(3)]
+    f_at_k = [sample_separable(f, f_fracs)[:, :, None, :, None] for f in fixed.data]
     out = np.empty(grid.counts + space.steps)
-    blocks = row_blocks(k2, s1 * s2 * k3 * s3 * out.itemsize)
-    rows = blocks[0].stop
-    # The sample positions of a block's rows, and of every block's
-    # columns, are the same in every plane and channel.
-    plans = [lerp_plan(height, m_fracs[1][b.start * s2:b.stop * s2], 3, 1)
-             for b in blocks]
-    plan2 = lerp_plan(width, m_fracs[2], 3, 2)
 
-    def plane(k1):
-        # The first-axis pass is shared by every block of the plane.
-        t0 = m_fracs[0][k1 * s1:(k1 + 1) * s1]
-        m_rows = [lerp_axis(moving.data[c], t0, 0) for c in range(chans)]
-        partial = [np.empty(s1 * rows * s2 * width) for _ in range(2)]
-        sampled = [np.empty(s1 * rows * s2 * k3 * s3) for _ in range(3)]
-        for blk, plan1 in zip(blocks, plans):
-            n = blk.stop - blk.start
-            mid = [block_view(b, (s1, n * s2, width)) for b in partial]
-            acc, diff, work = [block_view(b, (s1, n * s2, k3 * s3)) for b in sampled]
-            for c in range(chans):
-                dst = acc if c == 0 else diff
-                lerp_axis_into(m_rows[c], plan1, 1, *mid)
-                lerp_axis_into(mid[0], plan2, 2, dst, work)
-                d5 = dst.reshape(s1, n, s2, k3, s3)
-                np.subtract(f_at_k[c][k1, blk], d5, out=d5)
-                np.multiply(dst, dst, out=dst)
-                if c:
-                    acc += diff
-            acc /= chans
-            out[k1, blk] = acc.reshape(s1, n, s2, k3, s3).transpose(1, 3, 0, 2, 4)
+    def block(k1, blk, sample, spare):
+        # The channels accumulate in the sampler's layout; channel 0's
+        # difference goes straight into the accumulator.
+        for c, f in enumerate(f_at_k):
+            m = sample(c)
+            dst = m if c else spare
+            np.subtract(f[k1, blk], m, out=dst)
+            np.multiply(dst, dst, out=dst)
+            if c:
+                spare += dst
+        spare /= len(f_at_k)
+        out[k1, blk] = spare.transpose(1, 3, 0, 2, 4)
 
-    map_planes(plane, out, 0, workers)
+    map_displaced(moving.data, moving.axis_fracs, grid, space, block, out,
+                  workers)
     return CostTensor6D(out, grid, space, workers)
 
 

@@ -75,14 +75,6 @@ class FeatureVolume:
     def channels(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def grid_counts(self) -> tuple:
-        return self.data.shape[1:]
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        """Normalized coordinates of grid cells along one axis."""
-        return self.origin[axis] + self.step[axis] * np.arange(self.grid_counts[axis])
-
     def axis_fracs(self, axis: int, coords) -> np.ndarray:
         """Fractional grid indices of normalized coordinates along one axis."""
         return (np.asarray(coords, dtype=np.float64) - self.origin[axis]) / self.step[axis]

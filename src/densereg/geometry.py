@@ -188,11 +188,6 @@ class DisplacementSpace:
         s = self.steps[axis]
         return 0.0 if s == 1 else 2.0 * self.q / (s - 1)
 
-    def offsets(self) -> np.ndarray:
-        """All offsets as a ``(S1, S2, S3, 3)`` array in row-major order."""
-        g = np.meshgrid(*[self.axis_offsets(a) for a in range(3)], indexing="ij")
-        return np.stack(g, axis=-1)
-
 
 @dataclass(frozen=True)
 class DisplacementField:

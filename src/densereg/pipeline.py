@@ -24,7 +24,7 @@ Jacobian statistics, which are plain numbers, are checked here.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -93,6 +93,11 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     usable cores).  Every stage splits its work by feature channel,
     tensor plane or volume slab, so the result is identical for any
     thread count.
+
+    Spacing is validated and written to the output headers, the warped
+    volumes taking the fixed volume's, but registration works in
+    normalized coordinates: an anisotropic pair is registered as if its
+    voxels were cubes.
     """
     cfg = RegistrationConfig() if cfg is None else cfg
     if fixed.dims != moving.dims:
@@ -150,8 +155,11 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
 
     t0 = time.perf_counter()
     field = upsample_field(ctrl, fixed.dims)
-    warped = warp(moving, field, workers=workers)
-    warped_labels = warp(moving_labels, field, workers=workers) \
+    # The warped volumes lie on the fixed grid, so they take its spacing.
+    warped = replace(warp(moving, field, workers=workers),
+                     spacing=fixed.spacing)
+    warped_labels = replace(warp(moving_labels, field, workers=workers),
+                            spacing=fixed.spacing) \
         if moving_labels is not None else None
     timings["resample"] = time.perf_counter() - t0
 

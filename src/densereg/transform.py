@@ -5,14 +5,14 @@ the displacement space with a stabilized softmax; the expected displacement
 under that distribution gives a smooth control-grid field, which is
 trilinearly upsampled to image resolution and used to warp the moving
 volume.  The probabilistic label loss measures label agreement under the
-distribution.
+distribution; it samples the moving labels by ``correlation.map_displaced``.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .correlation import CostTensor6D
+from .correlation import CostTensor6D, _checked_planes, map_displaced
 from .geometry import (
     ControlGrid,
     DisplacementField,
@@ -20,16 +20,13 @@ from .geometry import (
     Volume3D,
     _freeze,
     axis_centers,
-    lerp_axis,
-    lerp_axis_into,
-    lerp_plan,
     normalized_to_index,
     present_labels,
     sample_points_linear,
     sample_points_nearest,
     sample_separable,
 )
-from .parallel import block_view, map_planes, map_slabs, row_blocks
+from .parallel import map_planes, map_slabs
 from .regularizer import RegularizerParams
 
 __all__ = [
@@ -45,13 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbTensor6D:
-    """Displacement probabilities per control point, same layout as
-    :class:`CostTensor6D`; each point's distribution sums to one.  The
-    checks run per control plane on up to ``workers`` threads, which is
-    not part of the tensor's value.  Like the cost tensor, it takes the
-    array it is given and makes it read-only; in a run without
-    refinement that array is the cost tensor's, which
-    :func:`softmax_probabilities` overwrote."""
+    """Displacement probabilities per control point, with the layout,
+    checks and ``workers`` of :class:`CostTensor6D`; each point's
+    distribution sums to one.  Like the cost tensor, it takes the array
+    it is given and makes it read-only; in a run without refinement that
+    array is the cost tensor's, which :func:`softmax_probabilities`
+    overwrote."""
 
     values: np.ndarray
     grid: ControlGrid
@@ -59,20 +55,8 @@ class ProbTensor6D:
     workers: int = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        want = tuple(self.grid.counts) + tuple(self.space.steps)
-        if vals.shape != want:
-            raise ValueError(f"probability tensor shape {vals.shape} does not "
-                             f"match grid {self.grid.counts} x space {self.space.steps}")
-
-        def plane(k):
-            v = vals[k]
-            return v.min(), v.max(), v.sum(axis=(2, 3, 4))
-
-        checks = map_planes(plane, vals, 0, self.workers)
         # A NaN passes every comparison below, so it is caught first.
-        if not all(np.isfinite(lo) and np.isfinite(hi) for lo, hi, _ in checks):
-            raise ArithmeticError("probabilities must be finite")
+        vals, checks = _checked_planes(self, "probability tensor", sums=True)
         if any(lo < 0.0 or hi > 1.0 for lo, hi, _ in checks):
             raise ValueError("probabilities must lie in [0, 1]")
         if not all(np.allclose(sums, 1.0, atol=1e-5) for _, _, sums in checks):
@@ -249,50 +233,24 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     top = max(int(labels_moving.data.max()), int(labels_fixed.data.max()))
     if top >= num_classes:
         raise ValueError(f"labels reach {top} but num_classes is {num_classes}")
-    grid, space = prob.grid, prob.space
-    ctrl = [grid.axis_coords(a) for a in range(3)]
-    _, k2, k3 = grid.counts
-    s1, s2, s3 = space.steps
-    p = prob.values
-
-    # Displaced sample positions factorize per axis, in moving-volume
-    # fractional index units.
-    m_fracs = [normalized_to_index(np.add.outer(ctrl[a], space.axis_offsets(a)).ravel(),
-                                   labels_moving.dims[a]) for a in range(3)]
-    f_fracs = [normalized_to_index(np.asarray(ctrl[a]), labels_fixed.dims[a])
+    grid, p = prob.grid, prob.values
+    f_fracs = [normalized_to_index(grid.axis_coords(a), labels_fixed.dims[a])
                for a in range(3)]
-
     expect = np.empty(grid.counts)
-    blocks = row_blocks(k2, s1 * s2 * k3 * s3 * p.itemsize)
-    rows = blocks[0].stop
-    _, height, width = labels_moving.dims
-    plans = [lerp_plan(height, m_fracs[1][b.start * s2:b.stop * s2], 3, 1)
-             for b in blocks]
-    plan2 = lerp_plan(width, m_fracs[2], 3, 2)
+
+    def block(k1, blk, sample, spare):
+        # Same C-contiguous layout, so the same summation order, as the
+        # product of the whole plane.
+        prod = spare.reshape((blk.stop - blk.start,) + p.shape[2:])
+        np.multiply(p[k1, blk], sample(0).transpose(1, 3, 0, 2, 4), out=prod)
+        expect[k1, blk] = np.sum(prod, axis=(2, 3, 4))
+
     labels = present_labels(labels_moving, labels_fixed)
     loss = 0.0
     for cls in labels:
         onehot = (labels_moving.data == cls).astype(np.float64)
-
-        def plane(k1):
-            m_rows = lerp_axis(onehot, m_fracs[0][k1 * s1:(k1 + 1) * s1], 0)
-            partial = [np.empty(s1 * rows * s2 * width) for _ in range(2)]
-            sampled = [np.empty(s1 * rows * s2 * k3 * s3) for _ in range(3)]
-            for blk, plan1 in zip(blocks, plans):
-                n = blk.stop - blk.start
-                mid = [block_view(b, (s1, n * s2, width)) for b in partial]
-                m_at_kd, work = [block_view(b, (s1, n * s2, k3 * s3))
-                                 for b in sampled[:2]]
-                lerp_axis_into(m_rows, plan1, 1, *mid)
-                lerp_axis_into(mid[0], plan2, 2, m_at_kd, work)
-                # Same C-contiguous layout, so the same summation order,
-                # as the product of the whole plane.
-                prod = block_view(sampled[2], (n, k3, s1, s2, s3))
-                np.multiply(p[k1, blk], m_at_kd.reshape(s1, n, s2, k3, s3)
-                            .transpose(1, 3, 0, 2, 4), out=prod)
-                expect[k1, blk] = np.sum(prod, axis=(2, 3, 4))
-
-        map_planes(plane, p, 0, workers)
+        map_displaced([onehot], lambda a, x: normalized_to_index(
+            x, labels_moving.dims[a]), grid, prob.space, block, p, workers)
         target = sample_separable((labels_fixed.data == cls).astype(np.float64),
                                   f_fracs)
         diff = expect - target

@@ -28,6 +28,13 @@ from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
 from densereg.regularizer import _DISP_AXES, DISP_KERNEL, _pool_size
 
 
+def offset_grid(space):
+    """All offsets of a displacement space as a ``(S1, S2, S3, 3)`` array
+    in row-major order."""
+    axes = [space.axis_offsets(a) for a in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def naive_trilinear(data, point_norm):
     """Trilinear interpolation at one normalized point, clamped borders.
 

@@ -123,6 +123,25 @@ class TestRegister:
         timings = read_text(register_dir / "timings.txt")
         assert "correlation" in timings and "total" in timings
 
+    def test_warped_outputs_carry_fixed_spacing(self, phantom_dir, tmp_path):
+        # The warped volumes are sampled on the fixed grid, so their
+        # headers give its spacing, not the moving volume's.
+        argv = ["register", "--out-dir", str(tmp_path / "out"),
+                "--moving", str(phantom_dir / "moving.hdr"),
+                "--moving-labels", str(phantom_dir / "moving_labels.hdr")]
+        for name in ("fixed", "fixed_labels"):
+            header = read_text(phantom_dir / f"{name}.hdr").replace(
+                "spacing=1,1,1", "spacing=2,1,1")
+            (tmp_path / f"{name}.hdr").write_text(header, encoding="ascii")
+            (tmp_path / f"{name}.raw").write_bytes(
+                read_bytes(phantom_dir / f"{name}.raw"))
+            argv += [f"--{name.replace('_', '-')}",
+                     str(tmp_path / f"{name}.hdr")]
+        assert main(argv + REGISTER_ARGS) == 0
+        for name in ("warped", "warped_labels"):
+            vol = vio.read_volume(str(tmp_path / "out" / f"{name}.hdr"))
+            assert vol.spacing == (2.0, 1.0, 1.0), name
+
     def test_stdout_matches_report_file(self, phantom_dir, tmp_path, capsys):
         d = tmp_path / "out"
         rc = main(["register",

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from densereg.correlation import CostTensor6D, dissimilarity_tensor, flop_estimate
+from densereg import parallel
+from densereg.correlation import (CostTensor6D, dissimilarity_tensor,
+                                  flop_estimate, map_displaced)
 from densereg.features import FeatureVolume, extract_intensity_gradient
-from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
-from oracles import naive_dissimilarity
+from densereg.geometry import (ControlGrid, DisplacementSpace, Volume3D,
+                               normalized_to_index, sample_separable)
+from oracles import naive_dissimilarity, offset_grid
 
 
 def random_feature_volume(rng, channels, counts):
@@ -108,7 +112,7 @@ class TestDissimilarity:
         space = DisplacementSpace(0.25, steps=3)
         cost = dissimilarity_tensor(f_fix, f_mov, grid, space)
         flat = cost.values.reshape(4, 4, 4, -1)
-        offs = space.offsets().reshape(-1, 3)
+        offs = offset_grid(space).reshape(-1, 3)
         amin = offs[np.argmin(flat, axis=-1)]
         # Interior control points (the roll wraps at the border).
         interior = amin[1:-1, 1:-1, 1:-1]
@@ -144,6 +148,54 @@ class TestDissimilarity:
         v1 = dissimilarity_tensor(fa, fb, grid, space).values
         v2 = dissimilarity_tensor(fa, fb, grid, space).values
         assert v1.tobytes() == v2.tobytes()
+
+
+class TestMapDisplaced:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.tuples(*[st.integers(1, 7)] * 3),
+           arrays=st.integers(1, 2),
+           grid_counts=st.tuples(*[st.integers(1, 5)] * 3),
+           disp_steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           rows=st.sampled_from((None, 0, 1, 2, 3)),
+           workers=st.sampled_from((1, 2)))
+    def test_every_row_once_and_samples_separable(
+            self, seed, dims, arrays, grid_counts, disp_steps, rows,
+            workers):
+        data = np.random.default_rng(seed).normal(size=(arrays,) + dims)
+        grid = ControlGrid(grid_counts)
+        space = DisplacementSpace(0.3, disp_steps)
+        k1s, k2, k3 = grid_counts
+        s1, s2, s3 = disp_steps
+        fracs = [normalized_to_index(np.add.outer(
+            grid.axis_coords(a), space.axis_offsets(a)).ravel(), dims[a])
+            for a in range(3)]
+        visits = []
+
+        def block(k1, blk, sample, spare):
+            n = blk.stop - blk.start
+            visits.extend((k1, r) for r in range(blk.start, blk.stop))
+            assert spare.shape == (s1, n, s2, k3, s3)
+            assert spare.flags.c_contiguous
+            for c in range(arrays):
+                want = sample_separable(data[c], [
+                    fracs[0][k1 * s1:(k1 + 1) * s1],
+                    fracs[1][blk.start * s2:blk.stop * s2], fracs[2]])
+                got = sample(c)
+                assert got.shape == (s1, n, s2, k3, s3)
+                assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+        like = np.empty(grid.counts + space.steps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+            if rows is not None:
+                # A budget of 0 rows still gives one row per block.
+                mp.setattr(parallel, "BLOCK_BYTES", max(
+                    1, rows * 8 * k3 * s1 * s2 * s3))
+            map_displaced(list(data), lambda a, x: normalized_to_index(
+                x, dims[a]), grid, space, block, like, workers)
+        assert sorted(visits) == [(k1, r) for k1 in range(k1s)
+                                  for r in range(k2)]
 
 
 class TestFlopEstimate:

@@ -60,11 +60,11 @@ class TestSSC:
     def test_stride_grid_geometry(self):
         vol = Volume3D(np.zeros((9, 9, 9)))
         f = extract_ssc(vol, stride=3)
-        assert f.grid_counts == (3, 3, 3)
+        assert f.data.shape[1:] == (3, 3, 3)
         # Cell 0 sits at the center voxel of the first stride block.
         assert f.origin[0] == pytest.approx(index_to_normalized(1, 9))
         assert f.step[0] == pytest.approx(2.0 * 3 / 9)
-        assert np.allclose(f.axis_coords(0),
+        assert np.allclose(f.origin[0] + f.step[0] * np.arange(3),
                            [index_to_normalized(i, 9) for i in (1, 4, 7)])
 
     def test_deterministic(self):
@@ -138,8 +138,8 @@ class TestSampling:
         rng = np.random.default_rng(41)
         vol = Volume3D(rng.normal(size=(9, 9, 9)))
         f = extract_ssc(vol, stride=3)
-        pts = np.stack(np.meshgrid(*[f.axis_coords(a) for a in range(3)],
-                                   indexing="ij"), axis=-1)
+        axes = [f.origin[a] + f.step[a] * np.arange(3) for a in range(3)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         vals = sample_features_at(f, pts)
         assert vals.shape == (3, 3, 3, 12)
         assert np.allclose(np.moveaxis(vals, -1, 0), f.data, atol=1e-12)

@@ -22,7 +22,8 @@ from densereg.geometry import (
     sample_separable,
 )
 from densereg.transform import ProbTensor6D
-from oracles import naive_trilinear, sample_volume, trilinear_sample
+from oracles import (naive_trilinear, offset_grid, sample_volume,
+                     trilinear_sample)
 
 
 class TestCoordinateConvention:
@@ -215,7 +216,7 @@ class TestDisplacementSpace:
 
     def test_offsets_grid(self):
         space = DisplacementSpace(0.2, steps=(3, 3, 3))
-        grid = space.offsets()
+        grid = offset_grid(space)
         assert grid.shape == (3, 3, 3, 3)
         assert np.allclose(grid[0, 1, 2], [-0.2, 0.0, 0.2])
 

@@ -13,11 +13,12 @@ from densereg.refine import (
     gradient_adjoint,
     refine_trace,
 )
+from oracles import offset_grid
 
 
 def bowl_cost(space, target, grid_counts=(1, 1, 1), sharpness=1.0):
     """Cost rows shaped ||d - target||^2: unique minimum at target."""
-    offs = space.offsets()
+    offs = offset_grid(space)
     row = sharpness * np.sum((offs - np.asarray(target)) ** 2, axis=-1)
     vals = np.broadcast_to(row, tuple(grid_counts) + offs.shape[:-1]).copy()
     return CostTensor6D(vals, ControlGrid(grid_counts), space)
@@ -158,7 +159,7 @@ class TestRefine:
         # Costs that keep decreasing toward the box edge: the minimizer
         # would leave the box, projection keeps it inside.
         space = DisplacementSpace(0.4, (5, 5, 5))
-        offs = space.offsets()
+        offs = offset_grid(space)
         vals = np.broadcast_to(-offs[..., 0] + 0.4, (1, 1, 1, 5, 5, 5)).copy()
         cost = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
         init = DisplacementField(np.zeros((1, 1, 1, 3)))
@@ -168,7 +169,7 @@ class TestRefine:
 
     def test_already_optimal_field_unchanged(self):
         space = DisplacementSpace(0.4, (7, 7, 7))
-        target = space.offsets()[5, 3, 2]
+        target = offset_grid(space)[5, 3, 2]
         cost = bowl_cost(space, target)
         init = DisplacementField(target.reshape(1, 1, 1, 3).copy())
         out, _ = refine_trace(cost, init, RefineConfig(steps=50, diffusion_weight=0.0))

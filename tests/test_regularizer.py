@@ -16,7 +16,7 @@ from densereg.regularizer import (
 )
 from oracles import (exact_lower_envelope, lower_envelope_3d,
                      lower_envelope_rows, naive_avg_pool,
-                     naive_lower_envelope, naive_min_pool)
+                     naive_lower_envelope, naive_min_pool, offset_grid)
 
 
 def tensor_on(grid_counts, steps, values):
@@ -272,7 +272,7 @@ class TestRegularize:
 
         def argmin_tv(c):
             flat = c.values.reshape(c.grid.counts + (-1,))
-            offs = c.space.offsets().reshape(-1, 3)
+            offs = offset_grid(c.space).reshape(-1, 3)
             field = offs[np.argmin(flat, axis=-1)]
             tv = 0.0
             for a in range(3):

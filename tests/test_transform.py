@@ -28,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from densereg import parallel
 from oracles import (full_range_label_loss, naive_frac_trilinear,
-                     naive_gradient, whole_volume_warp)
+                     naive_gradient, offset_grid, whole_volume_warp)
 
 
 def cost_tensor(grid_counts, steps, values, q=0.4):
@@ -145,7 +145,7 @@ class TestExpectedDisplacement:
         vals[0, 0, 0, 4, 2, 1] = 1.0
         prob = ProbTensor6D(vals, ControlGrid((1, 1, 1)), space)
         phi = expected_displacement(prob)
-        offs = space.offsets()
+        offs = offset_grid(space)
         assert np.allclose(phi.vectors[0, 0, 0], offs[4, 2, 1])
 
     def test_uniform_probability_gives_zero(self):

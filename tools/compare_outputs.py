@@ -1,0 +1,106 @@
+"""Byte-compare this checkout's outputs with those of another checkout.
+
+Run from anywhere, with the other checkout's root as the argument:
+
+    python3 tools/compare_outputs.py PARENT_CHECKOUT [--seed N]
+
+For every benchmark workload (``perfbench/workloads.py``, imported and
+never changed), each checkout sets up pair 0 of seed ``N`` with its own
+``densereg`` in a subprocess.  It then runs ``densereg register`` on that
+pair with the workload's flags at ``--threads 1`` and ``--threads 2``,
+and ``densereg evaluate --field`` on each result.  Each checkout also
+runs ``densereg selftest``.  Every command runs in a directory of the
+same layout with relative paths, so paths printed or written agree.
+
+Every file the runs leave, and every command's standard output and exit
+code, is compared byte for byte, except ``timings.txt``, which holds wall
+times.  Prints ``identical``, ``differs`` or ``missing`` per file and
+exits 1 on anything but ``identical``.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import workloads  # noqa: E402
+
+THREADS = (1, 2)
+SKIPPED = {"timings.txt"}
+SET_UP = ("import sys; from pathlib import Path; import workloads; "
+          "workloads.set_up_pair(workloads.WORKLOADS[sys.argv[1]], "
+          "int(sys.argv[2]), 0, Path(sys.argv[3]))")
+
+
+def run(checkout: Path, args: list, cwd: Path, log: str) -> None:
+    """``python3 args`` in ``cwd`` with ``checkout``'s ``densereg``; the
+    standard output and exit code go to ``cwd / log``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(checkout / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    (cwd / log).write_text(f"{proc.stdout}exit={proc.returncode}\n")
+    if proc.returncode:
+        print(f"{checkout}: {' '.join(args[:3])} exited {proc.returncode}: "
+              f"{proc.stderr[-500:]}", file=sys.stderr)
+
+
+def run_checkout(checkout: Path, seed: int, base: Path) -> None:
+    base.mkdir()
+    run(checkout, ["-m", "densereg.cli", "selftest"], base, "selftest.out")
+    for name, w in workloads.WORKLOADS.items():
+        work = base / name
+        work.mkdir()
+        run(checkout, ["-c", SET_UP, name, str(seed), "pair"], work,
+            "set_up.out")
+        for t in THREADS:
+            out = Path(f"out{t}")
+            argv = workloads.register_argv(w, Path("pair"), out)
+            run(checkout, ["-m", "densereg.cli"] + argv
+                + ["--threads", str(t)], work, f"register{t}.out")
+            run(checkout, ["-m", "densereg.cli", "evaluate",
+                           "--fixed-labels", "pair/fixed_labels.hdr",
+                           "--moving-labels", "pair/moving_labels.hdr",
+                           "--field", str(out / "field.hdr"),
+                           "--report", f"evaluate{t}.csv",
+                           "--threads", str(t)], work, f"evaluate{t}.out")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path,
+                        help="root of the checkout to compare against")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="benchmark seed of the pairs (default 0)")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "densereg").is_dir():
+        parser.error(f"{parent} has no src/densereg")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [Path(tmp, "parent"), Path(tmp, "change")]
+        for checkout, base in zip((parent, ROOT), sides):
+            run_checkout(checkout, args.seed, base)
+        names = sorted({p.relative_to(base) for base in sides
+                        for p in base.rglob("*") if p.is_file()
+                        and p.name not in SKIPPED})
+        bad = 0
+        for name in names:
+            a, b = (base / name for base in sides)
+            if not (a.is_file() and b.is_file()):
+                verdict = "missing"
+            elif a.read_bytes() == b.read_bytes():
+                verdict = "identical"
+            else:
+                verdict = "differs"
+            bad += verdict != "identical"
+            print(f"{verdict:9s} {name}")
+    print(f"{len(names) - bad} of {len(names)} files identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
