@@ -125,7 +125,7 @@ def main():
                     help="phantom seeds per configuration (default 2)")
     ap.add_argument("--dims", type=int, default=48,
                     help="phantom voxels per axis (default 48)")
-    ap.add_argument("--grid", type=int, default=12,
+    ap.add_argument("--grid", dest="grid_counts", type=int, default=12,
                     help="control points per axis (default 12)")
     ap.add_argument("--full", action="store_true",
                     help="acceptance-scale scope: 5 seeds, 64 voxels, "
@@ -133,7 +133,7 @@ def main():
     args = ap.parse_args()
     seeds = range(5 if args.full else args.seeds)
     dims = 64 if args.full else args.dims
-    grid = 16 if args.full else args.grid
+    grid = 16 if args.full else args.grid_counts
 
     print(f"suite: seeds {list(seeds)}, {dims}^3 voxels, {grid}^3 control "
           f"grid, magnitude 0.25, noise 0.02, 5 organs")

@@ -8,8 +8,7 @@ lower-level pieces (features, correlation, regularizer, transform,
 refine).
 """
 
-from .geometry import (ControlGrid, DisplacementField, DisplacementSpace,
-                       Volume3D)
+from .geometry import DisplacementField, DisplacementSpace, Volume3D
 from .io import (read_field, read_volume, write_field, write_volume,
                  VolumeIOError)
 from .metrics import RegistrationReport, dice, jacobian_stats, mean_dice
@@ -22,7 +21,6 @@ from .transform import RegistrationConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlGrid",
     "DisplacementField",
     "DisplacementSpace",
     "PhantomPair",

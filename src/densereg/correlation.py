@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureVolume
-from .geometry import (ControlGrid, DisplacementSpace, _freeze, lerp_axis,
+from .geometry import (DisplacementSpace, _freeze, axis_centers, lerp_axis,
                        lerp_axis_into, lerp_plan, sample_separable)
 from .parallel import block_view, map_planes, row_blocks
 
@@ -30,10 +30,10 @@ def _checked_planes(tensor, what: str, sums: bool = False):
     """``tensor.values`` as float64, checked for shape and finiteness, and
     per control plane its ``(min, max)`` and, with ``sums``, point sums."""
     vals = np.ascontiguousarray(tensor.values, dtype=np.float64)
-    grid, space = tensor.grid, tensor.space
-    if vals.shape != grid.counts + space.steps:
-        raise ValueError(f"{what} shape {vals.shape} does not match grid "
-                         f"{grid.counts} x space {space.steps}")
+    steps = tensor.space.steps
+    if vals.shape[3:] != steps or 0 in vals.shape:
+        raise ValueError(f"{what} shape {vals.shape} is not a non-empty "
+                         f"control grid x space {steps}")
 
     def plane(k):
         v = vals[k]
@@ -69,7 +69,6 @@ class CostTensor6D:
     """
 
     values: np.ndarray
-    grid: ControlGrid
     space: DisplacementSpace
     workers: int = field(default=None, compare=False, repr=False)
 
@@ -79,9 +78,13 @@ class CostTensor6D:
             raise ValueError("cost tensor must be non-negative")
         object.__setattr__(self, "values", _freeze(vals))
 
+    @property
+    def counts(self) -> tuple:
+        return self.values.shape[:3]
 
-def map_displaced(arrays, to_index, grid: ControlGrid,
-                  space: DisplacementSpace, block, like, workers=None) -> None:
+
+def map_displaced(arrays, to_index, space: DisplacementSpace, block, like,
+                  workers=None) -> None:
     """Sample the 3D ``arrays`` trilinearly, border-clamped, at every
     displaced control position x_k + d.
 
@@ -92,14 +95,15 @@ def map_displaced(arrays, to_index, grid: ControlGrid,
     at the block's positions, shaped ``(s1, rows, s2, k3, s3)``, in a
     buffer the next call overwrites; ``spare`` is a C-contiguous scratch
     buffer of that shape.  Every element goes through the same arithmetic
-    whatever the block size.  The planes run on up to ``workers`` threads
-    (:func:`~densereg.parallel.map_planes` over ``like``, the tensor that
-    sizes them), so ``block`` runs for several planes at once.
+    whatever the block size.  ``like`` is the tensor whose first three
+    extents are the control grid; its planes run on up to ``workers``
+    threads (:func:`~densereg.parallel.map_planes`), so ``block`` runs for
+    several planes at once.
     """
-    fracs = [to_index(a, np.add.outer(grid.axis_coords(a),
+    fracs = [to_index(a, np.add.outer(axis_centers(like.shape[a]),
                                       space.axis_offsets(a)).ravel())
              for a in range(3)]
-    _, k2, k3 = grid.counts
+    _, k2, k3 = like.shape[:3]
     s1, s2, s3 = space.steps
     _, height, width = arrays[0].shape
     blocks = row_blocks(k2, s1 * s2 * k3 * s3 * like.itemsize)
@@ -133,21 +137,22 @@ def map_displaced(arrays, to_index, grid: ControlGrid,
 
 
 def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
-                         grid: ControlGrid, space: DisplacementSpace,
+                         counts: tuple, space: DisplacementSpace,
                          workers: int = None) -> CostTensor6D:
     """Mean squared feature distance for every (control point, displacement).
 
     ``cost[k, d] = (1/C) * sum_c (fixed_c(x_k) - moving_c(x_k + d))^2``
-    with border-clamped trilinear sampling of both feature volumes.
+    on a grid of ``counts`` control points per axis, with border-clamped
+    trilinear sampling of both feature volumes.
     ``workers`` caps the threads that evaluate control planes (default:
     the usable cores); the result does not depend on it.
     """
     if fixed.channels != moving.channels:
         raise ValueError(f"channel mismatch: fixed {fixed.channels}, "
                          f"moving {moving.channels}")
-    f_fracs = [fixed.axis_fracs(a, grid.axis_coords(a)) for a in range(3)]
+    f_fracs = [fixed.axis_fracs(a, axis_centers(counts[a])) for a in range(3)]
     f_at_k = [sample_separable(f, f_fracs)[:, :, None, :, None] for f in fixed.data]
-    out = np.empty(grid.counts + space.steps)
+    out = np.empty(tuple(counts) + space.steps)
 
     def block(k1, blk, sample, spare):
         # The channels accumulate in the sampler's layout; channel 0's
@@ -162,12 +167,11 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
         spare /= len(f_at_k)
         out[k1, blk] = spare.transpose(1, 3, 0, 2, 4)
 
-    map_displaced(moving.data, moving.axis_fracs, grid, space, block, out,
-                  workers)
-    return CostTensor6D(out, grid, space, workers)
+    map_displaced(moving.data, moving.axis_fracs, space, block, out, workers)
+    return CostTensor6D(out, space, workers)
 
 
-def flop_estimate(grid: ControlGrid, space: DisplacementSpace, channels: int) -> int:
+def flop_estimate(counts: tuple, space: DisplacementSpace, channels: int) -> int:
     """Arithmetic cost of the dense evaluation: subtract, square and
     accumulate once per (control point, displacement, channel)."""
-    return 3 * grid.num_points * space.num_offsets * int(channels)
+    return 3 * int(np.prod(counts)) * space.num_offsets * int(channels)

@@ -1,10 +1,10 @@
-"""Volumes, normalized coordinates, control grids, and interpolation.
+"""Volumes, normalized coordinates, and interpolation.
 
 Spatial positions are continuous coordinates in (-1, +1) per axis.  A grid
 with ``n`` cells along an axis places cell centers at ``2*(i+0.5)/n - 1``,
 so the mapping between integer indices and normalized coordinates is an
 affine bijection shared by image volumes, feature grids, control grids and
-full-resolution displacement fields.
+full-resolution displacement fields; an array's shape is its grid.
 
 Sampling outside (-1, 1) clamps to the border value: large displacements
 near the volume edge degrade gracefully instead of reading zeros.
@@ -21,13 +21,13 @@ sign, range and normalization violations raise :class:`ValueError`.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Volume3D",
-    "ControlGrid",
     "DisplacementSpace",
     "DisplacementField",
     "index_to_normalized",
@@ -79,6 +79,20 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ArithmeticError(f"{what} must be finite")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _three_ints(value, what: str) -> tuple:
+    """One positive int, standing for all three axes, or three of them, as
+    a tuple of three ints; anything else raises :class:`ValueError`."""
+    values = (value,) * 3 if np.ndim(value) == 0 else tuple(value)
+    if len(values) != 3 or not all(_is_int(v) and v > 0 for v in values):
+        raise ValueError(f"{what} must be one or three positive ints, got {value!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Volume3D:
     """Scalar 3D image: ``data`` indexed ``[z, y, x]``-style as ``(D, H, W)``.
@@ -122,31 +136,6 @@ class Volume3D:
 
 
 @dataclass(frozen=True)
-class ControlGrid:
-    """Coarse grid of control points placed uniformly in (-1, +1)^3.
-
-    Point ``(i, j, k)`` sits at ``index_to_normalized`` of its index on each
-    axis; points enumerate row-major.
-    """
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts).repeat(3)[:3]) \
-            if np.isscalar(self.counts) else tuple(int(c) for c in self.counts)
-        if len(counts) != 3 or any(c < 1 for c in counts):
-            raise ValueError(f"control grid counts must be three positive ints, got {self.counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def num_points(self) -> int:
-        return int(np.prod(self.counts))
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        return axis_centers(self.counts[axis])
-
-
-@dataclass(frozen=True)
 class DisplacementSpace:
     """Quantized displacement offsets ``L``: the cartesian product of
     ``q * linspace(-1, 1, steps)`` per axis.
@@ -163,13 +152,9 @@ class DisplacementSpace:
         q = float(self.q)
         if not (q > 0.0):
             raise ValueError(f"capture range q must be positive, got {q}")
-        raw = self.steps
-        steps = (int(raw),) * 3 if np.isscalar(raw) else tuple(int(s) for s in raw)
-        if len(steps) != 3:
-            raise ValueError(f"steps must be a scalar or three ints, got {raw}")
-        for s in steps:
-            if s < 1 or s % 2 == 0:
-                raise ValueError(f"steps must be odd and >= 1 per axis, got {steps}")
+        steps = _three_ints(self.steps, "steps")
+        if any(s % 2 == 0 for s in steps):
+            raise ValueError(f"steps must be odd per axis, got {steps}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "steps", steps)
 
@@ -262,7 +247,8 @@ def lerp_axis_into(data: np.ndarray, plan: tuple, axis: int,
 def sample_separable(data: np.ndarray, fracs) -> np.ndarray:
     """Trilinear sampling of a 3D array on the outer-product grid of three
     1D fractional-index vectors.  Exploits separability of the trilinear
-    interpolant; equivalent to pointwise sampling at every grid node."""
+    interpolant; equivalent to pointwise sampling at every grid node.
+    Trailing axes of ``data`` (a field's components) are carried along."""
     out = data
     for axis, t in enumerate(fracs):
         out = lerp_axis(out, t, axis)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DisplacementField, DisplacementSpace, Volume3D,
-                       axis_centers, normalized_to_index, sample_points_linear)
+                       _is_int, _three_ints, axis_centers, normalized_to_index,
+                       sample_points_linear)
 from .metrics import jacobian_stats
 from .parallel import map_slabs
 from .transform import upsample_field, warp
@@ -100,17 +101,18 @@ class PhantomSpec:
     noise_sigma: float = 0.02
 
     def __post_init__(self):
-        dims = (int(self.dims),) * 3 if np.isscalar(self.dims) \
-            else tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 8 for d in dims):
+        dims = _three_ints(self.dims, "dims")
+        if any(d < 8 for d in dims):
             raise ValueError(f"dims must be three values >= 8, got {self.dims}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.deformation not in ("translation", "smooth-random"):
             raise ValueError(f"unknown deformation: {self.deformation!r}")
         if not (0.0 <= self.magnitude < _CAPTURE_RANGE):
             raise ValueError(f"magnitude must lie in [0, capture range "
                              f"{_CAPTURE_RANGE}), got {self.magnitude}")
-        if self.organs < 1:
-            raise ValueError(f"need at least one organ, got {self.organs}")
+        if not (_is_int(self.organs) and self.organs >= 1):
+            raise ValueError(f"need an int number of organs >= 1, got {self.organs!r}")
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "dims", dims)

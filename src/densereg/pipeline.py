@@ -116,9 +116,8 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     feat_m = _extract(moving, cfg, workers)
     timings["features"] = time.perf_counter() - t0
 
-    grid = cfg.control_grid()
     t0 = time.perf_counter()
-    cost = dissimilarity_tensor(feat_f, feat_m, grid, cfg.space,
+    cost = dissimilarity_tensor(feat_f, feat_m, cfg.grid_counts, cfg.space,
                                 workers=workers)
     timings["correlation"] = time.perf_counter() - t0
 
@@ -174,12 +173,13 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
 
     notes = {
         "feature": cfg.feature,
-        "grid": ",".join(str(c) for c in grid.counts),
+        "grid": ",".join(str(c) for c in cfg.grid_counts),
         "capture_range": format(cfg.space.q, ".9g"),
         "steps": ",".join(str(s) for s in cfg.space.steps),
         "mean_field_iterations": str(cfg.reg_params.iterations),
         "refine_steps": str(refinement.steps if refinement is not None else 0),
-        "flop_estimate": str(flop_estimate(grid, cfg.space, feat_f.channels)),
+        "flop_estimate": str(flop_estimate(cfg.grid_counts, cfg.space,
+                                           feat_f.channels)),
     }
     if refinement is not None:
         notes["lambda"] = format(refinement.diffusion_weight, ".9g")

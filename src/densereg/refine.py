@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .correlation import CostTensor6D
-from .geometry import DisplacementField
+from .geometry import DisplacementField, _is_int
 
 __all__ = ["RefineConfig", "refine_trace", "field_energy",
            "field_energy_grad", "gradient_adjoint"]
@@ -32,20 +32,21 @@ __all__ = ["RefineConfig", "refine_trace", "field_energy",
 @dataclass(frozen=True)
 class RefineConfig:
     """Descent settings: iteration count, initial step size (normalized
-    units per unit gradient), and the diffusion weight shared with the
-    registration config."""
+    units per unit gradient), and the weight of the diffusion term.  Both
+    numbers must be finite."""
 
     steps: int = 50
     step_size: float = 0.05
     diffusion_weight: float = 1.5
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not self.step_size > 0.0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.diffusion_weight < 0.0:
-            raise ValueError(f"diffusion_weight must be >= 0, got {self.diffusion_weight}")
+        if not (_is_int(self.steps) and self.steps >= 0):
+            raise ValueError(f"steps must be an int >= 0, got {self.steps!r}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not (np.isfinite(self.diffusion_weight) and self.diffusion_weight >= 0.0):
+            raise ValueError(f"diffusion_weight must be finite and >= 0, "
+                             f"got {self.diffusion_weight}")
 
 
 def gradient_adjoint(y: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -78,7 +79,7 @@ def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray):
     """
     space = cost.space
     steps = space.steps
-    k1, k2, k3 = cost.grid.counts
+    k1, k2, k3 = cost.counts
     i0, w, inv_h, active = [], [], [], []
     for a in range(3):
         s = steps[a]
@@ -149,21 +150,25 @@ def refine_trace(cost: CostTensor6D, init: DisplacementField, cfg: RefineConfig)
     """Refine and return ``(field, energies)`` where ``energies[i]`` is the
     objective after ``i`` iterations (rejected proposals repeat the
     previous value, so the sequence never increases).  ``steps=0``
-    returns the clamped input."""
-    if init.counts != cost.grid.counts:
+    returns the clamped input.  An objective that overflows is an
+    :class:`ArithmeticError` at the start and a rejected trial later."""
+    if init.counts != cost.counts:
         raise ValueError(f"init field grid {init.counts} does not match "
-                         f"cost grid {cost.grid.counts}")
-    q = cost.space.q
+                         f"cost grid {cost.counts}")
+    q, weight = cost.space.q, cfg.diffusion_weight
     phi = np.clip(init.vectors, -q, q)
-    energy, grad = field_energy_grad(cost, phi, cfg.diffusion_weight)
-    energies = [energy]
-    step = cfg.step_size
-    for _ in range(cfg.steps):
-        trial = np.clip(phi - step * grad, -q, q)
-        e_trial, g_trial = field_energy_grad(cost, trial, cfg.diffusion_weight)
-        if e_trial <= energy:
-            phi, energy, grad = trial, e_trial, g_trial
-        else:
-            step *= 0.5
-        energies.append(energy)
+    with np.errstate(over="ignore"):
+        energy, grad = field_energy_grad(cost, phi, weight)
+        if not (np.isfinite(energy) and np.all(np.isfinite(grad))):
+            raise ArithmeticError("refinement starts at a non-finite energy")
+        energies = [energy]
+        step = cfg.step_size
+        for _ in range(cfg.steps):
+            trial = np.clip(phi - step * grad, -q, q)
+            e_trial, g_trial = field_energy_grad(cost, trial, weight)
+            if e_trial <= energy:
+                phi, energy, grad = trial, e_trial, g_trial
+            else:
+                step *= 0.5
+            energies.append(energy)
     return DisplacementField(phi), np.asarray(energies)

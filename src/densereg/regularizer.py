@@ -40,6 +40,7 @@ import numpy as np
 from scipy import ndimage
 
 from .correlation import CostTensor6D
+from .geometry import _is_int
 from .parallel import map_planes, row_blocks
 
 __all__ = [
@@ -83,10 +84,10 @@ class RegularizerParams:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
             object.__setattr__(self, name, value)
         k = self.spatial_kernel
-        if k < 1 or k % 2 == 0:
-            raise ValueError(f"spatial_kernel must be odd and >= 1, got {k}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if not (_is_int(k) and k >= 1 and k % 2):
+            raise ValueError(f"spatial_kernel must be an odd int >= 1, got {k!r}")
+        if not (_is_int(self.iterations) and self.iterations >= 0):
+            raise ValueError(f"iterations must be an int >= 0, got {self.iterations!r}")
 
 
 def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:

@@ -14,11 +14,11 @@ import numpy as np
 
 from .correlation import CostTensor6D, _checked_planes, map_displaced
 from .geometry import (
-    ControlGrid,
     DisplacementField,
     DisplacementSpace,
     Volume3D,
     _freeze,
+    _three_ints,
     axis_centers,
     normalized_to_index,
     present_labels,
@@ -43,14 +43,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ProbTensor6D:
     """Displacement probabilities per control point, with the layout,
-    checks and ``workers`` of :class:`CostTensor6D`; each point's
+    ``counts``, checks and ``workers`` of :class:`CostTensor6D`; each point's
     distribution sums to one.  Like the cost tensor, it takes the array
     it is given and makes it read-only; in a run without refinement that
     array is the cost tensor's, which :func:`softmax_probabilities`
     overwrote."""
 
     values: np.ndarray
-    grid: ControlGrid
     space: DisplacementSpace
     workers: int = dc_field(default=None, compare=False, repr=False)
 
@@ -62,6 +61,10 @@ class ProbTensor6D:
         if not all(np.allclose(sums, 1.0, atol=1e-5) for _, _, sums in checks):
             raise ValueError("distributions must sum to 1 per control point")
         object.__setattr__(self, "values", _freeze(vals))
+
+    @property
+    def counts(self) -> tuple:
+        return self.values.shape[:3]
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class RegistrationConfig:
             raise ValueError(f"capture range must lie in (0, 1), got {self.space.q}")
         if self.feature not in ("ssc", "intensity-gradient"):
             raise ValueError(f"unknown feature choice: {self.feature!r}")
-        counts = ControlGrid(self.grid_counts).counts
+        counts = _three_ints(self.grid_counts, "grid_counts")
         if min(counts) < 2:
             raise ValueError(f"control grid needs >= 2 points per axis to "
                              f"upsample, got {counts}")
@@ -100,9 +103,6 @@ class RegistrationConfig:
         if self.reg_params.spatial_kernel > fit:
             object.__setattr__(self, "reg_params", replace(
                 self.reg_params, spatial_kernel=fit))
-
-    def control_grid(self) -> ControlGrid:
-        return ControlGrid(self.grid_counts)
 
 
 def softmax_probabilities(cost: CostTensor6D, temperature: float,
@@ -134,7 +134,7 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
         z /= z.sum(axis=(2, 3, 4), keepdims=True)
 
     map_planes(plane, vals, 0, workers)
-    return ProbTensor6D(e, cost.grid, cost.space, workers)
+    return ProbTensor6D(e, cost.space, workers)
 
 
 def expected_displacement(prob: ProbTensor6D) -> DisplacementField:
@@ -155,7 +155,8 @@ def expected_displacement(prob: ProbTensor6D) -> DisplacementField:
 
 
 def upsample_field(ctrl: DisplacementField, dims) -> DisplacementField:
-    """Trilinear upsampling of a control-grid field to full resolution.
+    """Trilinear upsampling of a control-grid field to full resolution
+    ``dims`` (one int or three).
 
     Both grids use center-aligned normalized coordinates, so a voxel
     center's position in control-grid index space is a direct coordinate
@@ -164,11 +165,9 @@ def upsample_field(ctrl: DisplacementField, dims) -> DisplacementField:
     counts = ctrl.counts
     if any(c < 2 for c in counts):
         raise ValueError(f"control grid must have >= 2 points per axis, got {counts}")
-    dims = (int(dims),) * 3 if np.isscalar(dims) else tuple(int(d) for d in dims)
+    dims = _three_ints(dims, "dims")
     fracs = [normalized_to_index(axis_centers(dims[a]), counts[a]) for a in range(3)]
-    out = np.stack([sample_separable(ctrl.vectors[..., c], fracs) for c in range(3)],
-                   axis=-1)
-    return DisplacementField(out)
+    return DisplacementField(sample_separable(ctrl.vectors, fracs))
 
 
 def warp(vol: Volume3D, field: DisplacementField,
@@ -233,10 +232,10 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     top = max(int(labels_moving.data.max()), int(labels_fixed.data.max()))
     if top >= num_classes:
         raise ValueError(f"labels reach {top} but num_classes is {num_classes}")
-    grid, p = prob.grid, prob.values
-    f_fracs = [normalized_to_index(grid.axis_coords(a), labels_fixed.dims[a])
+    counts, p = prob.counts, prob.values
+    f_fracs = [normalized_to_index(axis_centers(counts[a]), labels_fixed.dims[a])
                for a in range(3)]
-    expect = np.empty(grid.counts)
+    expect = np.empty(counts)
 
     def block(k1, blk, sample, spare):
         # Same C-contiguous layout, so the same summation order, as the
@@ -250,9 +249,9 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     for cls in labels:
         onehot = (labels_moving.data == cls).astype(np.float64)
         map_displaced([onehot], lambda a, x: normalized_to_index(
-            x, labels_moving.dims[a]), grid, prob.space, block, p, workers)
+            x, labels_moving.dims[a]), prob.space, block, p, workers)
         target = sample_separable((labels_fixed.data == cls).astype(np.float64),
                                   f_fracs)
         diff = expect - target
         loss += float(np.sum(diff * diff))
-    return loss / (grid.num_points * len(labels))
+    return loss / (expect.size * len(labels))

@@ -468,9 +468,9 @@ def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
     library's plane-by-plane evaluation, which skips absent classes, must
     agree with it bit for bit.
     """
-    grid, space = prob.grid, prob.space
-    ctrl = [grid.axis_coords(a) for a in range(3)]
-    k1, k2, k3 = grid.counts
+    counts, space = prob.counts, prob.space
+    ctrl = [axis_centers(n) for n in counts]
+    k1, k2, k3 = counts
     s1, s2, s3 = space.steps
     m_fracs = [normalized_to_index(np.add.outer(ctrl[a], space.axis_offsets(a)).ravel(),
                                    labels_moving.dims[a]) for a in range(3)]
@@ -489,7 +489,7 @@ def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
                                   f_fracs)
         diff = expect - target
         loss += float(np.sum(diff * diff))
-    return loss / (grid.num_points * present)
+    return loss / (int(np.prod(counts)) * present)
 
 
 def full_resolution_ssc(vol, patch_radius=1, stride=3):
@@ -581,19 +581,19 @@ def whole_volume_inverse_field(truth, iterations=40, tol=1e-12):
 # library's cache-blocked, in-place evaluation must agree bit for bit.
 # ---------------------------------------------------------------------------
 
-def planewise_dissimilarity(fixed, moving, grid, space):
+def planewise_dissimilarity(fixed, moving, counts, space):
     """Cost tensor values, one control plane at a time: every channel is
     sampled for the whole plane and subtracted through a strided
     transpose, accumulating into a zeroed plane."""
-    ctrl = [grid.axis_coords(a) for a in range(3)]
+    ctrl = [axis_centers(n) for n in counts]
     f_fracs = [fixed.axis_fracs(a, ctrl[a]) for a in range(3)]
     m_fracs = [moving.axis_fracs(a, np.add.outer(ctrl[a], space.axis_offsets(a)).ravel())
                for a in range(3)]
-    k1s, k2, k3 = grid.counts
+    k1s, k2, k3 = counts
     s1, s2, s3 = space.steps
     f_at_k = [sample_separable(fixed.data[c], f_fracs)
               for c in range(fixed.channels)]
-    out = np.zeros(grid.counts + space.steps)
+    out = np.zeros(counts + space.steps)
     for k1 in range(k1s):
         acc = out[k1]
         fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
@@ -610,16 +610,16 @@ def planewise_dissimilarity(fixed, moving, grid, space):
 def planewise_label_loss(prob, labels_moving, labels_fixed):
     """Probability-weighted label loss over the labels present, with the
     expectation of each class taken one whole control plane at a time."""
-    grid, space = prob.grid, prob.space
-    ctrl = [grid.axis_coords(a) for a in range(3)]
-    k1s, k2, k3 = grid.counts
+    counts, space = prob.counts, prob.space
+    ctrl = [axis_centers(n) for n in counts]
+    k1s, k2, k3 = counts
     s1, s2, s3 = space.steps
     p = prob.values
     m_fracs = [normalized_to_index(np.add.outer(ctrl[a], space.axis_offsets(a)).ravel(),
                                    labels_moving.dims[a]) for a in range(3)]
     f_fracs = [normalized_to_index(np.asarray(ctrl[a]), labels_fixed.dims[a])
                for a in range(3)]
-    expect = np.empty(grid.counts)
+    expect = np.empty(counts)
     labels = present_labels(labels_moving, labels_fixed)
     loss = 0.0
     for cls in labels:
@@ -633,7 +633,7 @@ def planewise_label_loss(prob, labels_moving, labels_fixed):
                                   f_fracs)
         diff = expect - target
         loss += float(np.sum(diff * diff))
-    return loss / (grid.num_points * len(labels))
+    return loss / (int(np.prod(counts)) * len(labels))
 
 
 def filter_min_convolution(vals):

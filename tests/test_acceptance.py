@@ -21,7 +21,7 @@ import pytest
 from densereg.correlation import (CostTensor6D, dissimilarity_tensor,
                                   flop_estimate)
 from densereg.features import FeatureVolume
-from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
+from densereg.geometry import DisplacementSpace, Volume3D, axis_centers
 from densereg.metrics import dice, mean_dice
 from densereg.phantom import PhantomSpec, generate
 from densereg.pipeline import register_pair
@@ -85,12 +85,11 @@ def test_criterion_01_probability_normalization():
     # 50 seeded cost tensors on an 8^3 grid with 9 displacement steps: every
     # per-point probability row must sum to 1 within 1e-5, in under 5 s.
     space = DisplacementSpace(0.4, 9)
-    grid = ControlGrid((8, 8, 8))
     start = time.perf_counter()
     for seed in range(50):
         rng = np.random.default_rng(seed)
         vals = rng.uniform(0.0, 5.0, size=(8, 8, 8) + space.steps)
-        prob = softmax_probabilities(CostTensor6D(vals, grid, space),
+        prob = softmax_probabilities(CostTensor6D(vals, space),
                                      temperature=7.0)
         sums = prob.values.sum(axis=(3, 4, 5))
         assert np.all(np.abs(sums - 1.0) <= 1e-5), f"seed {seed}"
@@ -158,13 +157,13 @@ def test_criterion_05_correlation_oracle():
             return FeatureVolume(data, origin, step)
 
         f_fix, f_mov = feat(), feat()
-        grid = ControlGrid(tuple(rng.integers(1, 5, size=3)))
+        grid = tuple(rng.integers(1, 5, size=3))
         space = DisplacementSpace(float(rng.uniform(0.1, 0.5)), steps=3)
         cost = dissimilarity_tensor(f_fix, f_mov, grid, space)
         ref = naive_dissimilarity(
             f_fix.data, f_mov.data, f_fix.origin, f_fix.step,
             f_mov.origin, f_mov.step,
-            [grid.axis_coords(a) for a in range(3)],
+            [axis_centers(n) for n in grid],
             [space.axis_offsets(a) for a in range(3)])
         assert np.allclose(cost.values, ref, atol=1e-6), f"case {case}"
 
@@ -181,14 +180,13 @@ def test_criterion_06_envelope_oracle_and_audit():
                               naive_lower_envelope(row, 0.0075)), \
             f"case {case}"
 
-    grid = ControlGrid((1, 1, 1))
     space = DisplacementSpace(0.4, steps=15)
     acc = 0.0
     cnt = 0
     for seed in range(100):
         r = np.random.default_rng(1000 + seed)
         vals = r.uniform(0.0, 1.0, size=(1, 1, 1, 15, 15, 15))
-        t = CostTensor6D(vals, grid, space)
+        t = CostTensor6D(vals, space)
         d = min_convolution(vals) - lower_envelope_3d(t, 0.0075).values
         acc += float(np.sum(d * d))
         cnt += d.size
@@ -202,7 +200,7 @@ def test_criterion_06_envelope_oracle_and_audit():
         vals = r.uniform(5.0, 6.0, size=(1, 1, 1, 15, 15, 15))
         pos = tuple(r.integers(2, 13, size=3))
         vals[(0, 0, 0) + pos] = 0.0
-        t = CostTensor6D(vals, grid, space)
+        t = CostTensor6D(vals, space)
         pooled = min_convolution(vals)
         exact = lower_envelope_3d(t, 0.0075).values
         assert np.argmin(pooled) == np.argmin(exact)
@@ -221,7 +219,7 @@ def test_criterion_07_mean_field_ablation(phantom_suite):
 def test_criterion_08_flop_budget():
     # Reference configuration: 4096 active control points, 3375 offsets,
     # 16 feature channels.
-    flops = flop_estimate(ControlGrid((16, 16, 16)),
+    flops = flop_estimate((16, 16, 16),
                           DisplacementSpace(0.4, 15), channels=16)
     assert flops == 3 * 4096 * 3375 * 16 == 663_552_000
     assert flops < 2e9
@@ -264,14 +262,14 @@ def test_criterion_09_gradient_check():
         rng = np.random.default_rng(900 + seed)
         space = DisplacementSpace(0.4, (7, 7, 7))
         vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 7, 7, 7))
-        cost = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
+        cost = CostTensor6D(vals, space)
         check(cost, interior_phi(rng, space, (1, 1, 1)), weight=0.0)
 
     for seed in range(10):
         rng = np.random.default_rng(950 + seed)
         space = DisplacementSpace(0.4, (5, 5, 5))
         vals = rng.uniform(0.0, 1.0, size=(4, 4, 4, 5, 5, 5))
-        cost = CostTensor6D(vals, ControlGrid((4, 4, 4)), space)
+        cost = CostTensor6D(vals, space)
         check(cost, interior_phi(rng, space, (4, 4, 4)), weight=1.5)
 
 

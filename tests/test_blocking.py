@@ -14,8 +14,7 @@ from scipy import ndimage
 from densereg import parallel
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume
-from densereg.geometry import (ControlGrid, DisplacementField,
-                               DisplacementSpace, Volume3D)
+from densereg.geometry import DisplacementField, DisplacementSpace, Volume3D
 from densereg.metrics import jacobian_stats
 from densereg.pipeline import _hand_over
 from densereg.regularizer import RegularizerParams, _min_pool, regularize
@@ -65,8 +64,7 @@ def random_features(rng, channels, dims):
 def random_cost(seed, grid_counts, disp_steps):
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 2.0, size=tuple(grid_counts) + tuple(disp_steps))
-    return CostTensor6D(values, ControlGrid(grid_counts),
-                        DisplacementSpace(0.3, disp_steps))
+    return CostTensor6D(values, DisplacementSpace(0.3, disp_steps))
 
 
 class TestAgainstWholePlaneOracles:
@@ -78,13 +76,13 @@ class TestAgainstWholePlaneOracles:
         rng = np.random.default_rng(seed)
         fixed = random_features(rng, channels, (5, 4, 6))
         moving = random_features(rng, channels, (5, 4, 6))
-        grid = ControlGrid(grid_counts)
         space = DisplacementSpace(0.3, disp_steps)
-        want = planewise_dissimilarity(fixed, moving, grid, space).tobytes()
+        want = planewise_dissimilarity(fixed, moving, grid_counts,
+                                       space).tobytes()
         for got in for_each_setting(
                 rows, grid_counts, disp_steps,
-                lambda w: dissimilarity_tensor(fixed, moving, grid, space,
-                                               workers=w).values):
+                lambda w: dissimilarity_tensor(fixed, moving, grid_counts,
+                                               space, workers=w).values):
             assert got.tobytes() == want
 
     @PROPERTY
@@ -181,8 +179,7 @@ class TestRegularizeInput:
         result still finds an overflow, here in every plane, and reports
         it as a numerical failure."""
         cost = CostTensor6D(np.full((5, 3, 3, 3, 3, 3), 10.0),
-                            ControlGrid((5, 3, 3)), DisplacementSpace(0.3, 3),
-                            workers=2)
+                            DisplacementSpace(0.3, 3), workers=2)
         params = RegularizerParams(output_scale=1e308, iterations=1,
                                    spatial_kernel=3)
         with pytest.raises(ArithmeticError, match="finite"):
@@ -196,7 +193,7 @@ class TestManyWorkers:
         rng = np.random.default_rng(3)
         fixed = random_features(rng, 2, (5, 4, 6))
         moving = random_features(rng, 2, (5, 4, 6))
-        grid, space = ControlGrid((7, 3, 4)), DisplacementSpace(0.3, (3, 5, 3))
+        grid, space = (7, 3, 4), DisplacementSpace(0.3, (3, 5, 3))
         params = RegularizerParams(output_scale=1.5, iterations=3,
                                    spatial_kernel=3)
         old = sys.getswitchinterval()
@@ -269,8 +266,7 @@ class TestThreadedValidation:
         vals = np.ones((5, 2, 3, 3, 1, 3))
         vals[plane, -1, -1, -1, -1, -1] = bad
         with pytest.raises(_expected_error(bad), match=message):
-            CostTensor6D(vals, ControlGrid((5, 2, 3)),
-                         DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+            CostTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)), workers=2)
 
     @pytest.mark.parametrize("plane", [0, -1])
     @pytest.mark.parametrize("bad, message", [(np.nan, "finite"),
@@ -283,19 +279,17 @@ class TestThreadedValidation:
         vals[plane, -1, -1, -1, -1, -1] = bad
         for workers in (1, 2):
             with pytest.raises(_expected_error(bad), match=message):
-                ProbTensor6D(vals, ControlGrid((5, 2, 3)),
-                             DisplacementSpace(0.3, (3, 1, 3)),
+                ProbTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)),
                              workers=workers)
 
     def test_unnormalized_last_point_rejected(self):
         vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)
         vals[-1, -1, -1] *= 1.01
         with pytest.raises(ValueError, match="sum to 1"):
-            ProbTensor6D(vals, ControlGrid((5, 2, 3)),
-                         DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+            ProbTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)), workers=2)
 
     def test_replace_values_keeps_workers(self):
-        cost = CostTensor6D(np.ones((3, 1, 1, 3, 3, 3)), ControlGrid((3, 1, 1)),
+        cost = CostTensor6D(np.ones((3, 1, 1, 3, 3, 3)),
                             DisplacementSpace(0.3, 3), workers=1)
         assert replace(cost, values=cost.values * 2.0).workers == 1
         assert "workers" not in repr(cost)

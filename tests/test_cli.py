@@ -487,6 +487,33 @@ class TestExitCodes:
         assert rc == 1
         assert "diffusion_weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("refine", [[], ["--refine"]])
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, phantom_dir, tmp_path, capsys,
+                                        weight, refine):
+        # A configuration error with or without --refine, caught before
+        # the refinement could index the cost at a NaN position.
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path), "--lambda", weight]
+                  + refine + REGISTER_ARGS)
+        assert rc == 1
+        assert "diffusion_weight must be finite" in capsys.readouterr().err
+
+    def test_overflowing_lambda_is_a_numerical_failure(self, phantom_dir,
+                                                       tmp_path, capsys):
+        # On 12 points per axis the start field's diffusion energy is
+        # above 2, so the weight overflows it: a numerical failure, and no
+        # numpy warning (the suite turns one into an error).
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path), "--lambda", "1e308",
+                   "--refine"] + REGISTER_ARGS + ["--grid", "12"])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["register", "--fixed", str(tmp_path / "nope.hdr"),
                    "--moving", str(tmp_path / "nope.hdr"),
@@ -628,8 +655,7 @@ class TestSelftest:
     def test_zero_field_fails_the_dice_check(self, monkeypatch, capsys):
         # A registration that does not move the labels cannot raise Dice.
         monkeypatch.setattr(pipeline, "expected_displacement", lambda prob:
-                            DisplacementField(np.zeros(prob.grid.counts
-                                                       + (3,))))
+                            DisplacementField(np.zeros(prob.counts + (3,))))
         assert main(["selftest"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]

@@ -8,7 +8,7 @@ from densereg import parallel
 from densereg.correlation import (CostTensor6D, dissimilarity_tensor,
                                   flop_estimate, map_displaced)
 from densereg.features import FeatureVolume, extract_intensity_gradient
-from densereg.geometry import (ControlGrid, DisplacementSpace, Volume3D,
+from densereg.geometry import (DisplacementSpace, Volume3D, axis_centers,
                                normalized_to_index, sample_separable)
 from oracles import naive_dissimilarity, offset_grid
 
@@ -23,33 +23,30 @@ def random_feature_volume(rng, channels, counts):
 
 class TestCostTensorType:
     def test_shape_checked(self):
-        grid = ControlGrid((2, 2, 2))
         space = DisplacementSpace(0.2, steps=3)
         with pytest.raises(ValueError):
-            CostTensor6D(np.zeros((2, 2, 2, 3, 3, 2)), grid, space)
+            CostTensor6D(np.zeros((2, 2, 2, 3, 3, 2)), space)
 
     def test_negative_rejected(self):
-        grid = ControlGrid((1, 1, 1))
         space = DisplacementSpace(0.2, steps=3)
         vals = np.zeros((1, 1, 1, 3, 3, 3))
         vals[0, 0, 0, 1, 1, 1] = -1e-3
         with pytest.raises(ValueError):
-            CostTensor6D(vals, grid, space)
+            CostTensor6D(vals, space)
 
     def test_nonfinite_rejected(self):
-        grid = ControlGrid((1, 1, 1))
         space = DisplacementSpace(0.2, steps=3)
         vals = np.zeros((1, 1, 1, 3, 3, 3))
         vals[0, 0, 0, 0, 0, 0] = np.nan
         with pytest.raises(ArithmeticError, match="finite"):
-            CostTensor6D(vals, grid, space)
+            CostTensor6D(vals, space)
 
 
 class TestDissimilarity:
     def test_self_match_is_zero_at_center(self):
         rng = np.random.default_rng(51)
         f = random_feature_volume(rng, 3, (6, 6, 6))
-        grid = ControlGrid((4, 4, 4))
+        grid = (4, 4, 4)
         space = DisplacementSpace(0.3, steps=5)
         cost = dissimilarity_tensor(f, f, grid, space)
         center = tuple(s // 2 for s in space.steps)
@@ -61,21 +58,21 @@ class TestDissimilarity:
         fa = random_feature_volume(rng, 3, (4, 4, 4))
         fb = random_feature_volume(rng, 4, (4, 4, 4))
         with pytest.raises(ValueError):
-            dissimilarity_tensor(fa, fb, ControlGrid(2), DisplacementSpace(0.2, 3))
+            dissimilarity_tensor(fa, fb, (2, 2, 2), DisplacementSpace(0.2, 3))
 
     def test_two_point_grid_matches_quadruple_loop(self):
         # 2x1x1 control points, 3^3 displacements, 1 channel: 54 entries.
         rng = np.random.default_rng(53)
         f_fix = random_feature_volume(rng, 1, (5, 4, 4))
         f_mov = random_feature_volume(rng, 1, (5, 4, 4))
-        grid = ControlGrid((2, 1, 1))
+        grid = (2, 1, 1)
         space = DisplacementSpace(0.25, steps=3)
         cost = dissimilarity_tensor(f_fix, f_mov, grid, space)
         assert cost.values.shape == (2, 1, 1, 3, 3, 3)
         ref = naive_dissimilarity(
             f_fix.data, f_mov.data, f_fix.origin, f_fix.step,
             f_mov.origin, f_mov.step,
-            [grid.axis_coords(a) for a in range(3)],
+            [axis_centers(n) for n in grid],
             [space.axis_offsets(a) for a in range(3)])
         assert np.allclose(cost.values, ref, atol=1e-6)
 
@@ -87,13 +84,12 @@ class TestDissimilarity:
             f_fix = random_feature_volume(rng, channels, counts)
             f_mov = random_feature_volume(rng, channels, counts)
             gc = tuple(rng.integers(1, 4, size=3))
-            grid = ControlGrid(gc)
             space = DisplacementSpace(float(rng.uniform(0.1, 0.5)), steps=3)
-            cost = dissimilarity_tensor(f_fix, f_mov, grid, space)
+            cost = dissimilarity_tensor(f_fix, f_mov, gc, space)
             ref = naive_dissimilarity(
                 f_fix.data, f_mov.data, f_fix.origin, f_fix.step,
                 f_mov.origin, f_mov.step,
-                [grid.axis_coords(a) for a in range(3)],
+                [axis_centers(n) for n in gc],
                 [space.axis_offsets(a) for a in range(3)])
             assert np.allclose(cost.values, ref, atol=1e-6)
 
@@ -108,7 +104,7 @@ class TestDissimilarity:
         shifted = np.roll(base, 2, axis=2)
         f_fix = extract_intensity_gradient(Volume3D(base), stride=1)
         f_mov = extract_intensity_gradient(Volume3D(shifted), stride=1)
-        grid = ControlGrid((4, 4, 4))
+        grid = (4, 4, 4)
         space = DisplacementSpace(0.25, steps=3)
         cost = dissimilarity_tensor(f_fix, f_mov, grid, space)
         flat = cost.values.reshape(4, 4, 4, -1)
@@ -128,7 +124,7 @@ class TestDissimilarity:
         rng = np.random.default_rng(56)
         fa = random_feature_volume(rng, 2, (6, 6, 6))
         fb = random_feature_volume(rng, 2, (6, 6, 6))
-        grid = ControlGrid((4, 4, 4))
+        grid = (4, 4, 4)
         space = DisplacementSpace(0.5, steps=3)    # offsets -0.5, 0, +0.5
         ab = dissimilarity_tensor(fa, fb, grid, space).values
         ba = dissimilarity_tensor(fb, fa, grid, space).values
@@ -143,7 +139,7 @@ class TestDissimilarity:
         rng = np.random.default_rng(57)
         fa = random_feature_volume(rng, 2, (5, 5, 5))
         fb = random_feature_volume(rng, 2, (5, 5, 5))
-        grid = ControlGrid(3)
+        grid = (3, 3, 3)
         space = DisplacementSpace(0.3, steps=3)
         v1 = dissimilarity_tensor(fa, fb, grid, space).values
         v2 = dissimilarity_tensor(fa, fb, grid, space).values
@@ -163,12 +159,11 @@ class TestMapDisplaced:
             self, seed, dims, arrays, grid_counts, disp_steps, rows,
             workers):
         data = np.random.default_rng(seed).normal(size=(arrays,) + dims)
-        grid = ControlGrid(grid_counts)
         space = DisplacementSpace(0.3, disp_steps)
         k1s, k2, k3 = grid_counts
         s1, s2, s3 = disp_steps
         fracs = [normalized_to_index(np.add.outer(
-            grid.axis_coords(a), space.axis_offsets(a)).ravel(), dims[a])
+            axis_centers(grid_counts[a]), space.axis_offsets(a)).ravel(), dims[a])
             for a in range(3)]
         visits = []
 
@@ -185,7 +180,7 @@ class TestMapDisplaced:
                 assert got.shape == (s1, n, s2, k3, s3)
                 assert got.tobytes() == want.reshape(got.shape).tobytes()
 
-        like = np.empty(grid.counts + space.steps)
+        like = np.empty(grid_counts + space.steps)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
             if rows is not None:
@@ -193,24 +188,24 @@ class TestMapDisplaced:
                 mp.setattr(parallel, "BLOCK_BYTES", max(
                     1, rows * 8 * k3 * s1 * s2 * s3))
             map_displaced(list(data), lambda a, x: normalized_to_index(
-                x, dims[a]), grid, space, block, like, workers)
+                x, dims[a]), space, block, like, workers)
         assert sorted(visits) == [(k1, r) for k1 in range(k1s)
                                   for r in range(k2)]
 
 
 class TestFlopEstimate:
     def test_reference_scale_budget(self):
-        grid = ControlGrid(16)
+        grid = (16, 16, 16)
         space = DisplacementSpace(0.4, steps=15)
         flops = flop_estimate(grid, space, 16)
         assert flops == 3 * 4096 * 3375 * 16
         assert flops < 2e9
 
     def test_single_point(self):
-        flops = flop_estimate(ControlGrid(1), DisplacementSpace(0.4, 15), 16)
+        flops = flop_estimate((1, 1, 1), DisplacementSpace(0.4, 15), 16)
         assert flops == 3 * 3375 * 16
 
     def test_medium_case(self):
-        flops = flop_estimate(ControlGrid(16), DisplacementSpace(0.4, 9), 4)
+        flops = flop_estimate((16, 16, 16), DisplacementSpace(0.4, 9), 4)
         assert flops == 3 * 4096 * 729 * 4
         assert flops == pytest.approx(3.6e7, rel=0.01)

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densereg.correlation import CostTensor6D
 from densereg.features import FeatureVolume
 from densereg.geometry import (
-    ControlGrid,
     DisplacementField,
     DisplacementSpace,
     Volume3D,
@@ -21,7 +21,8 @@ from densereg.geometry import (
     sample_points_nearest,
     sample_separable,
 )
-from densereg.transform import ProbTensor6D
+from densereg.phantom import PhantomSpec
+from densereg.transform import ProbTensor6D, RegistrationConfig, upsample_field
 from oracles import (naive_trilinear, offset_grid, sample_volume,
                      trilinear_sample)
 
@@ -118,7 +119,7 @@ class TestVolume3D:
         assert vol.data.dtype == np.float64
 
 
-_GRID, _SPACE = ControlGrid((2, 2, 3)), DisplacementSpace(0.2, 3)
+_SPACE = DisplacementSpace(0.2, 3)
 # Per validated type: a valid array of the type's own dtype and layout,
 # the constructor, and the attribute that holds the array.
 CONTAINERS = {
@@ -131,9 +132,9 @@ CONTAINERS = {
     "features": (np.linspace(0.0, 1.0, 120).reshape(2, 3, 4, 5),
                  lambda a: FeatureVolume(a, (0.0,) * 3, (1.0,) * 3), "data"),
     "cost": (np.linspace(0.0, 1.0, 324).reshape(2, 2, 3, 3, 3, 3),
-             lambda a: CostTensor6D(a, _GRID, _SPACE), "values"),
+             lambda a: CostTensor6D(a, _SPACE), "values"),
     "prob": (np.full((2, 2, 3, 3, 3, 3), 1.0 / 27.0),
-             lambda a: ProbTensor6D(a, _GRID, _SPACE), "values"),
+             lambda a: ProbTensor6D(a, _SPACE), "values"),
 }
 
 
@@ -172,21 +173,87 @@ class TestOwnership:
                 build(given)
 
 
-class TestControlGrid:
+class TestCellCenteredGrid:
+    """The control grid is the first three extents of a tensor's array,
+    with its points at the cell centers of each axis."""
+
     def test_scalar_count_broadcasts(self):
-        g = ControlGrid(5)
-        assert g.counts == (5, 5, 5)
-        assert g.num_points == 125
+        assert RegistrationConfig(grid_counts=5).grid_counts == (5, 5, 5)
+        cost = CostTensor6D(np.zeros((5, 5, 5) + _SPACE.steps), _SPACE)
+        assert cost.counts == (5, 5, 5)
 
     def test_coords_are_cell_centers(self):
-        g = ControlGrid((4, 4, 4))
-        assert np.allclose(g.axis_coords(0), [-0.75, -0.25, 0.25, 0.75])
+        assert np.allclose(axis_centers(4), [-0.75, -0.25, 0.25, 0.75])
 
     def test_spacing(self):
-        g = ControlGrid((8, 4, 2))
-        assert np.allclose(np.diff(g.axis_coords(0)), 0.25)
-        assert np.allclose(np.diff(g.axis_coords(2)), 1.0)
+        assert np.allclose(np.diff(axis_centers(8)), 0.25)
+        assert np.allclose(np.diff(axis_centers(2)), 1.0)
 
+
+
+# Every setting that takes one int or three, read back as three ints.
+_THREE_INT_SETTINGS = {
+    "grid_counts": lambda v: RegistrationConfig(grid_counts=v).grid_counts,
+    "steps": lambda v: DisplacementSpace(0.4, v).steps,
+    "dims": lambda v: PhantomSpec(dims=v).dims,
+    "upsample_field": lambda v: upsample_field(
+        DisplacementField(np.zeros((2, 2, 2, 3))), v).counts,
+}
+# Odd and >= 9, so valid for every setting's own range rule.
+_VALID_COUNT = st.integers(4, 7).map(lambda k: 2 * k + 1)
+
+
+@pytest.mark.parametrize("setting", sorted(_THREE_INT_SETTINGS))
+class TestOneIntOrThree:
+    @settings(max_examples=20, deadline=None)
+    @given(n=_VALID_COUNT, kind=st.sampled_from((int, np.int64)))
+    def test_one_int_means_all_three_axes(self, setting, n, kind):
+        read = _THREE_INT_SETTINGS[setting]
+        assert read(kind(n)) == (n, n, n)
+        assert read((n, n, kind(n))) == (n, n, n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=_VALID_COUNT, bad=st.sampled_from(
+        ("fraction", "fraction in three", "boolean", "two", "four")))
+    def test_anything_else_rejected(self, setting, n, bad):
+        # No value is truncated (16.5 to 16), indexed out of range (two
+        # values) or silently dropped (a fourth).
+        value = {"fraction": n + 0.5, "fraction in three": (n, n + 0.5, n),
+                 "boolean": True, "two": (n, n), "four": (n,) * 4}[bad]
+        with pytest.raises(ValueError):
+            _THREE_INT_SETTINGS[setting](value)
+
+
+@pytest.mark.parametrize("tensor", [CostTensor6D, ProbTensor6D])
+class TestTensorGrid:
+    """A 6D tensor's control grid is the first three extents of its
+    array; the last three must be the space's steps."""
+
+    @staticmethod
+    def uniform(counts, steps):
+        return np.full(counts + steps, 1.0 / np.prod(steps))
+
+    @settings(max_examples=20, deadline=None)
+    @given(counts=st.tuples(*[st.integers(1, 4)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3))] * 3))
+    def test_counts_are_the_leading_extents(self, tensor, counts, steps):
+        t = tensor(self.uniform(counts, steps), DisplacementSpace(0.3, steps))
+        assert t.counts == t.values.shape[:3] == counts
+
+    @settings(max_examples=20, deadline=None)
+    @given(counts=st.tuples(*[st.integers(1, 4)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3))] * 3),
+           axis=st.integers(0, 2))
+    def test_bad_shapes_rejected(self, tensor, counts, steps, axis):
+        space = DisplacementSpace(0.3, steps)
+        vals = self.uniform(counts, steps)
+        with pytest.raises(ValueError):
+            tensor(vals[..., 0], space)                      # 5D
+        other = tuple(s + 2 if a == axis else s for a, s in enumerate(steps))
+        with pytest.raises(ValueError):
+            tensor(vals, DisplacementSpace(0.3, other))      # steps differ
+        with pytest.raises(ValueError):
+            tensor(np.take(vals, [], axis=axis), space)      # zero extent
 
 
 class TestDisplacementSpace:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from densereg import parallel
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume, extract_ssc
-from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
+from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.parallel import map_planes, map_slabs, resolve_workers
 from densereg.regularizer import RegularizerParams, regularize
 from densereg.transform import nonlocal_label_loss, softmax_probabilities
@@ -110,7 +110,7 @@ class TestMapPlanes:
         """A caller's ``over="raise"`` raises in every plane task, so the
         error does not depend on the worker count."""
         cost = CostTensor6D(np.full((5, 3, 3, 3, 3, 3), 10.0),
-                            ControlGrid((5, 3, 3)), DisplacementSpace(0.3, 3))
+                            DisplacementSpace(0.3, 3))
         params = RegularizerParams(output_scale=1e308, iterations=1,
                                    spatial_kernel=3)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -164,10 +164,9 @@ def random_features(rng, channels, dims):
 
 def random_cost(seed, grid_counts, disp_steps):
     rng = np.random.default_rng(seed)
-    grid = ControlGrid(grid_counts)
     space = DisplacementSpace(0.3, disp_steps)
-    values = rng.uniform(0.0, 2.0, size=grid.counts + space.steps)
-    return CostTensor6D(values, grid, space)
+    values = rng.uniform(0.0, 2.0, size=grid_counts + space.steps)
+    return CostTensor6D(values, space)
 
 
 def assert_same_for_all_workers(compute):
@@ -185,10 +184,9 @@ class TestWorkerCountIndependence:
         rng = np.random.default_rng(seed)
         fixed = random_features(rng, channels, (5, 4, 6))
         moving = random_features(rng, channels, (5, 4, 6))
-        grid = ControlGrid(grid_counts)
         space = DisplacementSpace(0.3, disp_steps)
         assert_same_for_all_workers(
-            lambda w: dissimilarity_tensor(fixed, moving, grid, space,
+            lambda w: dissimilarity_tensor(fixed, moving, grid_counts, space,
                                            workers=w).values)
 
     @PROPERTY

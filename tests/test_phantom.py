@@ -93,6 +93,15 @@ class TestPhantomSpec:
         with pytest.raises(ValueError, match="noise"):
             PhantomSpec(noise_sigma=-0.01)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"organs": 2.5}, "organs"), ({"organs": True}, "organs"),
+        ({"seed": 1.5}, "seed"), ({"dims": 16.5}, "dims")])
+    def test_integer_settings_reject_non_integers(self, kwargs, name):
+        # Caught at construction: 16.5 is not truncated to 16, and no
+        # TypeError surfaces inside generate.
+        with pytest.raises(ValueError, match=name):
+            PhantomSpec(**kwargs)
+
 
 class TestGenerate:
     def test_same_spec_is_bit_identical(self):

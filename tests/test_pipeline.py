@@ -111,13 +111,11 @@ class TestReportContents:
     def test_flop_note_matches_helper(self, translation_pair):
         from densereg.correlation import flop_estimate
         from densereg.features import extract_ssc
-        from densereg.geometry import ControlGrid
         pair = translation_pair
         cfg = small_config()
         res = register_pair(pair.fixed, pair.moving, cfg)
         feat = extract_ssc(pair.fixed)
-        want = flop_estimate(ControlGrid(cfg.grid_counts), cfg.space,
-                             feat.channels)
+        want = flop_estimate(cfg.grid_counts, cfg.space, feat.channels)
         assert res.report.notes["flop_estimate"] == str(want)
 
 
@@ -158,7 +156,7 @@ class TestPeakMemory:
                                     deformation="smooth-random",
                                     magnitude=0.2, noise_sigma=0.01))
         cfg = small_config(grid=8, steps=15)
-        tensor_bytes = 8 * cfg.control_grid().num_points \
+        tensor_bytes = 8 * int(np.prod(cfg.grid_counts)) \
             * cfg.space.num_offsets
         tracemalloc.start()
         try:

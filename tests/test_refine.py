@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from densereg.correlation import CostTensor6D
-from densereg.geometry import ControlGrid, DisplacementField, DisplacementSpace
+from densereg.geometry import DisplacementField, DisplacementSpace
 from densereg.refine import (
     RefineConfig,
     field_energy,
@@ -21,7 +21,7 @@ def bowl_cost(space, target, grid_counts=(1, 1, 1), sharpness=1.0):
     offs = offset_grid(space)
     row = sharpness * np.sum((offs - np.asarray(target)) ** 2, axis=-1)
     vals = np.broadcast_to(row, tuple(grid_counts) + offs.shape[:-1]).copy()
-    return CostTensor6D(vals, ControlGrid(grid_counts), space)
+    return CostTensor6D(vals, space)
 
 
 class TestConfig:
@@ -37,6 +37,27 @@ class TestConfig:
             RefineConfig(step_size=0.0)
         with pytest.raises(ValueError):
             RefineConfig(diffusion_weight=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": 2.5}, {"steps": True}, {"step_size": np.inf},
+        {"step_size": np.nan}, {"diffusion_weight": np.inf},
+        {"diffusion_weight": np.nan}])
+    def test_fractional_steps_and_non_finite_numbers_rejected(self, kwargs):
+        # Caught at construction, not as a TypeError or IndexError inside
+        # refine_trace.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RefineConfig(**kwargs)
+
+    def test_overflowing_start_is_a_numerical_failure(self):
+        # A weight near the float range overflows the diffusion energy of
+        # any non-constant start field: an ArithmeticError, and no numpy
+        # warning (the suite turns one into an error).
+        space = DisplacementSpace(0.4, 5)
+        cost = bowl_cost(space, (0.0, 0.0, 0.0), (3, 3, 3))
+        init = DisplacementField(np.random.default_rng(5).uniform(
+            -0.3, 0.3, size=(3, 3, 3, 3)))
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            refine_trace(cost, init, RefineConfig(diffusion_weight=1e308))
 
 
 class TestGradientAdjoint:
@@ -96,7 +117,7 @@ class TestAnalyticGradient:
         space = DisplacementSpace(0.4, (7, 7, 7))
         for _ in range(5):
             vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 7, 7, 7))
-            cost = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
+            cost = CostTensor6D(vals, space)
             phi = self.interior_phi(rng, space, (1, 1, 1))
             self.check_fd(cost, phi, weight=0.0)
 
@@ -105,7 +126,7 @@ class TestAnalyticGradient:
         space = DisplacementSpace(0.4, (5, 5, 5))
         for _ in range(3):
             vals = rng.uniform(0.0, 1.0, size=(4, 4, 4, 5, 5, 5))
-            cost = CostTensor6D(vals, ControlGrid((4, 4, 4)), space)
+            cost = CostTensor6D(vals, space)
             phi = self.interior_phi(rng, space, (4, 4, 4))
             self.check_fd(cost, phi, weight=1.5)
 
@@ -115,7 +136,7 @@ class TestRefine:
         rng = np.random.default_rng(105)
         space = DisplacementSpace(0.4, (5, 5, 5))
         vals = rng.uniform(0.0, 1.0, size=(2, 2, 2, 5, 5, 5))
-        cost = CostTensor6D(vals, ControlGrid((2, 2, 2)), space)
+        cost = CostTensor6D(vals, space)
         init = DisplacementField(rng.uniform(-0.3, 0.3, size=(2, 2, 2, 3)))
         out, _ = refine_trace(cost, init, RefineConfig(steps=0))
         assert np.array_equal(out.vectors, init.vectors)
@@ -144,7 +165,7 @@ class TestRefine:
         rng = np.random.default_rng(seed)
         space = DisplacementSpace(q, steps)
         vals = rng.uniform(0.0, 1.0, size=counts + steps)
-        cost = CostTensor6D(vals, ControlGrid(counts), space)
+        cost = CostTensor6D(vals, space)
         init = DisplacementField(rng.uniform(-spread, spread,
                                              size=counts + (3,)))
         cfg = RefineConfig(steps=40, step_size=step_size,
@@ -161,7 +182,7 @@ class TestRefine:
         space = DisplacementSpace(0.4, (5, 5, 5))
         offs = offset_grid(space)
         vals = np.broadcast_to(-offs[..., 0] + 0.4, (1, 1, 1, 5, 5, 5)).copy()
-        cost = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
+        cost = CostTensor6D(vals, space)
         init = DisplacementField(np.zeros((1, 1, 1, 3)))
         out, _ = refine_trace(cost, init, RefineConfig(steps=60, diffusion_weight=0.0))
         assert np.all(np.abs(out.vectors) <= 0.4 + 1e-12)
@@ -181,7 +202,7 @@ class TestRefine:
         rng = np.random.default_rng(107)
         space = DisplacementSpace(0.4, (3, 3, 3))
         vals = rng.uniform(0.0, 1e-4, size=(4, 4, 4, 3, 3, 3))
-        cost = CostTensor6D(vals, ControlGrid((4, 4, 4)), space)
+        cost = CostTensor6D(vals, space)
         init_vec = rng.uniform(-0.3, 0.3, size=(4, 4, 4, 3))
         weight = 1e4
 
@@ -200,7 +221,7 @@ class TestRefine:
 
     def test_grid_mismatch_rejected(self):
         space = DisplacementSpace(0.4, (3, 3, 3))
-        cost = CostTensor6D(np.zeros((2, 2, 2, 3, 3, 3)), ControlGrid((2, 2, 2)), space)
+        cost = CostTensor6D(np.zeros((2, 2, 2, 3, 3, 3)), space)
         init = DisplacementField(np.zeros((3, 3, 3, 3)))
         with pytest.raises(ValueError):
             refine_trace(cost, init, RefineConfig())

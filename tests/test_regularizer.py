@@ -7,7 +7,7 @@ from scipy import ndimage
 
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import extract_intensity_gradient
-from densereg.geometry import ControlGrid, DisplacementSpace, Volume3D
+from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.regularizer import (
     RegularizerParams,
     mean_field_step,
@@ -19,10 +19,9 @@ from oracles import (exact_lower_envelope, lower_envelope_3d,
                      naive_lower_envelope, naive_min_pool, offset_grid)
 
 
-def tensor_on(grid_counts, steps, values):
-    grid = ControlGrid(grid_counts)
+def tensor_on(steps, values):
     space = DisplacementSpace(0.4, steps=steps)
-    return CostTensor6D(values, grid, space)
+    return CostTensor6D(values, space)
 
 
 class TestParams:
@@ -48,6 +47,15 @@ class TestParams:
         with pytest.raises(ValueError):
             RegularizerParams(spatial_kernel=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"iterations": 1.5}, {"iterations": True}, {"spatial_kernel": 3.0},
+        {"spatial_kernel": 2.5}])
+    def test_integer_settings_reject_non_integers(self, kwargs):
+        # Caught at construction, not as a TypeError inside regularize,
+        # which the command line does not map to an exit code.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RegularizerParams(**kwargs)
+
     def test_iterations_nonnegative(self):
         with pytest.raises(ValueError):
             RegularizerParams(iterations=-1)
@@ -55,7 +63,7 @@ class TestParams:
 
 class TestMinConvolution:
     def test_constant_tensor_unchanged(self):
-        t = tensor_on((2, 2, 2), (5, 5, 5), np.full((2, 2, 2, 5, 5, 5), 3.25))
+        t = tensor_on((5, 5, 5), np.full((2, 2, 2, 5, 5, 5), 3.25))
         out = min_convolution(t.values)
         assert np.allclose(out, 3.25, atol=1e-12)
 
@@ -65,7 +73,7 @@ class TestMinConvolution:
         #             -> avg k=3 -> [0, 0, 5/3, 10/3, 5]
         #             -> avg k=3 -> [0, 5/9, 5/3, 10/3, 40/9]
         vals = np.array([5.0, 0.0, 5.0, 5.0, 5.0]).reshape(1, 1, 1, 5, 1, 1)
-        t = tensor_on((1, 1, 1), (5, 1, 1), vals)
+        t = tensor_on((5, 1, 1), vals)
         out = min_convolution(t.values).ravel()
         want = np.array([0.0, 5.0 / 9.0, 5.0 / 3.0, 10.0 / 3.0, 40.0 / 9.0])
         assert np.allclose(out, want, atol=1e-12)
@@ -73,7 +81,7 @@ class TestMinConvolution:
     def test_matches_bruteforce_pooling(self):
         rng = np.random.default_rng(61)
         vals = rng.uniform(0.0, 2.0, size=(2, 1, 2, 5, 5, 5))
-        t = tensor_on((2, 1, 2), (5, 5, 5), vals)
+        t = tensor_on((5, 5, 5), vals)
         out = min_convolution(t.values)
         ref = naive_min_pool(vals, 3, axes=(3, 4, 5))
         ref = naive_avg_pool(ref, 3, axes=(3, 4, 5))
@@ -89,7 +97,7 @@ class TestMinConvolution:
         spatial = rng.uniform(0.5, 1.5, size=(3, 3, 3))
         vals = np.broadcast_to(spatial[..., None, None, None],
                                (3, 3, 3, 5, 5, 5)).copy()
-        t = tensor_on((3, 3, 3), (5, 5, 5), vals)
+        t = tensor_on((5, 5, 5), vals)
         out = min_convolution(t.values)
         assert np.allclose(out, vals, atol=1e-12)
 
@@ -101,7 +109,7 @@ class TestMinConvolution:
     def test_degenerate_axes_pass_through(self):
         # Extent-1 displacement axes have nothing to pool over.
         vals = np.array([5.0, 0.0, 5.0, 5.0, 5.0]).reshape(1, 1, 1, 5, 1, 1)
-        t = tensor_on((1, 1, 1), (5, 1, 1), vals)
+        t = tensor_on((5, 1, 1), vals)
         out = min_convolution(t.values)
         assert out.shape == vals.shape
 
@@ -156,7 +164,7 @@ class TestExactLowerEnvelope:
     def test_separable_3d(self):
         rng = np.random.default_rng(65)
         vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 5, 5, 5))
-        t = tensor_on((1, 1, 1), (5, 5, 5), vals)
+        t = tensor_on((5, 5, 5), vals)
         out = lower_envelope_3d(t, 0.2).values[0, 0, 0]
         # Brute force over all displacement pairs.
         ref = np.empty((5, 5, 5))
@@ -174,7 +182,7 @@ class TestMeanField:
         rng = np.random.default_rng(66)
         row = rng.uniform(0.0, 1.0, size=(3, 3, 3))
         vals = np.broadcast_to(row, (4, 4, 4, 3, 3, 3)).copy()
-        t = tensor_on((4, 4, 4), (3, 3, 3), vals)
+        t = tensor_on((3, 3, 3), vals)
         out = mean_field_step(t.values, 3)
         assert np.allclose(out, vals, atol=1e-12)
 
@@ -200,7 +208,7 @@ class TestMeanField:
         # sum to one, so the spatial mean per displacement bin is exact.
         rng = np.random.default_rng(68)
         vals = rng.uniform(0.0, 1.0, size=(4, 5, 4, 3, 3, 3))
-        t = tensor_on((4, 5, 4), (3, 3, 3), vals)
+        t = tensor_on((3, 3, 3), vals)
         out = mean_field_step(t.values, 3)
         assert np.allclose(out.mean(axis=(0, 1, 2)), vals.mean(axis=(0, 1, 2)),
                            atol=1e-12)
@@ -208,20 +216,20 @@ class TestMeanField:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(69)
         vals = rng.uniform(0.0, 1.0, size=(4, 4, 4, 3, 1, 1))
-        t = tensor_on((4, 4, 4), (3, 1, 1), vals)
+        t = tensor_on((3, 1, 1), vals)
         out = mean_field_step(t.values, 3)
         ref = naive_avg_pool(vals, 3, axes=(0, 1, 2))
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_grid_smaller_than_kernel_rejected(self):
-        t = tensor_on((2, 3, 3), (3, 3, 3), np.zeros((2, 3, 3, 3, 3, 3)))
+        t = tensor_on((3, 3, 3), np.zeros((2, 3, 3, 3, 3, 3)))
         with pytest.raises(ValueError):
             mean_field_step(t.values, 3)
 
     def test_single_point_grid_passes_through(self):
         rng = np.random.default_rng(70)
         vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 3, 3, 3))
-        t = tensor_on((1, 1, 1), (3, 3, 3), vals)
+        t = tensor_on((3, 3, 3), vals)
         out = mean_field_step(t.values, 3)
         assert np.array_equal(out, vals)
 
@@ -229,7 +237,7 @@ class TestMeanField:
 class TestRegularize:
     def test_constant_unit_scale(self):
         vals = np.full((3, 3, 3, 3, 3, 3), 1.75)
-        t = tensor_on((3, 3, 3), (3, 3, 3), vals)
+        t = tensor_on((3, 3, 3), vals)
         out = regularize(t, RegularizerParams(output_scale=1.0, iterations=2,
                                               spatial_kernel=3))
         assert np.allclose(out.values, 1.75, atol=1e-12)
@@ -237,13 +245,13 @@ class TestRegularize:
     def test_zero_iterations_identity(self):
         rng = np.random.default_rng(71)
         vals = rng.uniform(0.0, 1.0, size=(3, 3, 3, 3, 3, 3))
-        t = tensor_on((3, 3, 3), (3, 3, 3), vals)
+        t = tensor_on((3, 3, 3), vals)
         out = regularize(t, RegularizerParams(output_scale=1.0, iterations=0))
         assert out.values.tobytes() == vals.tobytes()
 
     def test_zero_iterations_applies_output_scale(self):
         vals = np.full((1, 1, 1, 3, 3, 3), 2.0)
-        t = tensor_on((1, 1, 1), (3, 3, 3), vals)
+        t = tensor_on((3, 3, 3), vals)
         out = regularize(t, RegularizerParams(output_scale=0.625,
                                               iterations=0))
         assert np.array_equal(out.values, np.full(vals.shape, 1.25))
@@ -251,7 +259,7 @@ class TestRegularize:
     def test_argmin_stable_for_separated_minimum(self):
         vals = np.full((1, 1, 1, 7, 7, 7), 10.0)
         vals[0, 0, 0, 3, 3, 3] = 0.0
-        t = tensor_on((1, 1, 1), (7, 7, 7), vals)
+        t = tensor_on((7, 7, 7), vals)
         out = regularize(t, RegularizerParams())
         flat_before = np.argmin(vals[0, 0, 0])
         flat_after = np.argmin(out.values[0, 0, 0])
@@ -266,12 +274,12 @@ class TestRegularize:
         moving = np.roll(base, 2, axis=2) + 0.35 * rng.normal(size=(n, n, n))
         ff = extract_intensity_gradient(Volume3D(base), stride=1)
         fm = extract_intensity_gradient(Volume3D(moving), stride=1)
-        grid = ControlGrid((6, 6, 6))
+        grid = (6, 6, 6)
         space = DisplacementSpace(0.5, steps=5)
         cost = dissimilarity_tensor(ff, fm, grid, space)
 
         def argmin_tv(c):
-            flat = c.values.reshape(c.grid.counts + (-1,))
+            flat = c.values.reshape(c.counts + (-1,))
             offs = offset_grid(c.space).reshape(-1, 3)
             field = offs[np.argmin(flat, axis=-1)]
             tv = 0.0
@@ -300,7 +308,7 @@ class TestEnvelopeAudit:
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             vals = rng.uniform(0.0, 1.0, size=(1, 1, 1, 15, 15, 15))
-            t = CostTensor6D(vals, ControlGrid((1, 1, 1)), space)
+            t = CostTensor6D(vals, space)
             pooled = min_convolution(vals)
             for c in curvatures:
                 d = pooled - lower_envelope_3d(t, c).values

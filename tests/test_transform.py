@@ -7,11 +7,12 @@ import pytest
 
 from densereg.correlation import CostTensor6D
 from densereg.geometry import (
-    ControlGrid,
     DisplacementField,
     DisplacementSpace,
     Volume3D,
     axis_centers,
+    normalized_to_index,
+    sample_separable,
 )
 from densereg.transform import (
     ProbTensor6D,
@@ -31,25 +32,25 @@ from oracles import (full_range_label_loss, naive_frac_trilinear,
                      naive_gradient, offset_grid, whole_volume_warp)
 
 
-def cost_tensor(grid_counts, steps, values, q=0.4):
-    return CostTensor6D(values, ControlGrid(grid_counts), DisplacementSpace(q, steps))
+def cost_tensor(steps, values, q=0.4):
+    return CostTensor6D(values, DisplacementSpace(q, steps))
 
 
 class TestSoftmax:
     def test_uniform_cost_gives_uniform_distribution(self):
-        t = cost_tensor((2, 2, 2), (15, 15, 15), np.full((2, 2, 2, 15, 15, 15), 3.0))
+        t = cost_tensor((15, 15, 15), np.full((2, 2, 2, 15, 15, 15), 3.0))
         p = softmax_probabilities(t, 1.0)
         assert np.allclose(p.values, 1.0 / 3375.0, atol=1e-12)
 
     def test_degenerate_softmax(self):
         vals = np.full((1, 1, 1, 5, 5, 5), 1e6)
         vals[0, 0, 0, 2, 2, 2] = 0.0
-        p = softmax_probabilities(cost_tensor((1, 1, 1), (5, 5, 5), vals), 1.0)
+        p = softmax_probabilities(cost_tensor((5, 5, 5), vals), 1.0)
         assert p.values[0, 0, 0, 2, 2, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_three_bin_row(self):
         vals = np.array([0.0, 1.0, 2.0]).reshape(1, 1, 1, 3, 1, 1)
-        p = softmax_probabilities(cost_tensor((1, 1, 1), (3, 1, 1), vals), 1.0)
+        p = softmax_probabilities(cost_tensor((3, 1, 1), vals), 1.0)
         got = p.values.ravel()
         assert got == pytest.approx([0.6652, 0.2447, 0.0900], abs=5e-5)
 
@@ -57,7 +58,7 @@ class TestSoftmax:
         rng = np.random.default_rng(81)
         for _ in range(10):
             vals = rng.uniform(0.0, 50.0, size=(3, 2, 3, 5, 5, 5))
-            p = softmax_probabilities(cost_tensor((3, 2, 3), (5, 5, 5), vals), 7.0)
+            p = softmax_probabilities(cost_tensor((5, 5, 5), vals), 7.0)
             sums = p.values.sum(axis=(3, 4, 5))
             assert np.allclose(sums, 1.0, atol=1e-5)
             assert p.values.min() >= 0.0
@@ -79,22 +80,22 @@ class TestSoftmax:
         rng = np.random.default_rng(seed)
         vals = rng.uniform(0.0, spread, size=counts + steps)
         shifted = vals + rng.uniform(0.0, bias, size=counts + (1, 1, 1))
-        pa = softmax_probabilities(cost_tensor(counts, steps, vals), temperature)
-        pb = softmax_probabilities(cost_tensor(counts, steps, shifted),
+        pa = softmax_probabilities(cost_tensor(steps, vals), temperature)
+        pb = softmax_probabilities(cost_tensor(steps, shifted),
                                    temperature)
         assert np.allclose(pa.values, pb.values, atol=1e-6)
 
     def test_huge_costs_stay_finite(self):
         vals = np.full((1, 1, 1, 3, 3, 3), 1e12)
         vals[0, 0, 0, 1, 1, 1] = 0.0
-        p = softmax_probabilities(cost_tensor((1, 1, 1), (3, 3, 3), vals), 100.0)
+        p = softmax_probabilities(cost_tensor((3, 3, 3), vals), 100.0)
         assert np.all(np.isfinite(p.values))
 
     def test_temperature_sharpens(self):
         # Higher temperature scale concentrates each distribution.
         rng = np.random.default_rng(83)
         vals = rng.uniform(0.0, 1.0, size=(2, 2, 2, 5, 5, 5))
-        t = cost_tensor((2, 2, 2), (5, 5, 5), vals)
+        t = cost_tensor((5, 5, 5), vals)
 
         def entropy(p):
             v = p.values.reshape(-1, 125)
@@ -109,7 +110,7 @@ class TestSoftmax:
         assert np.all(h3 < h2)
 
     def test_temperature_must_be_positive(self):
-        t = cost_tensor((1, 1, 1), (3, 3, 3), np.zeros((1, 1, 1, 3, 3, 3)))
+        t = cost_tensor((3, 3, 3), np.zeros((1, 1, 1, 3, 3, 3)))
         with pytest.raises(ValueError):
             softmax_probabilities(t, 0.0)
 
@@ -118,14 +119,14 @@ class TestProbTensorValidation:
     def test_rejects_unnormalized(self):
         vals = np.full((1, 1, 1, 3, 1, 1), 0.5)
         with pytest.raises(ValueError):
-            ProbTensor6D(vals, ControlGrid((1, 1, 1)), DisplacementSpace(0.4, (3, 1, 1)))
+            ProbTensor6D(vals, DisplacementSpace(0.4, (3, 1, 1)))
 
     def test_rejects_out_of_range(self):
         vals = np.zeros((1, 1, 1, 3, 1, 1))
         vals[0, 0, 0, 0, 0, 0] = 1.5
         vals[0, 0, 0, 1, 0, 0] = -0.5
         with pytest.raises(ValueError):
-            ProbTensor6D(vals, ControlGrid((1, 1, 1)), DisplacementSpace(0.4, (3, 1, 1)))
+            ProbTensor6D(vals, DisplacementSpace(0.4, (3, 1, 1)))
 
 
 class TestExpectedDisplacement:
@@ -135,7 +136,7 @@ class TestExpectedDisplacement:
         half = rng.uniform(0.1, 1.0, size=(1, 1, 1, 5, 5, 5))
         sym = half + half[:, :, :, ::-1, ::-1, ::-1]
         sym /= sym.sum(axis=(3, 4, 5), keepdims=True)
-        prob = ProbTensor6D(sym, ControlGrid((1, 1, 1)), space)
+        prob = ProbTensor6D(sym, space)
         phi = expected_displacement(prob)
         assert np.allclose(phi.vectors, 0.0, atol=1e-12)
 
@@ -143,7 +144,7 @@ class TestExpectedDisplacement:
         space = DisplacementSpace(0.4, (5, 5, 5))
         vals = np.zeros((1, 1, 1, 5, 5, 5))
         vals[0, 0, 0, 4, 2, 1] = 1.0
-        prob = ProbTensor6D(vals, ControlGrid((1, 1, 1)), space)
+        prob = ProbTensor6D(vals, space)
         phi = expected_displacement(prob)
         offs = offset_grid(space)
         assert np.allclose(phi.vectors[0, 0, 0], offs[4, 2, 1])
@@ -151,7 +152,7 @@ class TestExpectedDisplacement:
     def test_uniform_probability_gives_zero(self):
         space = DisplacementSpace(0.4, (5, 5, 5))
         vals = np.full((2, 2, 2, 5, 5, 5), 1.0 / 125.0)
-        phi = expected_displacement(ProbTensor6D(vals, ControlGrid((2, 2, 2)), space))
+        phi = expected_displacement(ProbTensor6D(vals, space))
         assert np.allclose(phi.vectors, 0.0, atol=1e-12)
 
     # A large ``sharpness`` concentrates each distribution on few offsets,
@@ -168,7 +169,7 @@ class TestExpectedDisplacement:
         vals = rng.uniform(0.0, 1.0, size=counts + steps) ** sharpness
         vals /= vals.sum(axis=(3, 4, 5), keepdims=True)
         space = DisplacementSpace(q, steps)
-        phi = expected_displacement(ProbTensor6D(vals, ControlGrid(counts), space))
+        phi = expected_displacement(ProbTensor6D(vals, space))
         assert np.all(np.abs(phi.vectors) <= q * (1 + 1e-12))
 
 
@@ -204,6 +205,19 @@ class TestUpsampleField:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             upsample_field(DisplacementField(np.zeros((1, 4, 4, 3))), (8, 8, 8))
+
+    def test_components_upsampled_as_if_alone(self):
+        # The three components go through one separable pass; each comes
+        # out with the bytes of a pass over that component alone.
+        rng = np.random.default_rng(94)
+        vecs = rng.normal(size=(3, 4, 2, 3)) * 0.1
+        dims = (7, 5, 6)
+        fracs = [normalized_to_index(axis_centers(d), c)
+                 for d, c in zip(dims, vecs.shape[:3])]
+        full = upsample_field(DisplacementField(vecs), dims).vectors
+        for c in range(3):
+            alone = sample_separable(vecs[..., c], fracs)
+            assert full[..., c].tobytes() == alone.tobytes()
 
 
 @st.composite
@@ -304,7 +318,7 @@ def diffusion_term(vecs, weight):
     an all-zero cost, where the data term is exactly 0."""
     space = DisplacementSpace(0.4, 3)
     zero = CostTensor6D(np.zeros(vecs.shape[:3] + space.steps),
-                        ControlGrid(vecs.shape[:3]), space)
+                        space)
     return field_energy(zero, vecs, weight)
 
 
@@ -364,11 +378,10 @@ class TestNonlocalLabelLoss:
         n = 8
         labels = self.make_blob_labels(n)
         vol = Volume3D(labels, is_label=True)
-        grid = ControlGrid((n, n, n))
         space = DisplacementSpace(0.4, (3, 3, 3))
         vals = np.zeros((n, n, n, 3, 3, 3))
         vals[..., 1, 1, 1] = 1.0
-        prob = ProbTensor6D(vals, grid, space)
+        prob = ProbTensor6D(vals, space)
         loss = nonlocal_label_loss(prob, vol, vol, num_classes=2)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -378,12 +391,11 @@ class TestNonlocalLabelLoss:
         n = 8
         fixed = self.make_blob_labels(n)
         moving = np.roll(fixed, 1, axis=2)    # moving[i] = fixed[i - 1]
-        grid = ControlGrid((n, n, n))
         # One voxel = 2/n normalized; q=2/n with steps 3 puts it in L.
         space = DisplacementSpace(2.0 / n, (3, 3, 3))
         vals = np.zeros((n, n, n, 3, 3, 3))
         vals[..., 1, 1, 2] = 1.0    # offset (0, 0, +2/n)
-        prob = ProbTensor6D(vals, grid, space)
+        prob = ProbTensor6D(vals, space)
         loss = nonlocal_label_loss(prob, Volume3D(moving, is_label=True),
                                    Volume3D(fixed, is_label=True), num_classes=2)
         assert loss == pytest.approx(0.0, abs=1e-12)
@@ -393,14 +405,14 @@ class TestNonlocalLabelLoss:
         n = 6
         moving = (rng.uniform(size=(n, n, n)) > 0.5).astype(np.int32)
         fixed = (rng.uniform(size=(n, n, n)) > 0.5).astype(np.int32)
-        grid = ControlGrid((3, 3, 3))
+        grid = (3, 3, 3)
         space = DisplacementSpace(0.3, (3, 3, 3))
         vals = np.full((3, 3, 3, 3, 3, 3), 1.0 / 27.0)
-        prob = ProbTensor6D(vals, grid, space)
+        prob = ProbTensor6D(vals, space)
         loss = nonlocal_label_loss(prob, Volume3D(moving, is_label=True),
                                    Volume3D(fixed, is_label=True), num_classes=2)
 
-        ctrl = [grid.axis_coords(a) for a in range(3)]
+        ctrl = [axis_centers(n) for n in grid]
         offs = [space.axis_offsets(a) for a in range(3)]
         acc = 0.0
         for k in np.ndindex(3, 3, 3):
@@ -427,11 +439,11 @@ class TestNonlocalLabelLoss:
         ids = np.array([0, 2, 17, 41, 53, 2035])
         moving = ids[rng.integers(0, 6, size=(9, 10, 8))]
         fixed = ids[rng.integers(0, 5, size=(9, 10, 8))]
-        grid = ControlGrid((3, 4, 2))
+        grid = (3, 4, 2)
         space = DisplacementSpace(0.3, (3, 5, 1))
-        vals = rng.uniform(0.5, 1.0, size=grid.counts + space.steps)
+        vals = rng.uniform(0.5, 1.0, size=grid + space.steps)
         vals /= vals.sum(axis=(3, 4, 5), keepdims=True)
-        prob = ProbTensor6D(vals, grid, space)
+        prob = ProbTensor6D(vals, space)
         lm = Volume3D(moving, is_label=True)
         lf = Volume3D(fixed, is_label=True)
         loss = nonlocal_label_loss(prob, lm, lf, 2036)
@@ -446,10 +458,9 @@ class TestNonlocalLabelLoss:
         n = 6
         labels = np.full((n, n, n), 3, dtype=np.int32)
         vol = Volume3D(labels, is_label=True)
-        grid = ControlGrid((2, 2, 2))
         space = DisplacementSpace(0.3, (3, 3, 3))
         vals = np.full((2, 2, 2, 3, 3, 3), 1.0 / 27.0)
-        prob = ProbTensor6D(vals, grid, space)
+        prob = ProbTensor6D(vals, space)
         with pytest.raises(ValueError):
             nonlocal_label_loss(prob, vol, vol, num_classes=3)
 
@@ -458,11 +469,10 @@ class TestNonlocalLabelLoss:
         n = 6
         a = (rng.uniform(size=(n, n, n)) > 0.4).astype(np.int32)
         b = (rng.uniform(size=(n, n, n)) > 0.6).astype(np.int32)
-        grid = ControlGrid((3, 3, 3))
         space = DisplacementSpace(0.3, (3, 3, 3))
         vals = rng.uniform(0.5, 1.0, size=(3, 3, 3, 3, 3, 3))
         vals /= vals.sum(axis=(3, 4, 5), keepdims=True)
-        prob = ProbTensor6D(vals, grid, space)
+        prob = ProbTensor6D(vals, space)
         loss = nonlocal_label_loss(prob, Volume3D(a, is_label=True),
                                    Volume3D(b, is_label=True), num_classes=2)
         assert loss >= 0.0
