@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureVolume
-from .geometry import (DisplacementSpace, _freeze, axis_centers, lerp_axis,
-                       lerp_axis_into, lerp_plan, sample_separable)
+from .geometry import (DisplacementSpace, _freeze, _three_ints, axis_centers,
+                       lerp_axis, lerp_axis_into, lerp_plan, sample_separable)
 from .parallel import block_view, map_planes, row_blocks
 
 __all__ = ["CostTensor6D", "dissimilarity_tensor", "flop_estimate", "map_displaced"]
@@ -148,11 +148,10 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
     the usable cores); the result does not depend on it.
     """
     if fixed.channels != moving.channels:
-        raise ValueError(f"channel mismatch: fixed {fixed.channels}, "
-                         f"moving {moving.channels}")
-    f_fracs = [fixed.axis_fracs(a, axis_centers(counts[a])) for a in range(3)]
+        raise ValueError(f"channel mismatch: fixed {fixed.channels}, moving {moving.channels}")
+    out = np.empty(_three_ints(counts, "counts") + space.steps)
+    f_fracs = [fixed.axis_fracs(a, axis_centers(out.shape[a])) for a in range(3)]
     f_at_k = [sample_separable(f, f_fracs)[:, :, None, :, None] for f in fixed.data]
-    out = np.empty(tuple(counts) + space.steps)
 
     def block(k1, blk, sample, spare):
         # The channels accumulate in the sampler's layout; channel 0's
@@ -174,4 +173,5 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
 def flop_estimate(counts: tuple, space: DisplacementSpace, channels: int) -> int:
     """Arithmetic cost of the dense evaluation: subtract, square and
     accumulate once per (control point, displacement, channel)."""
+    counts = _three_ints(counts, "counts")
     return 3 * int(np.prod(counts)) * space.num_offsets * int(channels)

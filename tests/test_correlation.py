@@ -201,6 +201,16 @@ class TestFlopEstimate:
         assert flops == 3 * 4096 * 3375 * 16
         assert flops < 2e9
 
+    def test_one_int_means_all_three_axes(self):
+        space = DisplacementSpace(0.4, steps=15)
+        assert flop_estimate(16, space, 16) == flop_estimate((16, 16, 16), space, 16)
+
+    @pytest.mark.parametrize("counts", [16.5, True, 0, (16, 16), (16, 16, 16, 16)])
+    def test_anything_else_rejected(self, counts):
+        # np.prod(16.5) or of two counts would be a wrong estimate, not an error.
+        with pytest.raises(ValueError, match="counts"):
+            flop_estimate(counts, DisplacementSpace(0.4, 15), 16)
+
     def test_single_point(self):
         flops = flop_estimate((1, 1, 1), DisplacementSpace(0.4, 15), 16)
         assert flops == 3 * 3375 * 16

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densereg.correlation import CostTensor6D
+from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume
 from densereg.geometry import (
     DisplacementField,
@@ -191,6 +191,7 @@ class TestCellCenteredGrid:
 
 
 
+_FEATURES = FeatureVolume(np.zeros((1, 4, 4, 4)), (-0.75,) * 3, (0.5,) * 3)
 # Every setting that takes one int or three, read back as three ints.
 _THREE_INT_SETTINGS = {
     "grid_counts": lambda v: RegistrationConfig(grid_counts=v).grid_counts,
@@ -198,6 +199,8 @@ _THREE_INT_SETTINGS = {
     "dims": lambda v: PhantomSpec(dims=v).dims,
     "upsample_field": lambda v: upsample_field(
         DisplacementField(np.zeros((2, 2, 2, 3))), v).counts,
+    "dissimilarity_tensor": lambda v: dissimilarity_tensor(
+        _FEATURES, _FEATURES, v, DisplacementSpace(0.4, 1)).counts,
 }
 # Odd and >= 9, so valid for every setting's own range rule.
 _VALID_COUNT = st.integers(4, 7).map(lambda k: 2 * k + 1)

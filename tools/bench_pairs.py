@@ -5,8 +5,9 @@ Run from anywhere, with the other checkout's root as the argument:
     python3 tools/bench_pairs.py PARENT_CHECKOUT [--pairs 10] [--out FILE]
 
 For every workload of ``BENCHMARK.json``, pair ``i`` runs
-``perfbench/run.py --trace 0 --seed SEED+i`` once in each checkout, in
-that checkout's root and with its own ``densereg``.  The parent runs
+``perfbench/run.py --trace 0 --seed i`` once in each checkout, for
+``BENCHMARK.json``'s ``run_seconds``, in that checkout's root and with
+its own ``densereg``.  The parent runs
 first in even pairs and this checkout in odd ones, so a drift of the
 machine's speed during the runs loads both sides alike.
 
@@ -86,7 +87,6 @@ def summarize(metric: dict, runs: list) -> dict:
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path,
                         help="root of the checkout to compare against")
@@ -96,14 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path,
                         help="also write every run and the summary here "
                              "as JSON")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of pair 0; pair i uses seed + i "
-                             "(default 0)")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="--seconds of every run (default: "
-                             "BENCHMARK.json's run_seconds)")
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
     if not (parent / "perfbench" / "run.py").is_file():
@@ -113,21 +105,20 @@ def main(argv=None) -> int:
     checkouts = dict(zip(SIDES, (parent, ROOT)))
 
     record, bad = {}, 0
-    for workload in args.workload or names:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for i in range(args.pairs):
-            seed = args.seed + i
-            run = {"seed": seed}
+            run = {"seed": i}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run[side] = bench(checkouts[side], workload, seed,
-                                  args.seconds)
+                run[side] = bench(checkouts[side], workload, i,
+                                  spec["run_seconds"])
             runs.append(run)
             for side in SIDES:
                 why = problem(run[side])
                 if why is not None:
                     bad += 1
-                    print(f"FAILED {workload} pair {i} (seed {seed}) "
-                          f"{side}: {why}", flush=True)
+                    print(f"FAILED {workload} pair {i} {side}: {why}",
+                          flush=True)
             print(f"{workload} pair {i} done", flush=True)
         summary = {m["name"]: summarize(m, runs) for m in spec["end_to_end"]}
         print(f"\n{workload}: median [quartiles], parent -> change")
@@ -145,7 +136,7 @@ def main(argv=None) -> int:
         record[workload] = {"runs": runs, "summary": summary}
     if args.out is not None:
         args.out.write_text(json.dumps({"parent": str(parent),
-                                        "seconds": args.seconds,
+                                        "seconds": spec["run_seconds"],
                                         "workloads": record}, indent=1))
     return 1 if bad else 0
 
