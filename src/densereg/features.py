@@ -2,10 +2,11 @@
 
 Two extractors produce multi-channel feature volumes on a strided grid:
 
-* self-similarity context (SSC): 12 channels comparing small patches around
-  the 6-neighborhood of each voxel, invariant to global intensity shifts;
+* self-similarity context (SSC), the pipeline's: 12 channels comparing
+  small patches around the 6-neighborhood of each voxel, invariant to
+  global intensity shifts;
 * intensity-gradient: 4 cheap channels (standardized smoothed intensity
-  plus raw gradient components) used as a baseline and in fast tests.
+  plus raw gradient components), a baseline for the library and tests.
 
 Feature grids live in the same normalized coordinate frame as volumes, so
 features extracted from differently strided grids stay comparable.

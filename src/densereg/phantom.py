@@ -113,8 +113,9 @@ class PhantomSpec:
                              f"{_CAPTURE_RANGE}), got {self.magnitude}")
         if not (_is_int(self.organs) and self.organs >= 1):
             raise ValueError(f"need an int number of organs >= 1, got {self.organs!r}")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not (0.0 <= self.noise_sigma < np.inf):
+            raise ValueError(f"noise sigma must be finite and >= 0, "
+                             f"got {self.noise_sigma}")
         object.__setattr__(self, "dims", dims)
 
 

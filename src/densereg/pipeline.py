@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .correlation import dissimilarity_tensor, flop_estimate
-from .features import extract_intensity_gradient, extract_ssc
+# Unused here, extract_intensity_gradient stays as the tracer's target.
+from .features import extract_intensity_gradient, extract_ssc  # noqa: F401
 from .geometry import DisplacementField, Volume3D
 from .metrics import RegistrationReport, dice, jacobian_stats
 from .parallel import resolve_workers
@@ -53,12 +54,6 @@ class RegistrationResult:
     warped_labels: Optional[Volume3D]
     report: RegistrationReport
     refine_energies: Optional[np.ndarray]
-
-
-def _extract(vol: Volume3D, cfg: RegistrationConfig, workers: int):
-    if cfg.feature == "ssc":
-        return extract_ssc(vol, workers=workers)
-    return extract_intensity_gradient(vol)
 
 
 def _hand_over(tensor):
@@ -106,14 +101,18 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
     if (fixed_labels is None) != (moving_labels is None):
         raise ValueError("label volumes must be given for both sides or "
                          "neither")
+    for labels in (fixed_labels, moving_labels):
+        if labels is not None and labels.dims != fixed.dims:
+            raise ValueError(f"label dims {labels.dims} differ from volume "
+                             f"dims {fixed.dims}")
     workers = resolve_workers(threads)
 
     timings = {}
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    feat_f = _extract(fixed, cfg, workers)
-    feat_m = _extract(moving, cfg, workers)
+    feat_f = extract_ssc(fixed, workers=workers)
+    feat_m = extract_ssc(moving, workers=workers)
     timings["features"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -172,7 +171,7 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         raise ArithmeticError("non-finite Jacobian statistics")
 
     notes = {
-        "feature": cfg.feature,
+        "feature": "ssc",
         "grid": ",".join(str(c) for c in cfg.grid_counts),
         "capture_range": format(cfg.space.q, ".9g"),
         "steps": ",".join(str(s) for s in cfg.space.steps),

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .correlation import CostTensor6D
-from .geometry import DisplacementField, _is_int
+from .geometry import DisplacementField, _is_int, lerp_plan
 
 __all__ = ["RefineConfig", "refine_trace", "field_energy",
            "field_energy_grad", "gradient_adjoint"]
@@ -74,45 +74,32 @@ def gradient_adjoint(y: np.ndarray, h: float, axis: int) -> np.ndarray:
 def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray):
     """Sum of interpolated cost rows and its gradient w.r.t. the field.
 
-    ``phi`` must already be clamped to the capture-range box.  Axes with a
-    single displacement step contribute no variation and zero gradient.
+    ``phi`` must already be clamped to the capture-range box.  Corners and
+    weights follow :func:`lerp_plan`'s border rule, so an axis with a
+    single displacement step has one corner, of weight 1, and contributes
+    no variation and zero gradient.
     """
-    space = cost.space
-    steps = space.steps
-    k1, k2, k3 = cost.counts
-    i0, w, inv_h, active = [], [], [], []
+    space, counts = cost.space, cost.counts
+    corners = []
     for a in range(3):
-        s = steps[a]
-        if s == 1:
-            i0.append(np.zeros((k1, k2, k3), dtype=np.intp))
-            w.append(np.zeros((k1, k2, k3)))
-            inv_h.append(0.0)
-            active.append(False)
-            continue
         h = space.spacing(a)
-        u = (phi[..., a] + space.q) / h
-        lo = np.minimum(u.astype(np.intp), s - 2)
-        i0.append(lo)
-        w.append(u - lo)
-        inv_h.append(1.0 / h)
-        active.append(True)
-    kk = np.ogrid[:k1, :k2, :k3]
+        t = (phi[..., a] + space.q) / h if h else np.zeros(counts)
+        plan = lerp_plan(space.steps[a], t.ravel(), 1, 0)
+        i0, i1, w0, w1 = (x if x is None else x.reshape(counts) for x in plan)
+        # (index, weight, slope of the weight along phi) per corner.
+        corners.append([(i0, w0, -1.0 / h), (i1, w1, 1.0 / h)]
+                       if i1 is not None else [(i0, np.float64(1.0), 0.0)])
+    kk = np.ogrid[:counts[0], :counts[1], :counts[2]]
     energy = 0.0
-    grad = np.zeros((k1, k2, k3, 3))
-    for b in product((0, 1), repeat=3):
-        idx = tuple(np.minimum(i0[a] + b[a], steps[a] - 1) for a in range(3))
-        corner = cost.values[kk[0], kk[1], kk[2], idx[0], idx[1], idx[2]]
-        wt = [(w[a] if b[a] else 1.0 - w[a]) for a in range(3)]
-        energy += float(np.sum(wt[0] * wt[1] * wt[2] * corner))
+    grad = np.zeros(counts + (3,))
+    for corner in product(*corners):
+        idx, wt, slope = zip(*corner)
+        value = cost.values[kk[0], kk[1], kk[2], idx[0], idx[1], idx[2]]
+        energy += float(np.sum(wt[0] * wt[1] * wt[2] * value))
         for a in range(3):
-            if not active[a]:
-                continue
-            others = 1.0
-            for o in range(3):
-                if o != a:
-                    others = others * wt[o]
-            sign = 1.0 if b[a] else -1.0
-            grad[..., a] += sign * inv_h[a] * others * corner
+            if slope[a]:
+                others = wt[a - 1] * wt[a - 2]  # the two other axes
+                grad[..., a] += slope[a] * others * value
     return energy, grad
 
 
@@ -150,25 +137,24 @@ def refine_trace(cost: CostTensor6D, init: DisplacementField, cfg: RefineConfig)
     """Refine and return ``(field, energies)`` where ``energies[i]`` is the
     objective after ``i`` iterations (rejected proposals repeat the
     previous value, so the sequence never increases).  ``steps=0``
-    returns the clamped input.  An objective that overflows is an
-    :class:`ArithmeticError` at the start and a rejected trial later."""
+    returns the clamped input.  A non-finite objective or gradient, at
+    the start or at a trial, raises :class:`ArithmeticError`."""
     if init.counts != cost.counts:
         raise ValueError(f"init field grid {init.counts} does not match "
                          f"cost grid {cost.counts}")
     q, weight = cost.space.q, cfg.diffusion_weight
     phi = np.clip(init.vectors, -q, q)
-    with np.errstate(over="ignore"):
-        energy, grad = field_energy_grad(cost, phi, weight)
-        if not (np.isfinite(energy) and np.all(np.isfinite(grad))):
-            raise ArithmeticError("refinement starts at a non-finite energy")
-        energies = [energy]
-        step = cfg.step_size
-        for _ in range(cfg.steps):
-            trial = np.clip(phi - step * grad, -q, q)
+    trial, step, energies = phi, cfg.step_size, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The first pass evaluates the start, every later one a trial.
+        for _ in range(cfg.steps + 1):
             e_trial, g_trial = field_energy_grad(cost, trial, weight)
-            if e_trial <= energy:
+            if not (np.isfinite(e_trial) and np.all(np.isfinite(g_trial))):
+                raise ArithmeticError("refinement reached a non-finite energy")
+            if not energies or e_trial <= energy:
                 phi, energy, grad = trial, e_trial, g_trial
             else:
                 step *= 0.5
             energies.append(energy)
+            trial = np.clip(phi - step * grad, -q, q)
     return DisplacementField(phi), np.asarray(energies)

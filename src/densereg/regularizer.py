@@ -4,11 +4,13 @@
 approximate min-convolution over the three displacement dimensions (one
 min-pool then two average-pools, all :data:`DISP_KERNEL` wide, stride 1
 with replicate padding) and a mean-field step that average-pools over the
-three spatial dimensions.  It then multiplies the result by
-``output_scale``.  Every block is 1-homogeneous, so a scale applied before
-any block would come out as the same factor on the output: one scale is
-all a chain of per-block scales can express.  ``output_scale`` times the
-softmax ``temperature`` sets the sharpness of the probabilities, and
+three spatial dimensions, ``spatial_kernel`` wide.  On an axis of extent
+``n`` every pool is ``min(kernel, n - 1 + n % 2)`` wide, the widest odd
+window that fits, so an extent-1 axis is not pooled.  It then multiplies
+the result by ``output_scale``.  Every block is 1-homogeneous, so a scale
+applied before any block would come out as the same factor on the output:
+one scale is all a chain of per-block scales can express.
+``output_scale`` times the softmax ``temperature`` sets the sharpness of the probabilities, and
 ``output_scale`` alone weighs the data term against the diffusion penalty
 during refinement.
 
@@ -91,18 +93,11 @@ class RegularizerParams:
 
 
 def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:
-    """Per-axis filter size: full kernel where the extent allows it, 1 on
-    degenerate (extent-1) axes, error in between.  An extent-1 axis has
-    nothing to pool over; an axis shorter than the kernel but longer than 1
-    would silently change the window semantics, so it is rejected."""
+    """Per-axis filter size: the odd ``kernel`` narrowed to the widest odd
+    window that fits each pooled axis, 1 on every other axis."""
     size = [1] * len(shape)
     for a in axes:
-        n = shape[a]
-        if n == 1:
-            continue
-        if n < kernel:
-            raise ValueError(f"axis {a} extent {n} smaller than kernel {kernel}")
-        size[a] = kernel
+        size[a] = min(kernel, shape[a] - 1 + shape[a] % 2)
     return tuple(size)
 
 
@@ -167,13 +162,13 @@ def min_convolution(values: np.ndarray, out: np.ndarray = None,
 def mean_field_step(values: np.ndarray, spatial_kernel: int,
                     out: np.ndarray = None, workers: int = None) -> np.ndarray:
     """Average-pool a 6D cost array over the spatial dimensions with a
-    ``spatial_kernel``-wide window, one pass, independently per
-    displacement bin.  Evaluated per displacement plane (axis 3) on up to
-    ``workers`` threads.  The result goes to ``out`` when given, which
-    may be ``values`` itself: ndimage reads a batch of lines before it
-    writes them, as it does between its own 1D passes.  The output is
-    not checked here; :func:`regularize` validates the tensor it builds
-    from it."""
+    ``spatial_kernel``-wide window (narrower on an axis it does not fit),
+    one pass, independently per displacement bin.  Evaluated per
+    displacement plane (axis 3) on up to ``workers`` threads.  The
+    result goes to ``out`` when given, which may be ``values`` itself:
+    ndimage reads a batch of lines before it writes them, as it does
+    between its own 1D passes.  The output is not checked here;
+    :func:`regularize` validates the tensor it builds from it."""
     size = _pool_size(values.shape, _SPATIAL_AXES, spatial_kernel)
     size = size[:3] + size[4:]
     out = np.empty_like(values) if out is None else out

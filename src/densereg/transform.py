@@ -8,7 +8,7 @@ volume.  The probabilistic label loss measures label agreement under the
 distribution; it samples the moving labels by ``correlation.map_displaced``.
 """
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -69,40 +69,28 @@ class ProbTensor6D:
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """End-to-end settings for one registration run.
+    """End-to-end settings for one registration run, kept as given.
 
-    ``feature`` selects the extractor ("ssc" or "intensity-gradient"),
-    which runs with its own defaults.  The displacement
-    capture range must stay below 1 so the quantized offsets remain
-    inside the normalized volume.  ``grid_counts`` (one int or three)
-    needs at least 2 points per axis, the fewest the field upsampling
-    can interpolate between.  A spatial smoothing kernel wider than the
-    control grid shrinks to the largest odd width that fits its smallest
-    extent, so coarse grids such as 4 per axis keep the tuned preset
-    otherwise unchanged.  The diffusion weight belongs
-    to the refinement (:class:`densereg.refine.RefineConfig`), the only
-    stage that reads it.
+    The capture range must stay below 1 so the quantized offsets remain
+    inside the normalized volume.  ``grid_counts`` (one int or three,
+    stored as three) needs at least 2 points per axis to upsample.  On a
+    grid axis narrower than ``reg_params.spatial_kernel`` the mean-field
+    step pools what fits.  The diffusion weight belongs to
+    :class:`densereg.refine.RefineConfig`, the only stage that reads it.
     """
 
     space: DisplacementSpace = dc_field(default_factory=DisplacementSpace)
     grid_counts: tuple = (32, 32, 32)
-    feature: str = "ssc"
     reg_params: RegularizerParams = dc_field(default_factory=RegularizerParams)
 
     def __post_init__(self):
         if not (0.0 < self.space.q < 1.0):
             raise ValueError(f"capture range must lie in (0, 1), got {self.space.q}")
-        if self.feature not in ("ssc", "intensity-gradient"):
-            raise ValueError(f"unknown feature choice: {self.feature!r}")
         counts = _three_ints(self.grid_counts, "grid_counts")
         if min(counts) < 2:
             raise ValueError(f"control grid needs >= 2 points per axis to "
                              f"upsample, got {counts}")
         object.__setattr__(self, "grid_counts", counts)
-        fit = min(counts) - 1 + min(counts) % 2
-        if self.reg_params.spatial_kernel > fit:
-            object.__setattr__(self, "reg_params", replace(
-                self.reg_params, spatial_kernel=fit))
 
 
 def softmax_probabilities(cost: CostTensor6D, temperature: float,

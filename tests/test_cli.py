@@ -94,6 +94,13 @@ class TestPhantom:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, sigma):
+        rc = main(["phantom", "--out-dir", str(tmp_path / "ph"),
+                   "--noise-sigma", sigma])
+        assert rc == 1
+        assert "noise sigma must be finite" in capsys.readouterr().err
+
     def test_no_threads_flag(self, tmp_path, capsys):
         # Generation is single-threaded, so phantom has no --threads.
         rc = main(["phantom", "--out-dir", str(tmp_path / "ph"),
@@ -244,7 +251,7 @@ class TestRegister:
 
 class TestCoarseGrid:
     def test_grid_4_runs(self, phantom_dir, tmp_path):
-        # The tuned 5-wide spatial kernel shrinks to 3 on a 4-point grid.
+        # The tuned 5-wide spatial kernel pools 3 wide on a 4-point grid.
         d = tmp_path / "g4"
         rc = main(["register",
                    "--fixed", str(phantom_dir / "fixed.hdr"),
@@ -271,7 +278,7 @@ class TestCoarseGrid:
 
     def test_grid_16_keeps_tuned_kernel(self, phantom_dir, tmp_path):
         # Where the tuned kernel fits, the output is that of the tuned
-        # preset itself, set on the config behind its back.
+        # preset itself.
         d = tmp_path / "g16"
         rc = main(["register",
                    "--fixed", str(phantom_dir / "fixed.hdr"),
@@ -282,8 +289,8 @@ class TestCoarseGrid:
                    "--q", "0.4"])
         assert rc == 0
         cfg = RegistrationConfig(grid_counts=16,
-                                 space=DisplacementSpace(0.4, 5))
-        object.__setattr__(cfg, "reg_params", RegularizerParams())
+                                 space=DisplacementSpace(0.4, 5),
+                                 reg_params=RegularizerParams())
         res = register_pair(vio.read_volume(str(phantom_dir / "fixed.hdr")),
                             vio.read_volume(str(phantom_dir / "moving.hdr")),
                             cfg,
@@ -504,15 +511,36 @@ class TestExitCodes:
     def test_overflowing_lambda_is_a_numerical_failure(self, phantom_dir,
                                                        tmp_path, capsys):
         # On 12 points per axis the start field's diffusion energy is
-        # above 2, so the weight overflows it: a numerical failure, and no
-        # numpy warning (the suite turns one into an error).
-        rc = main(["register",
-                   "--fixed", str(phantom_dir / "fixed.hdr"),
-                   "--moving", str(phantom_dir / "moving.hdr"),
-                   "--out-dir", str(tmp_path), "--lambda", "1e308",
-                   "--refine"] + REGISTER_ARGS + ["--grid", "12"])
-        assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        # above 2, so the weight overflows it at once; on 5 it is about
+        # 0.1 and only the trials overflow.  Both are a numerical failure,
+        # with no numpy warning (the suite turns one into an error).
+        for grid in ("12", "5"):
+            rc = main(["register",
+                       "--fixed", str(phantom_dir / "fixed.hdr"),
+                       "--moving", str(phantom_dir / "moving.hdr"),
+                       "--out-dir", str(tmp_path / grid), "--lambda", "1e308",
+                       "--refine"] + REGISTER_ARGS + ["--grid", grid])
+            assert rc == 3
+            assert "numerical failure" in capsys.readouterr().err
+
+    def test_label_dims_rejected_before_features(self, phantom_dir, tmp_path,
+                                                 capsys, monkeypatch):
+        # 16^3 labels with 16x16x12 volumes.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("feature extraction reached")
+
+        monkeypatch.setattr(pipeline, "extract_ssc", unreachable)
+        argv = ["register", "--out-dir", str(tmp_path / "out"),
+                "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                "--moving-labels", str(phantom_dir / "moving_labels.hdr")]
+        for name in ("fixed", "moving"):
+            vol = vio.read_volume(str(phantom_dir / f"{name}.hdr"))
+            vio.write_volume(Volume3D(vol.data[:, :, :12]),
+                             str(tmp_path / f"{name}.hdr"))
+            argv += [f"--{name}", str(tmp_path / f"{name}.hdr")]
+        assert main(argv + REGISTER_ARGS) == 1
+        assert "label dims (16, 16, 16) differ" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["register", "--fixed", str(tmp_path / "nope.hdr"),

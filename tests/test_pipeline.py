@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from densereg import pipeline
 from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.phantom import PhantomSpec, generate
 from densereg.pipeline import register_pair
@@ -180,14 +181,6 @@ class TestConfigVariants:
         res = register_pair(pair.fixed, pair.moving, cfg)
         assert res.report.notes["mean_field_iterations"] == "0"
 
-    def test_intensity_gradient_feature(self, translation_pair):
-        pair = translation_pair
-        cfg = RegistrationConfig(grid_counts=(6, 6, 6),
-                                 space=DisplacementSpace(0.4, 7),
-                                 feature="intensity-gradient")
-        res = register_pair(pair.fixed, pair.moving, cfg)
-        assert res.report.notes["feature"] == "intensity-gradient"
-
 
 class TestInputValidation:
     def test_dims_mismatch_rejected(self, translation_pair):
@@ -196,12 +189,19 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             register_pair(pair.fixed, other, small_config())
 
-    def test_label_dims_mismatch_rejected(self, translation_pair):
+    def test_label_dims_mismatch_rejected(self, translation_pair,
+                                          monkeypatch):
+        # Either side's labels, before any feature is extracted.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("feature extraction reached")
+
+        monkeypatch.setattr(pipeline, "extract_ssc", unreachable)
         pair = translation_pair
-        bad = Volume3D(np.zeros((16, 16, 16), dtype=np.int32), is_label=True)
-        with pytest.raises(ValueError):
-            register_pair(pair.fixed, pair.moving, small_config(),
-                          fixed_labels=bad, moving_labels=bad)
+        bad = Volume3D(np.zeros((24, 24, 20), dtype=np.int32), is_label=True)
+        for labels in ((bad, pair.moving_labels), (pair.fixed_labels, bad)):
+            with pytest.raises(ValueError, match="label dims"):
+                register_pair(pair.fixed, pair.moving, small_config(),
+                              fixed_labels=labels[0], moving_labels=labels[1])
 
     def test_nan_input_raises_arithmetic_error(self, translation_pair):
         pair = translation_pair

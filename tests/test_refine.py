@@ -13,7 +13,7 @@ from densereg.refine import (
     gradient_adjoint,
     refine_trace,
 )
-from oracles import offset_grid
+from oracles import naive_frac_trilinear, offset_grid
 
 
 def bowl_cost(space, target, grid_counts=(1, 1, 1), sharpness=1.0):
@@ -56,6 +56,18 @@ class TestConfig:
         cost = bowl_cost(space, (0.0, 0.0, 0.0), (3, 3, 3))
         init = DisplacementField(np.random.default_rng(5).uniform(
             -0.3, 0.3, size=(3, 3, 3, 3)))
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            refine_trace(cost, init, RefineConfig(diffusion_weight=1e308))
+
+    def test_overflowing_trial_is_a_numerical_failure(self):
+        # A nearly constant start keeps the weighted diffusion energy
+        # finite; the first trial jumps to the box faces and overflows it.
+        # That is a numerical failure too, not a rejected step.
+        space = DisplacementSpace(0.4, 5)
+        cost = bowl_cost(space, (0.0, 0.0, 0.0), (3, 3, 3))
+        init = DisplacementField(np.random.default_rng(5).uniform(
+            -1e-3, 1e-3, size=(3, 3, 3, 3)))
+        assert np.isfinite(field_energy(cost, init.vectors, 1e308))
         with pytest.raises(ArithmeticError, match="non-finite"):
             refine_trace(cost, init, RefineConfig(diffusion_weight=1e308))
 
@@ -129,6 +141,34 @@ class TestAnalyticGradient:
             cost = CostTensor6D(vals, space)
             phi = self.interior_phi(rng, space, (4, 4, 4))
             self.check_fd(cost, phi, weight=1.5)
+
+
+class TestDataTerm:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.tuples(*[st.integers(1, 3)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           q=st.floats(0.05, 0.95), on_face=st.floats(0.0, 1.0))
+    def test_energy_is_the_trilinear_sum(self, seed, counts, steps, q,
+                                         on_face):
+        # Some components sit exactly on the +-q faces of the box.
+        rng = np.random.default_rng(seed)
+        space = DisplacementSpace(q, steps)
+        vals = rng.uniform(0.0, 1.0, size=counts + steps)
+        cost = CostTensor6D(vals, space)
+        phi = rng.uniform(-q, q, size=counts + (3,))
+        face = rng.uniform(size=phi.shape) < on_face
+        phi[face] = rng.choice((-q, q), size=int(face.sum()))
+        energy, grad = field_energy_grad(cost, phi, 0.0)
+        want = 0.0
+        for k in np.ndindex(counts):
+            frac = [(phi[k][a] + q) / space.spacing(a) if steps[a] > 1
+                    else 0.0 for a in range(3)]
+            want += naive_frac_trilinear(vals[k], frac)
+        assert energy == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for a in range(3):
+            if steps[a] == 1:
+                assert np.all(grad[..., a] == 0.0)
 
 
 class TestRefine:

@@ -3,6 +3,7 @@ and the exact parabola envelope (a test oracle) the pooling approximates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
@@ -101,10 +102,14 @@ class TestMinConvolution:
         out = min_convolution(t.values)
         assert np.allclose(out, vals, atol=1e-12)
 
-    def test_kernel_exceeding_extent_rejected(self):
-        # An extent of 2 is neither 1 nor as wide as the 3-wide pools.
-        with pytest.raises(ValueError):
-            min_convolution(np.zeros((1, 1, 1, 2, 2, 2)))
+    def test_extent_narrower_than_kernel_pools_what_fits(self):
+        # On extent 2 the widest odd window that fits is 1, so the 3-wide
+        # pools leave those axes alone and pool the 3-long one.
+        vals = np.arange(12.0).reshape(1, 1, 1, 3, 2, 2)
+        out = min_convolution(vals)
+        ref = naive_avg_pool(naive_avg_pool(naive_min_pool(
+            vals, 3, axes=(3,)), 3, axes=(3,)), 3, axes=(3,))
+        assert np.allclose(out, ref, atol=1e-12)
 
     def test_degenerate_axes_pass_through(self):
         # Extent-1 displacement axes have nothing to pool over.
@@ -221,10 +226,27 @@ class TestMeanField:
         ref = naive_avg_pool(vals, 3, axes=(0, 1, 2))
         assert np.allclose(out, ref, atol=1e-10)
 
-    def test_grid_smaller_than_kernel_rejected(self):
-        t = tensor_on((3, 3, 3), np.zeros((2, 3, 3, 3, 3, 3)))
-        with pytest.raises(ValueError):
-            mean_field_step(t.values, 3)
+    def test_grid_narrower_than_kernel_pools_what_fits(self):
+        # A 4-point axis takes 3 of a 5-wide kernel, a 6-point one all 5.
+        rng = np.random.default_rng(71)
+        vals = rng.uniform(0.0, 1.0, size=(4, 6, 2, 3, 1, 1))
+        out = mean_field_step(vals, 5)
+        ref = naive_avg_pool(naive_avg_pool(vals, 3, axes=(0,)), 5,
+                             axes=(1,))
+        assert np.allclose(out, ref, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 9)] * 3 + [st.integers(1, 3)]),
+           kernel=st.integers(0, 5).map(lambda k: 2 * k + 1),
+           seed=st.integers(0, 2 ** 16))
+    def test_window_is_the_kernel_narrowed_to_each_axis(self, shape, kernel,
+                                                        seed):
+        vals = np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                   size=shape + (2, 1))
+        size = [min(kernel, n - 1 + n % 2) for n in shape[:3]] + [1, 1, 1]
+        ref = ndimage.uniform_filter(vals, size=size, mode="nearest")
+        assert np.allclose(mean_field_step(vals, kernel),
+                           np.maximum(ref, 0.0), rtol=0.0, atol=1e-12)
 
     def test_single_point_grid_passes_through(self):
         rng = np.random.default_rng(70)

@@ -1,7 +1,5 @@
 """Probability extraction, field upsampling, warping, and loss terms."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from densereg.transform import (
     warp,
 )
 from densereg.refine import field_energy
-from densereg.regularizer import RegularizerParams
+from densereg.regularizer import RegularizerParams, mean_field_step
 from hypothesis import example, given, settings, strategies as st
 
 from densereg import parallel
@@ -484,7 +482,6 @@ class TestRegistrationConfig:
         assert cfg.space.q == 0.4
         assert cfg.space.steps == (15, 15, 15)
         assert cfg.grid_counts == (32, 32, 32)
-        assert cfg.feature == "ssc"
         # End-to-end default smoothing is the tuned preset.
         assert cfg.reg_params == RegularizerParams(
             output_scale=2500.0, temperature=4.0, iterations=5,
@@ -503,11 +500,27 @@ class TestRegistrationConfig:
         ((3, 4, 6), 3), ((6, 6, 6), 5), ((5, 5, 5), 5), ((16, 16, 16), 5),
         ((8, 7, 12), 5)])
     def test_spatial_kernel_fits_coarse_grids(self, counts, kernel):
-        # Largest odd width <= the smallest extent.
+        # The config keeps the tuned kernel; the mean-field step pools the
+        # narrowest axis over the largest odd width <= its extent.  An
+        # impulse in the middle of that axis keeps 1/width of its mass.
         cfg = RegistrationConfig(grid_counts=counts)
-        assert cfg.reg_params.spatial_kernel == kernel
-        assert cfg.reg_params == replace(RegularizerParams(),
-                                         spatial_kernel=kernel)
+        assert cfg.reg_params == RegularizerParams()
+        axis = int(np.argmin(counts))
+        n = counts[axis]
+        vals = np.zeros(tuple(counts) + (1, 1, 1))
+        vals[(slice(None),) * axis + (n // 2,)] = 1.0
+        out = mean_field_step(vals, cfg.reg_params.spatial_kernel)
+        centre = out[(0,) * axis + (n // 2,) + (0,) * (5 - axis)]
+        assert round(1.0 / centre) == kernel
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.one_of(st.integers(2, 40),
+                            st.tuples(*[st.integers(2, 40)] * 3)),
+           kernel=st.integers(0, 6).map(lambda k: 2 * k + 1))
+    def test_reg_params_kept_as_given(self, counts, kernel):
+        params = RegularizerParams(spatial_kernel=kernel)
+        cfg = RegistrationConfig(grid_counts=counts, reg_params=params)
+        assert cfg.reg_params is params
 
     @pytest.mark.parametrize("counts, reason", [
         ((1, 4, 6), ">= 2 points per axis"),
