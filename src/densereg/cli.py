@@ -195,6 +195,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _make_dirs(path: str) -> list:
+    """Create directory ``path`` and its missing parents; return the
+    directories this made, deepest first."""
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
 def _cmd_register(opts: dict) -> int:
     _require(opts, ("fixed", "moving", "out_dir"), "register")
     workers = resolve_workers(opts["threads"])
@@ -219,15 +231,22 @@ def _cmd_register(opts: dict) -> int:
     if not opts["refine"]:
         refinement = None
 
-    result = register_pair(fixed, moving, cfg,
-                           fixed_labels=fixed_labels,
-                           moving_labels=moving_labels,
-                           refinement=refinement,
-                           threads=workers)
+    # Made before the registration, so an unusable --out-dir fails at
+    # once, and removed again if the registration fails.
+    out_dir = opts["out_dir"]
+    made = _make_dirs(out_dir)
+    try:
+        result = register_pair(fixed, moving, cfg,
+                               fixed_labels=fixed_labels,
+                               moving_labels=moving_labels,
+                               refinement=refinement,
+                               threads=workers)
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
 
     report = result.report
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     vio.write_field(result.field, os.path.join(out_dir, "field.hdr"))
     vio.write_volume(result.warped, os.path.join(out_dir, "warped.hdr"))
     if result.warped_labels is not None:

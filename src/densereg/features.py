@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
-from .geometry import Volume3D, _freeze, _require_finite, index_to_normalized
+from .geometry import (Volume3D, _freeze, _require_finite,
+                       index_to_normalized, running_mean)
 from .parallel import map_planes
 
 __all__ = [
@@ -106,43 +106,6 @@ def _subsample(full: np.ndarray, dims, stride: int):
     return (sub,) + _grid_frame(dims, stride)
 
 
-def _running_mean_strided(x: np.ndarray, size: int, axis: int,
-                          stride: int) -> np.ndarray:
-    """``ndimage.uniform_filter1d(x, size, axis, mode="nearest")`` read at
-    positions ``stride // 2, stride // 2 + stride, ...`` along ``axis``.
-
-    The running sum walks along ``axis`` one slice at a time with
-    ndimage's arithmetic, on the edge-replicated line ``p``:
-    ``S_0 = ((0 + p_0) + p_1) + ... + p_(size-1)``, then
-    ``S_l = S_(l-1) + (p_(l+size-1) - p_(l-1))``, and ``out_l = S_l / size``.
-    So the kept values are the same bits, but only they are divided and
-    stored: a long strided line costs one add and one subtract per step,
-    where ndimage copies every line into a buffer and back.
-    """
-    n = x.shape[axis]
-    keep = range(stride // 2, n, stride)
-    shape = list(x.shape)
-    shape[axis] = len(keep)
-    out = np.empty(shape)
-    src = np.moveaxis(x, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    # p_i is slice i - size // 2 of x, the nearest one at either end.
-    padded = [src[min(max(i - size // 2, 0), n - 1)]
-              for i in range(n + size - 1)]
-    total = np.zeros(src.shape[1:])
-    for p in padded[:size]:
-        total += p
-    change = np.empty_like(total)
-    pos = 0
-    for k, kept in enumerate(keep):
-        while pos < kept:
-            pos += 1
-            np.subtract(padded[pos + size - 1], padded[pos - 1], out=change)
-            total += change
-        np.divide(total, size, out=dst[k])
-    return out
-
-
 def _box_mean_strided(diff2: np.ndarray, size: int, stride: int) -> np.ndarray:
     """``ndimage.uniform_filter(diff2, size, mode="nearest")`` read at the
     centers of the stride-blocks.
@@ -150,15 +113,15 @@ def _box_mean_strided(diff2: np.ndarray, size: int, stride: int) -> np.ndarray:
     ``uniform_filter`` is one ``uniform_filter1d`` pass per axis in axis
     order (none at ``size == 1``).  A 1D pass treats every line on its own,
     so each pass keeps only the stride positions that the next pass or the
-    final grid reads (:func:`_running_mean_strided`): the kept values are
-    the same bits, and the work is 1 + 1/s + 1/s^2 full-volume passes
-    instead of 3.
+    final grid reads (:func:`densereg.geometry.running_mean`): the kept
+    values are the same bits, and the work is 1 + 1/s + 1/s^2 full-volume
+    passes instead of 3.
     """
     out = diff2
     keep = slice(stride // 2, None, stride)
     for axis in range(3):
         if size > 1:
-            out = _running_mean_strided(out, size, axis, stride)
+            out = running_mean(out, size, axis, stride=stride)
         else:
             out = out[(slice(None),) * axis + (keep,)]
     return out
@@ -223,6 +186,10 @@ def extract_intensity_gradient(vol: Volume3D, smooth_sigma: float = 1.0,
     channels 1-3 are central-difference gradients of the raw intensity per
     voxel step, one-sided at the borders.
     """
+    # The only scipy import of the program: the registration pipeline
+    # never calls this extractor, so it never loads scipy.
+    from scipy import ndimage
+
     dims = vol.dims
     if any(n < 3 for n in dims):
         raise ValueError(f"volume dims {dims} too small (need >= 3 per axis)")

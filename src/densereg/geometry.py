@@ -1,4 +1,4 @@
-"""Volumes, normalized coordinates, and interpolation.
+"""Volumes, normalized coordinates, interpolation and box means.
 
 Spatial positions are continuous coordinates in (-1, +1) per axis.  A grid
 with ``n`` cells along an axis places cell centers at ``2*(i+0.5)/n - 1``,
@@ -37,6 +37,7 @@ __all__ = [
     "lerp_axis",
     "lerp_axis_into",
     "sample_separable",
+    "running_mean",
     "sample_points_linear",
     "sample_points_nearest",
     "present_labels",
@@ -252,6 +253,80 @@ def sample_separable(data: np.ndarray, fracs) -> np.ndarray:
     out = data
     for axis, t in enumerate(fracs):
         out = lerp_axis(out, t, axis)
+    return out
+
+
+def running_mean(src: np.ndarray, size: int, axis: int, out=None,
+                 stride: int = 1) -> np.ndarray:
+    """``ndimage.uniform_filter1d(src, size, axis, mode="nearest")`` read
+    at positions ``stride // 2, stride // 2 + stride, ...`` along
+    ``axis``, bit for bit.
+
+    The running sum repeats ndimage's arithmetic on the edge-replicated
+    line ``p`` (``p_i`` is slice ``i - size // 2``, the nearest one at
+    either end): ``S_0 = ((0 + p_0) + p_1) + ... + p_(size-1)``, then
+    ``S_l = S_(l-1) + d_l`` with ``d_l = p_(l+size-1) - p_(l-1)``, and
+    ``out_l = S_l / size``.  Every numpy call takes whole slices, and
+    the sums take as few calls as the case allows:
+
+    * ``out`` apart from ``src`` at ``stride`` 1: every ``d_l`` is taken
+      in at most four slab subtractions into ``out``, the sums added up
+      there slice by slice, and all of them divided in one pass.
+    * Otherwise the sum walks one slice at a time.  Only the kept
+      positions are divided and stored, so a long strided line costs one
+      add and one subtract per step.  Each ``d_l`` is taken as soon as
+      the slice it subtracts has been added, and held in a ring of
+      ``size // 2 + 1`` slices until it is added, so slice ``l`` is not
+      read after ``out_l`` is written: at ``stride`` 1, ``out`` may be
+      ``src`` itself.
+
+    ``out`` (a new array when None) may overlap ``src`` in no other way.
+    """
+    n = src.shape[axis]
+    r = size // 2
+    keep = range(stride // 2, n, stride)
+    if out is None:
+        out = np.empty(src.shape[:axis] + (len(keep),) + src.shape[axis + 1:])
+    if not keep:
+        return out
+    x = np.moveaxis(src, axis, 0)
+    y = np.moveaxis(out, axis, 0)
+    # Slices as arrays (0-d on a 1D line), never as numpy scalars.
+    ys = [y[i, ...] for i in range(len(keep))]
+    total = np.zeros(x.shape[1:])
+    for i in range(size):
+        total += x[min(max(i - r, 0), n - 1), ...]
+    if stride == 1 and not np.may_share_memory(src, out):
+        np.copyto(ys[0], total)
+        # d_l = x[min(l + r, n - 1)] - x[max(l - 1 - r, 0)] for l in
+        # [lo, hi): each bound is either shifted or clamped on a slab.
+        cuts = sorted({1, n} | {c for c in (r + 1, n - r) if 1 < c < n})
+        for lo, hi in zip(cuts, cuts[1:]):
+            new = x[lo + r:hi + r] if hi <= n - r else x[n - 1:]
+            old = x[lo - 1 - r:hi - 1 - r] if lo > r else x[:1]
+            np.subtract(new, old, out=y[lo:hi])
+        for pos in range(1, n):
+            np.add(ys[pos - 1], ys[pos], out=ys[pos])
+        np.divide(out, size, out=out)
+        return out
+    xs = [x[i, ...] for i in range(n)]
+    last = keep[-1]
+    ring = [np.empty_like(total) for _ in range(r + 1)]
+    # d_l subtracts slice max(l - 1 - r, 0): slice 0 for steps 1 to r,
+    # then slice pos for step pos + r + 1, whose ring slot is the one
+    # step pos has just added.
+    for step in range(1, min(r, last) + 1):
+        np.subtract(xs[min(step + r, n - 1)], xs[0], out=ring[step % (r + 1)])
+    k = 0
+    for pos in range(last + 1):
+        slot = ring[pos % (r + 1)]
+        if pos:
+            total += slot
+        if pos + r + 1 <= last:
+            np.subtract(xs[min(pos + 2 * r + 1, n - 1)], xs[pos], out=slot)
+        if pos == keep[k]:
+            np.divide(total, size, out=ys[k])
+            k += 1
     return out
 
 

@@ -5,11 +5,13 @@ control plane, a displacement plane) that do not depend on each other.
 Each plane is one task, so the tasks are fixed by the data and never by
 the worker count: every plane is computed by the same floating-point
 operations whichever thread runs it, and results are identical for any
-number of workers.  numpy ufuncs and ``scipy.ndimage`` filters release
-the interpreter lock in their inner loops, so the threads overlap the
-actual arithmetic.  Planes too small to repay the hand-off to a worker
-run on the calling thread.  The same helper runs the 12 SSC feature
-channels, one channel per task.
+number of workers.  numpy ufuncs release the interpreter lock in their
+inner loops, so the threads overlap the actual arithmetic; only the
+Python between two calls holds it, which is why the running sums of the
+regularizer take whole slices of a block per call, not single lines.
+Planes too small to repay the hand-off to a worker run on the calling
+thread.  The same helper runs the 12 SSC feature channels, one channel
+per task.
 
 Passes that read or write every voxel of a volume (the warp, the
 Jacobian statistics, the phantom's inverse field) run one axis-0 slab of
@@ -24,7 +26,8 @@ Every task runs under the calling thread's numpy error state.
 
 Inside a task, the tensor stages walk their plane in blocks of rows
 (:func:`row_blocks`) small enough that a block and its scratch buffers
-stay in cache.
+stay in cache; the regularizer sizes its blocks to its own scratch
+budget.
 """
 
 import math

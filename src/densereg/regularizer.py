@@ -10,40 +10,50 @@ window that fits, so an extent-1 axis is not pooled.  It then multiplies
 the result by ``output_scale``.  Every block is 1-homogeneous, so a scale
 applied before any block would come out as the same factor on the output:
 one scale is all a chain of per-block scales can express.
-``output_scale`` times the softmax ``temperature`` sets the sharpness of the probabilities, and
-``output_scale`` alone weighs the data term against the diffusion penalty
-during refinement.
+``output_scale`` times the softmax ``temperature`` sets the sharpness of
+the probabilities, and ``output_scale`` alone weighs the data term
+against the diffusion penalty during refinement.
 
 The min-pool is exact and needs no filter: shifted ``np.minimum`` calls
-along each displacement axis, on blocks of rows that fit in cache.  A
-window clamped to the array already holds the values that replicate
-padding would add, and ``min`` does not round, so the result equals
-``ndimage.minimum_filter(mode="nearest")`` bit for bit.  The average
-pools are ``ndimage.uniform_filter`` calls.
+along each displacement axis.  A window clamped to the array already
+holds the values that replicate padding would add, and ``min`` does not
+round, so the result equals ``ndimage.minimum_filter(mode="nearest")``
+bit for bit.  An average pool is one :func:`densereg.geometry.running_mean`
+pass per pooled axis, in axis order: the running sum of
+``ndimage.uniform_filter1d`` with that filter's own arithmetic, so the
+pools equal ``ndimage.uniform_filter(mode="nearest")`` bit for bit too,
+and smoothing loads no scipy.
 
 Both blocks are evaluated plane by plane on
 :func:`densereg.parallel.map_planes`: the min-convolution per control
 plane (axis 0), the mean-field step per displacement plane (axis 3).  A
 plane is filtered by the same 1D passes as the whole tensor would be, so
-the result does not depend on the worker count.  Each block reads a
-plane completely before writing it, and nothing else reads that plane,
-so :func:`regularize` runs every block and the output scale in one
-working buffer.  A validated tensor's array is read-only, and then the
-buffer is a new one: a caller's tensor is read once and never written.
-A tensor the pipeline has handed over has a writable array, and that
-array is the buffer, so the smoothing adds no second tensor.  The
-blocks take and return plain arrays; :func:`regularize` checks the
+the result does not depend on the worker count.  Inside a plane, both
+work on blocks of rows in scratch, so that every pass walks long
+contiguous runs: the min-convolution reads a block of a control plane's
+rows transposed to ``(S1, S2, S3, rows, K3)`` and hands it between two
+buffers, one pass after another; the mean field copies a block of a
+displacement plane's ``S2`` rows into one buffer and pools it there in
+place.  A worker's scratch holds at most one control plane plus one row
+block of :data:`densereg.parallel.BLOCK_BYTES`.  Each block reads its
+rows into scratch before it writes them back, and nothing else reads
+those rows, so :func:`regularize` runs every block and the output scale
+in one working buffer.  A validated tensor's array is read-only, and
+then the buffer is a new one: a caller's tensor is read once and never
+written.  A tensor the pipeline has handed over has a writable array,
+and that array is the buffer, so the smoothing adds no second tensor.
+The blocks take and return plain arrays; :func:`regularize` checks the
 result once, when it wraps it in a :class:`CostTensor6D`.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
+from . import parallel
 from .correlation import CostTensor6D
-from .geometry import _is_int
-from .parallel import map_planes, row_blocks
+from .geometry import _is_int, running_mean
+from .parallel import block_view, map_planes
 
 __all__ = [
     "RegularizerParams",
@@ -101,30 +111,40 @@ def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:
     return tuple(size)
 
 
-def _min_pool(src: np.ndarray, size: tuple, out: np.ndarray,
-              work: np.ndarray) -> np.ndarray:
-    """Minimum over a box of odd per-axis widths ``size`` with replicate
-    padding, written into ``out``: ``ndimage.minimum_filter(src, size,
-    mode="nearest")``, exactly.  Per axis, the box minimum is the running
-    ``np.minimum`` of the input shifted by each offset in the window.
-    ``work`` is scratch of the same shape; neither may overlap ``src``."""
-    axes = [a for a, k in enumerate(size) if k > 1]
-    if not axes:
-        np.copyto(out, src)
-        return out
-    # Alternate between the two buffers so the last axis lands in out.
-    dsts = (out, work) if len(axes) % 2 else (work, out)
-    cur = src
-    for n, axis in enumerate(axes):
-        dst = dsts[n % 2]
-        np.copyto(dst, cur)
-        head = (slice(None),) * axis
-        for s in range(1, size[axis] // 2 + 1):
-            lo, hi = head + (slice(None, -s),), head + (slice(s, None),)
-            np.minimum(dst[hi], cur[lo], out=dst[hi])
-            np.minimum(dst[lo], cur[hi], out=dst[lo])
-        cur = dst
-    return out
+def _min_pool1d(src: np.ndarray, size: int, axis: int,
+                dst: np.ndarray) -> None:
+    """Minimum over a ``size``-wide window (odd, > 1) along ``axis`` with
+    replicate padding, written into ``dst``, which may not overlap
+    ``src``: the running ``np.minimum`` of ``src`` shifted by each offset
+    in the window, clamped to the array."""
+    head = (slice(None),) * axis
+
+    def cut(start, stop):
+        return head + (slice(start, stop),)
+
+    # Offset +1 goes with the copy of src: one pass instead of two.
+    np.minimum(src[cut(None, -1)], src[cut(1, None)], out=dst[cut(None, -1)])
+    np.copyto(dst[cut(-1, None)], src[cut(-1, None)])
+    for s in range(1, size // 2 + 1):
+        if s > 1:
+            np.minimum(dst[cut(None, -s)], src[cut(s, None)],
+                       out=dst[cut(None, -s)])
+        np.minimum(dst[cut(s, None)], src[cut(None, -s)],
+                   out=dst[cut(s, None)])
+
+
+def _scratch_blocks(count: int, row_bytes: int, buffers: int,
+                    plane_bytes: int) -> list:
+    """Slices that cover ``range(count)`` rows in as few blocks of
+    near-equal length as keep ``buffers`` block buffers within the
+    scratch budget of one worker: one control plane (``plane_bytes``)
+    plus one row block (:data:`densereg.parallel.BLOCK_BYTES`).  A block
+    has at least one row; the first is the longest, so it sizes the
+    buffers."""
+    budget = plane_bytes + parallel.BLOCK_BYTES
+    fit = max(1, budget // (buffers * row_bytes))
+    step = -(-count // -(-count // fit))    # ceil(count / blocks)
+    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
 
 
 def min_convolution(values: np.ndarray, out: np.ndarray = None,
@@ -132,28 +152,40 @@ def min_convolution(values: np.ndarray, out: np.ndarray = None,
     """Approximate min-convolution over the displacement dimensions of a
     6D cost array: one min-pool followed by two average-pools, spatial
     dimensions untouched.  Evaluated per control plane on up to
-    ``workers`` threads.  The result goes to ``out`` when given, which
-    may be ``values`` itself: each plane is read into scratch before it
-    is written.  The output is not checked here; :func:`regularize`
-    validates the tensor it builds from it."""
-    size = _pool_size(values.shape, _DISP_AXES, DISP_KERNEL)[1:]
+    ``workers`` threads, in blocks of the plane's rows: a block is read
+    transposed to ``(S1, S2, S3, rows, K3)`` into one of two scratch
+    buffers, so every 1D pass walks whole spatial rows, and each pass
+    writes the other buffer with its own axis leading.  The result goes
+    to ``out`` when given, which may be ``values`` itself: each block is
+    read into scratch before it is written.  The output is not checked
+    here; :func:`regularize` validates the tensor it builds from it."""
+    size = _pool_size(values.shape, _DISP_AXES, DISP_KERNEL)[3:]
+    axes = [a for a in range(3) if size[a] > 1]
     out = np.empty_like(values) if out is None else out
-    blocks = row_blocks(values.shape[1], values[0, 0].nbytes)
-    block_shape = (blocks[0].stop,) + values.shape[2:]
+    blocks = _scratch_blocks(values.shape[1], values[0, 0].nbytes, 2,
+                             values[0].nbytes)
+    scratch = values[0, blocks[0]].size
 
     def plane(k):
-        pooled = np.empty(values.shape[1:])
-        work = np.empty(block_shape)
+        bufs = [np.empty(scratch), np.empty(scratch)]
         for blk in blocks:
-            _min_pool(values[k, blk], size, pooled[blk],
-                      work[:blk.stop - blk.start])
-        dst = out[k]
-        ndimage.uniform_filter(pooled, size=size, output=pooled,
-                               mode="nearest")
-        ndimage.uniform_filter(pooled, size=size, output=dst, mode="nearest")
-        # Sliding-sum rounding can dip epsilon below zero; the true value
-        # of a mean of non-negative numbers cannot.
-        np.maximum(dst, 0.0, out=dst)
+            rows = values[k, blk]
+            shape = rows.shape[2:] + rows.shape[:2]
+            cur = block_view(bufs[0], shape)
+            np.copyto(cur, rows.transpose(2, 3, 4, 0, 1))
+            for a, pool in ([(a, _min_pool1d) for a in axes]
+                            + [(a, running_mean) for a in axes + axes]):
+                # The pooled axis leads the output block, so its slices
+                # are contiguous.
+                lead = (shape[a],) + shape[:a] + shape[a + 1:]
+                nxt = np.moveaxis(block_view(bufs[1], lead), 0, a)
+                pool(cur, size[a], a, nxt)
+                cur = nxt
+                bufs.reverse()
+            # Sliding-sum rounding can dip epsilon below zero; the true
+            # value of a mean of non-negative numbers cannot.
+            np.maximum(cur, 0.0, out=cur)
+            np.copyto(out[k, blk], cur.transpose(3, 4, 0, 1, 2))
 
     map_planes(plane, values, 0, workers)
     return out
@@ -164,20 +196,28 @@ def mean_field_step(values: np.ndarray, spatial_kernel: int,
     """Average-pool a 6D cost array over the spatial dimensions with a
     ``spatial_kernel``-wide window (narrower on an axis it does not fit),
     one pass, independently per displacement bin.  Evaluated per
-    displacement plane (axis 3) on up to ``workers`` threads.  The
-    result goes to ``out`` when given, which may be ``values`` itself:
-    ndimage reads a batch of lines before it writes them, as it does
-    between its own 1D passes.  The output is not checked here;
-    :func:`regularize` validates the tensor it builds from it."""
+    displacement plane (axis 3) on up to ``workers`` threads, in blocks
+    of the plane's ``S2`` rows: a block is copied into one contiguous
+    scratch buffer, pooled there in place, and written back.  The
+    result goes to ``out`` when given, which may be ``values`` itself.
+    The output is not checked here; :func:`regularize` validates the
+    tensor it builds from it."""
     size = _pool_size(values.shape, _SPATIAL_AXES, spatial_kernel)
-    size = size[:3] + size[4:]
+    axes = [a for a in range(3) if size[a] > 1]
     out = np.empty_like(values) if out is None else out
+    blocks = _scratch_blocks(values.shape[4], values[..., 0, 0, :].nbytes,
+                             1, values[0].nbytes)
+    scratch = values[:, :, :, 0, blocks[0]].size
 
     def plane(j):
-        dst = out[:, :, :, j]
-        ndimage.uniform_filter(values[:, :, :, j], size=size, output=dst,
-                               mode="nearest")
-        np.maximum(dst, 0.0, out=dst)
+        buf = np.empty(scratch)
+        for blk in blocks:
+            rows = values[:, :, :, j, blk]
+            cur = block_view(buf, rows.shape)
+            np.copyto(cur, rows)
+            for a in axes:
+                running_mean(cur, size[a], a, cur)
+            np.maximum(cur, 0.0, out=out[:, :, :, j, blk])
 
     map_planes(plane, values, 3, workers)
     return out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from densereg import io as vio
-from densereg import parallel, pipeline
+from densereg import cli, parallel, pipeline
 from densereg.cli import main
 from densereg.geometry import DisplacementField, DisplacementSpace, Volume3D
 from densereg.pipeline import register_pair
@@ -542,6 +542,41 @@ class TestExitCodes:
         assert "label dims (16, 16, 16) differ" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_dir_file_fails_before_registration(self, phantom_dir,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        # An existing file as --out-dir is an I/O error before any stage
+        # runs, not after the whole registration.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("registration reached")
+
+        monkeypatch.setattr(cli, "register_pair", unreachable)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="ascii")
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(taken)] + REGISTER_ARGS)
+        assert rc == 2
+        assert str(taken) in capsys.readouterr().err
+        assert taken.read_text(encoding="ascii") == "not a directory"
+
+    def test_failed_registration_removes_the_dirs_it_made(self, phantom_dir,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArithmeticError("cost must be finite")
+
+        monkeypatch.setattr(cli, "register_pair", failing)
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path / "new" / "out")]
+                  + REGISTER_ARGS)
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["register", "--fixed", str(tmp_path / "nope.hdr"),
                    "--moving", str(tmp_path / "nope.hdr"),
@@ -711,3 +746,21 @@ class TestSelftest:
                                "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "phantom" in proc.stdout
+
+    def test_register_never_imports_scipy(self):
+        # A fresh interpreter: the command line and a whole register run
+        # load no scipy; only the intensity-gradient extractor does.
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import densereg, densereg.cli",
+            "assert densereg.cli.main(['selftest']) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+            "from densereg.features import extract_intensity_gradient",
+            "vol = densereg.Volume3D(np.arange(216.0).reshape(6, 6, 6))",
+            "print(extract_intensity_gradient(vol).channels)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "4"]

@@ -7,11 +7,10 @@ from scipy import ndimage
 
 from densereg.features import (
     SSC_PAIRS,
-    _running_mean_strided,
     extract_intensity_gradient,
     extract_ssc,
 )
-from densereg.geometry import Volume3D, index_to_normalized
+from densereg.geometry import Volume3D, index_to_normalized, running_mean
 from oracles import (naive_gaussian_smooth, naive_ssc, sample_features_at,
                      trilinear_sample)
 
@@ -77,29 +76,43 @@ class TestSSC:
 
 class TestRunningMean:
     """The running sum that replaces ``ndimage.uniform_filter1d`` in SSC
-    gives ndimage's bytes at every kept position: its sliding-sum residues
-    (the tiny negatives ``extract_ssc`` clamps) included."""
+    and in the regularizer's average pools gives ndimage's bytes at every
+    kept position, on any view of the data and also when it overwrites
+    its input: its sliding-sum residues (the tiny negatives
+    ``extract_ssc`` and the regularizer clamp) included."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**16), size=st.sampled_from((1, 3, 5, 7)),
            axis=st.integers(0, 2), stride=st.integers(1, 4),
-           dims=st.tuples(*[st.integers(1, 11)] * 3),
-           scale=st.sampled_from((1e-6, 1.0, 1e6)),
+           dims=st.tuples(*[st.integers(1, 17)] * 3),
+           layout=st.sampled_from(("contiguous", "transposed", "strided")),
+           in_place=st.booleans(),
+           scale=st.sampled_from((1e-300, 1e-6, 1.0, 1e6, 1e300)),
            constant_run=st.booleans())
     def test_equals_uniform_filter1d(self, seed, size, axis, stride, dims,
-                                     scale, constant_run):
+                                     layout, in_place, scale, constant_run):
         rng = np.random.default_rng(seed)
+        if layout == "transposed":
+            x = rng.normal(size=dims[::-1]).transpose(2, 1, 0)
+        elif layout == "strided":
+            x = rng.normal(size=(2 * dims[0], dims[1], 3 * dims[2]))
+            x = x[1::2, :, ::3]
+        else:
+            x = rng.normal(size=dims)
         # Squared differences, as extract_ssc filters them.
-        x = rng.normal(size=dims) ** 2 * scale
+        x *= x * scale
         if constant_run:
             # Zeros after varying values: the sliding sum leaves residues
             # there, often negative, instead of exact zeros.
             x[(slice(None),) * axis + (slice(dims[axis] // 2, None),)] = 0.0
         want = ndimage.uniform_filter1d(x, size, axis=axis, mode="nearest")
         want = want[(slice(None),) * axis + (slice(stride // 2, None, stride),)]
-        got = _running_mean_strided(x, size, axis, stride)
+        # Only a full-resolution result can overwrite its input.
+        out = x if in_place and stride == 1 else None
+        got = running_mean(x, size, axis, out=out, stride=stride)
+        assert out is None or got is x
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 class TestIntensityGradient:
