@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -195,16 +195,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _make_dirs(path: str) -> list:
-    """Create directory ``path`` and its missing parents; return the
-    directories this made, deepest first."""
+@contextmanager
+def _new_dirs(path: str):
+    """Create directory ``path`` and its missing parents before the
+    body runs, so an unusable path fails before the work; if the body
+    raises, remove the directories this made, deepest first."""
     made = []
     head = os.path.abspath(path)
     while not os.path.lexists(head):
         made.append(head)
         head = os.path.dirname(head)
     os.makedirs(path, exist_ok=True)
-    return made
+    try:
+        yield
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
 
 
 def _cmd_register(opts: dict) -> int:
@@ -231,20 +238,13 @@ def _cmd_register(opts: dict) -> int:
     if not opts["refine"]:
         refinement = None
 
-    # Made before the registration, so an unusable --out-dir fails at
-    # once, and removed again if the registration fails.
     out_dir = opts["out_dir"]
-    made = _make_dirs(out_dir)
-    try:
+    with _new_dirs(out_dir):
         result = register_pair(fixed, moving, cfg,
                                fixed_labels=fixed_labels,
                                moving_labels=moving_labels,
                                refinement=refinement,
                                threads=workers)
-    except BaseException:
-        for path in made:
-            os.rmdir(path)
-        raise
 
     report = result.report
     vio.write_field(result.field, os.path.join(out_dir, "field.hdr"))
@@ -271,9 +271,9 @@ def _cmd_phantom(opts: dict) -> int:
     _require(opts, ("out_dir",), "phantom")
     spec = PhantomSpec(**_given(opts, "seed", "dims", "organs", "deformation",
                                 "magnitude", "noise_sigma"))
-    pair = generate(spec)
     out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    with _new_dirs(out_dir):
+        pair = generate(spec)
     vio.write_volume(pair.fixed, os.path.join(out_dir, "fixed.hdr"))
     vio.write_volume(pair.moving, os.path.join(out_dir, "moving.hdr"))
     vio.write_volume(pair.fixed_labels,

@@ -269,24 +269,22 @@ def running_mean(src: np.ndarray, size: int, axis: int, out=None,
     ``out_l = S_l / size``.  Every numpy call takes whole slices, and
     the sums take as few calls as the case allows:
 
-    * ``out`` apart from ``src`` at ``stride`` 1: every ``d_l`` is taken
-      in at most four slab subtractions into ``out``, the sums added up
-      there slice by slice, and all of them divided in one pass.
-    * Otherwise the sum walks one slice at a time.  Only the kept
-      positions are divided and stored, so a long strided line costs one
-      add and one subtract per step.  Each ``d_l`` is taken as soon as
-      the slice it subtracts has been added, and held in a ring of
-      ``size // 2 + 1`` slices until it is added, so slice ``l`` is not
-      read after ``out_l`` is written: at ``stride`` 1, ``out`` may be
-      ``src`` itself.
+    * At ``stride`` 1, every ``d_l`` is taken in at most four slab
+      subtractions into ``out``, the sums added up there slice by
+      slice, and all of them divided in one pass.
+    * Otherwise the sum walks one slice at a time, and only the kept
+      positions are divided and stored, so a long strided line costs
+      one subtract and one add per step.
 
-    ``out`` (a new array when None) may overlap ``src`` in no other way.
+    ``out`` (a new array when None) may not overlap ``src``.
     """
     n = src.shape[axis]
     r = size // 2
     keep = range(stride // 2, n, stride)
     if out is None:
         out = np.empty(src.shape[:axis] + (len(keep),) + src.shape[axis + 1:])
+    elif np.may_share_memory(src, out):
+        raise ValueError("running_mean: out overlaps src")
     if not keep:
         return out
     x = np.moveaxis(src, axis, 0)
@@ -296,7 +294,7 @@ def running_mean(src: np.ndarray, size: int, axis: int, out=None,
     total = np.zeros(x.shape[1:])
     for i in range(size):
         total += x[min(max(i - r, 0), n - 1), ...]
-    if stride == 1 and not np.may_share_memory(src, out):
+    if stride == 1:
         np.copyto(ys[0], total)
         # d_l = x[min(l + r, n - 1)] - x[max(l - 1 - r, 0)] for l in
         # [lo, hi): each bound is either shifted or clamped on a slab.
@@ -309,21 +307,13 @@ def running_mean(src: np.ndarray, size: int, axis: int, out=None,
             np.add(ys[pos - 1], ys[pos], out=ys[pos])
         np.divide(out, size, out=out)
         return out
-    xs = [x[i, ...] for i in range(n)]
-    last = keep[-1]
-    ring = [np.empty_like(total) for _ in range(r + 1)]
-    # d_l subtracts slice max(l - 1 - r, 0): slice 0 for steps 1 to r,
-    # then slice pos for step pos + r + 1, whose ring slot is the one
-    # step pos has just added.
-    for step in range(1, min(r, last) + 1):
-        np.subtract(xs[min(step + r, n - 1)], xs[0], out=ring[step % (r + 1)])
+    step = np.empty_like(total)
     k = 0
-    for pos in range(last + 1):
-        slot = ring[pos % (r + 1)]
+    for pos in range(keep[-1] + 1):
         if pos:
-            total += slot
-        if pos + r + 1 <= last:
-            np.subtract(xs[min(pos + 2 * r + 1, n - 1)], xs[pos], out=slot)
+            np.subtract(x[min(pos + r, n - 1), ...],
+                        x[max(pos - 1 - r, 0), ...], out=step)
+            total += step
         if pos == keep[k]:
             np.divide(total, size, out=ys[k])
             k += 1

@@ -17,17 +17,20 @@ Passes that read or write every voxel of a volume (the warp, the
 Jacobian statistics, the phantom's inverse field) run one axis-0 slab of
 about :data:`SLAB_VOXELS` voxels per task (:func:`map_slabs`); each voxel
 goes through the same arithmetic in whichever slab and thread it falls.
-A volume of two or more slabs always runs on the workers: every such
-slab holds more than ``SLAB_VOXELS / 2`` voxels, and each of these
-passes keeps at least 12 eight-byte values per voxel in flight, so a
-slab's working set (over 1.5 MiB) is always above
-:data:`MIN_THREADED_PLANE_BYTES`.  A single slab runs on the caller.
-Every task runs under the calling thread's numpy error state.
+A volume of two or more slabs always runs on the workers.  With ``fit``
+planes to a full slab, a split into two or more slabs gives each at
+least ``ceil(fit / 2)`` planes (:func:`row_blocks`), so every such slab
+holds more than ``SLAB_VOXELS / 3`` voxels: the least is one plane of
+just over a third, at ``fit`` 2.  Each of these passes keeps at least
+12 eight-byte values per voxel in flight, so a slab's working set (over
+1 MiB) is always above :data:`MIN_THREADED_PLANE_BYTES`.  A single slab
+runs on the caller.  Every task runs under the calling thread's numpy
+error state.
 
 Inside a task, the tensor stages walk their plane in blocks of rows
-(:func:`row_blocks`) small enough that a block and its scratch buffers
-stay in cache; the regularizer sizes its blocks to its own scratch
-budget.
+small enough that a block and its scratch buffers stay in cache.  One
+rule splits the rows of every stage, and the planes of a volume into
+slabs: :func:`row_blocks`.
 """
 
 import math
@@ -35,6 +38,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .geometry import _is_int
 
 __all__ = ["resolve_workers", "map_planes", "map_slabs", "row_blocks",
            "block_view"]
@@ -55,16 +60,15 @@ SLAB_VOXELS = 1 << 15
 
 
 def resolve_workers(threads=None) -> int:
-    """Worker count: ``threads`` when given (at least 1), otherwise the
-    number of cores this process may run on."""
+    """Worker count: ``threads`` when given (an int, at least 1),
+    otherwise the number of cores this process may run on."""
     if threads is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+    if not (_is_int(threads) and threads >= 1):
+        raise ValueError(f"threads must be >= 1 and an int, got {threads!r}")
+    return int(threads)
 
 
 def map_planes(fn, array, axis: int, workers=None, plane_bytes=None) -> list:
@@ -88,13 +92,12 @@ def map_planes(fn, array, axis: int, workers=None, plane_bytes=None) -> list:
 
 
 def map_slabs(fn, shape: tuple, workers=None) -> list:
-    """``[fn(s) for s in slabs]``: ``slabs`` are slices that cover
-    ``range(shape[0])`` in order, each as many axis-0 planes of a volume
-    of ``shape`` as fit in :data:`SLAB_VOXELS` voxels, and at least one.
-    The slabs run on up to ``workers`` threads (see the module
-    docstring)."""
-    plane = shape[1] * shape[2]
-    return _map(fn, _cover(shape[0], SLAB_VOXELS // max(plane, 1)), workers)
+    """``[fn(s) for s in slabs]``: ``slabs`` are the :func:`row_blocks`
+    of the axis-0 planes of a volume of ``shape``, each within
+    :data:`SLAB_VOXELS` voxels or one plane.  The slabs run on up to
+    ``workers`` threads (see the module docstring)."""
+    return _map(fn, row_blocks(shape[0], shape[1] * shape[2], SLAB_VOXELS),
+                workers)
 
 
 def _map(fn, tasks, workers) -> list:
@@ -114,16 +117,20 @@ def _map(fn, tasks, workers) -> list:
         return list(pool.map(task, tasks))
 
 
-def row_blocks(count: int, row_bytes: int) -> list:
-    """Slices that cover ``range(count)`` in order, each as many rows of
-    ``row_bytes`` as fit in :data:`BLOCK_BYTES`, and at least one row.
-    The first slice is the longest, so it sizes the scratch buffers."""
-    return _cover(count, BLOCK_BYTES // max(int(row_bytes), 1))
-
-
-def _cover(count: int, step: int) -> list:
-    step = max(1, min(count, step))
-    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
+def row_blocks(count: int, row_bytes: int, budget: int = None) -> list:
+    """Slices that cover ``range(count)`` in order: as few blocks as keep
+    each within ``budget`` bytes (default :data:`BLOCK_BYTES`) of rows of
+    ``row_bytes``, ``ceil(count / fit)`` for ``fit`` rows to the budget,
+    and at least one row each.  Their lengths differ by at most one,
+    longest first, so the first block sizes the scratch buffers.  In a
+    split into two or more blocks each holds at least ``ceil(fit / 2)``
+    rows: over ``(n - 1) * fit`` rows in ``n`` blocks."""
+    budget = BLOCK_BYTES if budget is None else budget
+    fit = max(1, budget // max(int(row_bytes), 1))
+    blocks = -(-count // fit)
+    size, longer = divmod(count, max(blocks, 1))
+    cuts = [i * size + min(i, longer) for i in range(blocks + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def block_view(flat, shape: tuple):

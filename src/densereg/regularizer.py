@@ -24,24 +24,23 @@ pass per pooled axis, in axis order: the running sum of
 pools equal ``ndimage.uniform_filter(mode="nearest")`` bit for bit too,
 and smoothing loads no scipy.
 
-Both blocks are evaluated plane by plane on
+Both blocks run on one walker, plane by plane on
 :func:`densereg.parallel.map_planes`: the min-convolution per control
 plane (axis 0), the mean-field step per displacement plane (axis 3).  A
 plane is filtered by the same 1D passes as the whole tensor would be, so
-the result does not depend on the worker count.  Inside a plane, both
-work on blocks of rows in scratch, so that every pass walks long
-contiguous runs: the min-convolution reads a block of a control plane's
-rows transposed to ``(S1, S2, S3, rows, K3)`` and hands it between two
-buffers, one pass after another; the mean field copies a block of a
-displacement plane's ``S2`` rows into one buffer and pools it there in
-place.  A worker's scratch holds at most one control plane plus one row
-block of :data:`densereg.parallel.BLOCK_BYTES`.  Each block reads its
-rows into scratch before it writes them back, and nothing else reads
-those rows, so :func:`regularize` runs every block and the output scale
-in one working buffer.  A validated tensor's array is read-only, and
-then the buffer is a new one: a caller's tensor is read once and never
-written.  A tensor the pipeline has handed over has a writable array,
-and that array is the buffer, so the smoothing adds no second tensor.
+the result does not depend on the worker count.  Inside a plane, the
+walker reads blocks of rows transposed to ``(pooled, pooled, pooled,
+rows, rest)`` into one of two scratch buffers and hands each block
+between them, one pass after another, so that every pass walks long
+contiguous runs.  A worker's two buffers hold at most one control plane
+plus one row block of :data:`densereg.parallel.BLOCK_BYTES`, or one row
+each when a row is larger.  Each block reads its rows into scratch
+before it writes them back, and nothing else reads those rows, so
+:func:`regularize` runs every block and the output scale in one working
+buffer.  A validated tensor's array is read-only, and then the buffer
+is a new one: a caller's tensor is read once and never written.  A
+tensor the pipeline has handed over has a writable array, and that
+array is the buffer, so the smoothing adds no second tensor.
 The blocks take and return plain arrays; :func:`regularize` checks the
 result once, when it wraps it in a :class:`CostTensor6D`.
 """
@@ -53,7 +52,7 @@ import numpy as np
 from . import parallel
 from .correlation import CostTensor6D
 from .geometry import _is_int, running_mean
-from .parallel import block_view, map_planes
+from .parallel import block_view, map_planes, row_blocks
 
 __all__ = [
     "RegularizerParams",
@@ -66,9 +65,6 @@ __all__ = [
 # Width of the min-pool and of both average pools over each displacement
 # axis.
 DISP_KERNEL = 3
-
-_DISP_AXES = (3, 4, 5)
-_SPATIAL_AXES = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -102,13 +98,10 @@ class RegularizerParams:
             raise ValueError(f"iterations must be an int >= 0, got {self.iterations!r}")
 
 
-def _pool_size(shape: tuple, axes: tuple, kernel: int) -> tuple:
-    """Per-axis filter size: the odd ``kernel`` narrowed to the widest odd
-    window that fits each pooled axis, 1 on every other axis."""
-    size = [1] * len(shape)
-    for a in axes:
-        size[a] = min(kernel, shape[a] - 1 + shape[a] % 2)
-    return tuple(size)
+def _windows(extents: tuple, kernel: int) -> list:
+    """Pool width on each axis of ``extents``: the odd ``kernel``
+    narrowed to the widest odd window that fits the axis."""
+    return [min(kernel, n - 1 + n % 2) for n in extents]
 
 
 def _min_pool1d(src: np.ndarray, size: int, axis: int,
@@ -133,62 +126,65 @@ def _min_pool1d(src: np.ndarray, size: int, axis: int,
                    out=dst[cut(s, None)])
 
 
-def _scratch_blocks(count: int, row_bytes: int, buffers: int,
-                    plane_bytes: int) -> list:
-    """Slices that cover ``range(count)`` rows in as few blocks of
-    near-equal length as keep ``buffers`` block buffers within the
-    scratch budget of one worker: one control plane (``plane_bytes``)
-    plus one row block (:data:`densereg.parallel.BLOCK_BYTES`).  A block
-    has at least one row; the first is the longest, so it sizes the
-    buffers."""
-    budget = plane_bytes + parallel.BLOCK_BYTES
-    fit = max(1, budget // (buffers * row_bytes))
-    step = -(-count // -(-count // fit))    # ceil(count / blocks)
-    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
+def _pool_planes(values: np.ndarray, axis: int, perm: tuple, passes: list,
+                 out: np.ndarray, workers) -> np.ndarray:
+    """Run ``passes``, 1D pools ``(pool, block_axis, size)``, on every
+    plane of ``values`` along ``axis`` on up to ``workers`` threads,
+    clamp at 0, and write the result to ``out`` (a new array when None;
+    may be ``values``).
+
+    Each plane is walked in blocks of rows
+    (:func:`~densereg.parallel.row_blocks`): a block transposed by
+    ``perm`` to ``(pooled, pooled, pooled, rows, rest)`` is read into one
+    of two scratch buffers, and each pass writes the other buffer with
+    its pooled axis leading, so that the pass's slices are contiguous.
+    The two buffers hold at most one control plane plus one
+    :data:`~densereg.parallel.BLOCK_BYTES` block, or one row each."""
+    out = np.empty_like(values) if out is None else out
+    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    # perm[3] is the plane axis that the row blocks split.
+    head = (slice(None),) * perm[3]
+    count = src.shape[1 + perm[3]]
+    blocks = row_blocks(count, 2 * src[0].nbytes // count,
+                        values[0].nbytes + parallel.BLOCK_BYTES)
+    scratch = src[0][head + (blocks[0],)].size
+
+    def plane(k):
+        bufs = [np.empty(scratch), np.empty(scratch)]
+        for blk in blocks:
+            rows = src[k][head + (blk,)].transpose(perm)
+            cur = block_view(bufs[0], rows.shape)
+            np.copyto(cur, rows)
+            for pool, a, size in passes:
+                shape = cur.shape
+                lead = (shape[a],) + shape[:a] + shape[a + 1:]
+                nxt = np.moveaxis(block_view(bufs[1], lead), 0, a)
+                pool(cur, size, a, nxt)
+                cur = nxt
+                bufs.reverse()
+            # Sliding-sum rounding can dip epsilon below zero; the true
+            # value of a mean of non-negative numbers cannot.
+            np.maximum(cur, 0.0, out=cur)
+            np.copyto(dst[k][head + (blk,)].transpose(perm), cur)
+
+    map_planes(plane, values, axis, workers)
+    return out
 
 
 def min_convolution(values: np.ndarray, out: np.ndarray = None,
                     workers: int = None) -> np.ndarray:
     """Approximate min-convolution over the displacement dimensions of a
     6D cost array: one min-pool followed by two average-pools, spatial
-    dimensions untouched.  Evaluated per control plane on up to
-    ``workers`` threads, in blocks of the plane's rows: a block is read
-    transposed to ``(S1, S2, S3, rows, K3)`` into one of two scratch
-    buffers, so every 1D pass walks whole spatial rows, and each pass
-    writes the other buffer with its own axis leading.  The result goes
-    to ``out`` when given, which may be ``values`` itself: each block is
-    read into scratch before it is written.  The output is not checked
-    here; :func:`regularize` validates the tensor it builds from it."""
-    size = _pool_size(values.shape, _DISP_AXES, DISP_KERNEL)[3:]
+    dimensions untouched.  Evaluated per control plane (axis 0) on up to
+    ``workers`` threads, in blocks of the plane's rows transposed to
+    ``(S1, S2, S3, rows, K3)``.  The result goes to ``out`` when given,
+    which may be ``values`` itself.  The output is not checked here;
+    :func:`regularize` validates the tensor it builds from it."""
+    size = _windows(values.shape[3:], DISP_KERNEL)
     axes = [a for a in range(3) if size[a] > 1]
-    out = np.empty_like(values) if out is None else out
-    blocks = _scratch_blocks(values.shape[1], values[0, 0].nbytes, 2,
-                             values[0].nbytes)
-    scratch = values[0, blocks[0]].size
-
-    def plane(k):
-        bufs = [np.empty(scratch), np.empty(scratch)]
-        for blk in blocks:
-            rows = values[k, blk]
-            shape = rows.shape[2:] + rows.shape[:2]
-            cur = block_view(bufs[0], shape)
-            np.copyto(cur, rows.transpose(2, 3, 4, 0, 1))
-            for a, pool in ([(a, _min_pool1d) for a in axes]
-                            + [(a, running_mean) for a in axes + axes]):
-                # The pooled axis leads the output block, so its slices
-                # are contiguous.
-                lead = (shape[a],) + shape[:a] + shape[a + 1:]
-                nxt = np.moveaxis(block_view(bufs[1], lead), 0, a)
-                pool(cur, size[a], a, nxt)
-                cur = nxt
-                bufs.reverse()
-            # Sliding-sum rounding can dip epsilon below zero; the true
-            # value of a mean of non-negative numbers cannot.
-            np.maximum(cur, 0.0, out=cur)
-            np.copyto(out[k, blk], cur.transpose(3, 4, 0, 1, 2))
-
-    map_planes(plane, values, 0, workers)
-    return out
+    passes = ([(_min_pool1d, a, size[a]) for a in axes]
+              + [(running_mean, a, size[a]) for a in axes + axes])
+    return _pool_planes(values, 0, (2, 3, 4, 0, 1), passes, out, workers)
 
 
 def mean_field_step(values: np.ndarray, spatial_kernel: int,
@@ -197,30 +193,13 @@ def mean_field_step(values: np.ndarray, spatial_kernel: int,
     ``spatial_kernel``-wide window (narrower on an axis it does not fit),
     one pass, independently per displacement bin.  Evaluated per
     displacement plane (axis 3) on up to ``workers`` threads, in blocks
-    of the plane's ``S2`` rows: a block is copied into one contiguous
-    scratch buffer, pooled there in place, and written back.  The
-    result goes to ``out`` when given, which may be ``values`` itself.
-    The output is not checked here; :func:`regularize` validates the
-    tensor it builds from it."""
-    size = _pool_size(values.shape, _SPATIAL_AXES, spatial_kernel)
-    axes = [a for a in range(3) if size[a] > 1]
-    out = np.empty_like(values) if out is None else out
-    blocks = _scratch_blocks(values.shape[4], values[..., 0, 0, :].nbytes,
-                             1, values[0].nbytes)
-    scratch = values[:, :, :, 0, blocks[0]].size
-
-    def plane(j):
-        buf = np.empty(scratch)
-        for blk in blocks:
-            rows = values[:, :, :, j, blk]
-            cur = block_view(buf, rows.shape)
-            np.copyto(cur, rows)
-            for a in axes:
-                running_mean(cur, size[a], a, cur)
-            np.maximum(cur, 0.0, out=out[:, :, :, j, blk])
-
-    map_planes(plane, values, 3, workers)
-    return out
+    of the plane's ``S2`` rows, ``(K1, K2, K3, rows, S3)``.  The result
+    goes to ``out`` when given, which may be ``values`` itself.  The
+    output is not checked here; :func:`regularize` validates the tensor
+    it builds from it."""
+    size = _windows(values.shape[:3], spatial_kernel)
+    passes = [(running_mean, a, size[a]) for a in range(3) if size[a] > 1]
+    return _pool_planes(values, 3, (0, 1, 2, 3, 4), passes, out, workers)
 
 
 def regularize(cost: CostTensor6D, p: RegularizerParams,

@@ -25,7 +25,7 @@ from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
                                normalized_to_index, present_labels,
                                sample_points_linear, sample_points_nearest,
                                sample_separable)
-from densereg.regularizer import _DISP_AXES, DISP_KERNEL, _pool_size
+from densereg.regularizer import DISP_KERNEL
 
 
 def offset_grid(space):
@@ -384,7 +384,7 @@ def lower_envelope_3d(cost: CostTensor6D, curvature: float) -> CostTensor6D:
     compute the exact 3D envelope.
     """
     out = cost.values
-    for axis in _DISP_AXES:
+    for axis in (3, 4, 5):
         if out.shape[axis] > 1:
             out = lower_envelope_rows(out, curvature, axis)
     return replace(cost, values=out)
@@ -636,10 +636,17 @@ def planewise_label_loss(prob, labels_moving, labels_fixed):
     return loss / (int(np.prod(counts)) * len(labels))
 
 
+def pool_window(n, kernel):
+    """Width of a ``kernel``-wide pool on an axis of extent ``n``: the
+    widest odd window that fits, so an extent-1 axis is not pooled."""
+    return min(kernel, n - 1 + n % 2)
+
+
 def filter_min_convolution(vals):
     """Min-convolution values: ``ndimage.minimum_filter`` then two
     uniform filters per control plane, into a fresh tensor."""
-    size = _pool_size(vals.shape, (3, 4, 5), DISP_KERNEL)[1:]
+    size = (1, 1) + tuple(pool_window(n, DISP_KERNEL)
+                          for n in vals.shape[3:])
     out = np.empty_like(vals)
     for k in range(vals.shape[0]):
         dst = out[k]
@@ -654,8 +661,8 @@ def filter_min_convolution(vals):
 def filter_mean_field(vals, p):
     """Mean-field values: one uniform filter per displacement plane, into
     a fresh tensor."""
-    size = _pool_size(vals.shape, (0, 1, 2), p.spatial_kernel)
-    size = size[:3] + size[4:]
+    size = tuple(pool_window(n, p.spatial_kernel) for n in vals.shape[:3])
+    size += (1, 1)
     out = np.empty_like(vals)
     for j in range(vals.shape[3]):
         dst = out[:, :, :, j]

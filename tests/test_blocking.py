@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from densereg import parallel
+from densereg import parallel, regularizer
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume
 from densereg.geometry import DisplacementField, DisplacementSpace, Volume3D
@@ -184,6 +184,36 @@ class TestRegularizeInput:
                                    spatial_kernel=3)
         with pytest.raises(ArithmeticError, match="finite"):
             regularize(cost, params, workers=2)
+
+
+class TestScratch:
+    @pytest.mark.parametrize("block_bytes", [0, 1 << 12, None])
+    @pytest.mark.parametrize("stage, planes", [
+        (lambda v: regularizer.min_convolution(v, out=v, workers=2), 6),
+        (lambda v: regularizer.mean_field_step(v, 3, out=v, workers=2), 5)])
+    def test_within_one_control_plane_and_one_block(self, stage, planes,
+                                                    block_bytes,
+                                                    monkeypatch):
+        """Each plane task reads its blocks into two scratch buffers of
+        one size, which together hold at most one control plane plus one
+        row block of ``BLOCK_BYTES``."""
+        if block_bytes is not None:
+            monkeypatch.setattr(parallel, "BLOCK_BYTES", block_bytes)
+        seen = {}
+        view = regularizer.block_view
+
+        def spy(flat, shape):
+            seen[id(flat)] = flat       # kept alive, so ids stay unique
+            return view(flat, shape)
+
+        monkeypatch.setattr(regularizer, "block_view", spy)
+        # 6 control planes of 7 rows, 5 displacement planes of 3 rows.
+        vals = random_cost(5, (6, 7, 4), (5, 3, 5)).values.copy()
+        stage(vals)
+        sizes = {flat.nbytes for flat in seen.values()}
+        assert len(seen) == 2 * planes
+        assert len(sizes) == 1
+        assert 2 * sizes.pop() <= vals[0].nbytes + parallel.BLOCK_BYTES
 
 
 class TestManyWorkers:

@@ -109,6 +109,33 @@ class TestPhantom:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "ph").exists()
 
+    def test_out_dir_file_fails_before_generation(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # An existing file as --out-dir is an I/O error before the
+        # phantom is generated, not after.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generation reached")
+
+        monkeypatch.setattr(cli, "generate", unreachable)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="ascii")
+        rc = main(["phantom", "--out-dir", str(taken)] + PHANTOM_ARGS)
+        assert rc == 2
+        assert str(taken) in capsys.readouterr().err
+        assert taken.read_text(encoding="ascii") == "not a directory"
+
+    def test_failed_generation_removes_the_dirs_it_made(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArithmeticError("field must be finite")
+
+        monkeypatch.setattr(cli, "generate", failing)
+        rc = main(["phantom", "--out-dir", str(tmp_path / "new" / "ph")]
+                  + PHANTOM_ARGS)
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRegister:
     def test_artifacts_written(self, register_dir):

@@ -7,15 +7,18 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densereg import parallel
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume, extract_ssc
 from densereg.geometry import DisplacementSpace, Volume3D
-from densereg.parallel import map_planes, map_slabs, resolve_workers
+from densereg.parallel import (map_planes, map_slabs, resolve_workers,
+                               row_blocks)
+from densereg.pipeline import register_pair
 from densereg.regularizer import RegularizerParams, regularize
-from densereg.transform import nonlocal_label_loss, softmax_probabilities
+from densereg.transform import (RegistrationConfig, nonlocal_label_loss,
+                                softmax_probabilities)
 from oracles import full_resolution_ssc
 
 WORKERS = (1, 2, 3)
@@ -42,6 +45,22 @@ class TestResolveWorkers:
     def test_below_one_rejected(self, bad):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             resolve_workers(bad)
+
+    def test_numpy_int_kept(self):
+        assert resolve_workers(np.int64(2)) == 2
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, "2"])
+    def test_non_int_rejected(self, bad):
+        """A float is not truncated and a boolean is not a count: both
+        are refused, as by every other integer setting."""
+        with pytest.raises(ValueError, match="an int"):
+            resolve_workers(bad)
+
+    def test_register_pair_rejects_float_threads(self):
+        vol = Volume3D(np.zeros((8, 8, 8)))
+        with pytest.raises(ValueError, match="threads"):
+            register_pair(vol, vol, RegistrationConfig(grid_counts=2),
+                          threads=2.7)
 
 
 class TestMapPlanes:
@@ -147,6 +166,59 @@ class TestMapSlabs:
         for shape in ((2, 128, 128), (4, 5, 6)):
             assert set(map_slabs(lambda s: threading.get_ident(), shape,
                                  workers=2)) == {caller}
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(plane=st.integers(1, 1 << 15), count=st.integers(2, 300))
+    def test_every_slab_of_a_split_holds_a_third(self, plane, count):
+        """The module docstring's bound at the shipped constants: a
+        volume of two or more slabs has more than ``SLAB_VOXELS / 3``
+        voxels in each."""
+        slabs = map_slabs(lambda s: s.stop - s.start, (count, plane, 1))
+        if len(slabs) > 1:
+            assert min(slabs) * plane > parallel.SLAB_VOXELS / 3
+
+    def test_no_thin_last_slab(self):
+        # 100 planes of 10^4 voxels, three to a slab: 34 slabs of two or
+        # three planes, not 33 of three and one of a single plane.
+        slabs = map_slabs(lambda s: s.stop - s.start, (100, 100, 100))
+        assert len(slabs) == 34 and set(slabs) == {2, 3}
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(0, 3000), row_bytes=st.integers(0, 5000),
+           budget=st.integers(0, 1 << 17))
+    @example(count=0, row_bytes=8, budget=0)
+    @example(count=0, row_bytes=8, budget=1 << 19)
+    def test_balanced_cover(self, count, row_bytes, budget):
+        """``ceil(count / fit)`` blocks cover the rows in order, longest
+        first, differ in length by at most one, and stay within the
+        budget unless a block is a single row."""
+        blocks = row_blocks(count, row_bytes, budget)
+        fit = max(1, budget // max(row_bytes, 1))
+        assert len(blocks) == -(-count // fit)
+        assert [r for b in blocks for r in range(b.start, b.stop)] \
+            == list(range(count))
+        lengths = [b.stop - b.start for b in blocks]
+        assert lengths == sorted(lengths, reverse=True)
+        assert all(n >= 1 for n in lengths)
+        assert not lengths or lengths[0] - lengths[-1] <= 1
+        assert all(n * row_bytes <= budget for n in lengths if n > 1)
+
+    def test_default_budget_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", 24)
+        assert row_blocks(7, 8) == [slice(0, 3), slice(3, 5), slice(5, 7)]
+
+    def test_split_blocks_hold_half_a_fit(self):
+        """In a split into two or more blocks every block holds at least
+        ``ceil(fit / 2)`` rows: ``count > (n - 1) * fit`` rows in ``n``
+        blocks leave each at least ``floor((fit + 1) / 2)``.  Checked
+        here for every fit below 200 up to four blocks."""
+        for fit in range(1, 200):
+            for count in range(fit + 1, 4 * fit + 1):
+                shortest = row_blocks(count, 1, fit)[-1]
+                assert shortest.stop - shortest.start >= -(-fit // 2)
 
 
 # Grids of 2-5 points per axis plus extent-1 axes; plane counts such as 5
