@@ -82,29 +82,20 @@ def _load_config(path: str, command: _Parser) -> dict:
     actions = {a.option_strings[0][2:]: a for a in command._actions
                if a.option_strings and a.dest not in ("config", "help")}
     values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, "
-                                 f"got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            action = actions.get(key)
-            if action is None:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            convert = _parse_bool if action.nargs == 0 else action.type or str
-            try:
-                value = convert(text.strip())
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(f"expected one of "
-                                     f"{', '.join(action.choices)}")
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for "
-                                 f"{key!r}: {exc}") from None
-            values[action.dest] = value
+    for lineno, key, text in vio._key_values(path, ValueError):
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        convert = _parse_bool if action.nargs == 0 else action.type or str
+        try:
+            value = convert(text)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"expected one of "
+                                 f"{', '.join(action.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for "
+                             f"{key!r}: {exc}") from None
+        values[action.dest] = value
     return values
 
 
@@ -335,9 +326,8 @@ def _cmd_selftest(_opts) -> int:
         after = mean_dice(dice(fixed, read(runs[0] / "warped_labels.hdr")))
         same = all((runs[0] / name).read_bytes() == (runs[1] / name)
                    .read_bytes() for name in _SELFTEST_OUTPUTS)
-        report = (runs[0] / "report.txt").read_text(encoding="ascii")
-    folding = dict(line.split("=", 1)
-                   for line in report.splitlines())["folding_fraction"]
+        folding = {key: value for _, key, value in vio._key_values(
+            runs[0] / "report.txt", RuntimeError)}["folding_fraction"]
     checks = {
         "outputs byte-identical between the two runs": same,
         f"dice_mean {after:.4f} above the unregistered Dice {before:.4f}":

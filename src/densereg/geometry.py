@@ -99,7 +99,7 @@ class Volume3D:
     """Scalar 3D image: ``data`` indexed ``[z, y, x]``-style as ``(D, H, W)``.
 
     Intensity volumes hold finite float64 data; label volumes hold
-    non-negative integers and are sampled nearest-neighbor.
+    integers from 0 to 2**31 - 1 and are sampled nearest-neighbor.
     """
 
     data: np.ndarray
@@ -117,14 +117,17 @@ class Volume3D:
             raise ValueError(f"spacing must be three positive finite values, "
                              f"got {self.spacing}")
         if self.is_label:
-            if not np.issubdtype(data.dtype, np.integer):
+            integral = np.issubdtype(data.dtype, np.integer)
+            if not integral:
                 _require_finite(data, "volume data")
                 if not np.all(data == np.round(data)):
                     raise ValueError("label volume requires integer values")
-                data = data.astype(np.int32)
-            if data.min(initial=0) < 0:
-                raise ValueError("label volume requires non-negative values")
-            data = np.ascontiguousarray(data)
+            low, top = int(data.min(initial=0)), int(data.max(initial=0))
+            if low < 0 or top > 2 ** 31 - 1:
+                raise ValueError(f"label values must lie in 0 .. 2**31 - 1 = "
+                                 f"{2 ** 31 - 1}, got {low} .. {top}")
+            data = np.ascontiguousarray(data if integral
+                                        else data.astype(np.int32))
         else:
             data = np.ascontiguousarray(data, dtype=np.float64)
             _require_finite(data, "volume data")
@@ -207,16 +210,15 @@ def lerp_plan(n: int, t, ndim: int, axis: int) -> tuple:
     axis of extent ``n``, clamped to the border: lower and upper neighbour
     indices and their weights ``(i0, i1, w0, w1)``, the weights shaped to
     broadcast over an ``ndim``-dimensional array along ``axis``.  On an
-    extent-1 axis every sample is the one value and ``i1, w0, w1`` are
-    ``None``."""
+    extent-1 axis both neighbours are index 0 and the second corner has
+    weight 0, so every sample is the one value, bit for bit."""
     t = np.clip(np.asarray(t, dtype=np.float64), 0.0, n - 1.0)
-    if n == 1:
-        return np.zeros(len(t), dtype=np.intp), None, None, None
-    i0 = np.minimum(t.astype(np.intp), n - 2)
+    i0 = np.minimum(t.astype(np.intp), max(n - 2, 0))
     shape = [1] * ndim
     shape[axis] = len(t)
-    w = (t - i0).reshape(shape)
-    return i0, i0 + 1, 1.0 - w, w
+    # A +0 weight, not the -0 of a clamped t = -0.0, keeps -0.0 data exact.
+    w = (t - i0 if n > 1 else np.zeros(len(t))).reshape(shape)
+    return i0, np.minimum(i0 + 1, n - 1), 1.0 - w, w
 
 
 def lerp_axis(data: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
@@ -234,14 +236,14 @@ def lerp_axis_into(data: np.ndarray, plan: tuple, axis: int,
     """Linear interpolation of float64 ``data`` along ``axis`` by a
     :func:`lerp_plan`, written into ``out`` with ``work`` (same shape) as
     scratch and no other temporary.  A plan made once serves every array
-    and block sampled at the same positions."""
+    and block sampled at the same positions; on an extent-1 axis, the
+    second corner, of weight 0, adds ``x * 0.0`` to every value ``x``."""
     i0, i1, w0, w1 = plan
     np.take(data, i0, axis=axis, out=out, mode="clip")
-    if w1 is not None:
-        out *= w0
-        np.take(data, i1, axis=axis, out=work, mode="clip")
-        work *= w1
-        out += work
+    out *= w0
+    np.take(data, i1, axis=axis, out=work, mode="clip")
+    work *= w1
+    out += work
     return out
 
 
@@ -323,18 +325,17 @@ def running_mean(src: np.ndarray, size: int, axis: int, out=None,
 def sample_points_linear(data: np.ndarray, fracs: np.ndarray) -> np.ndarray:
     """Trilinear sampling of a 3D array at arbitrary fractional-index
     points ``fracs`` of shape ``(..., 3)``, clamped to the border by
-    :func:`lerp_plan`'s rule.  Axes of ``data`` after the first three (a
-    vector field's components) are sampled together and trail the
-    result; each is computed exactly as if it were sampled alone."""
+    :func:`lerp_plan`'s rule (an extent-1 axis's second corner, of weight
+    0, adds ``±0`` to sums begun at ``+0``).  Axes of ``data`` after the
+    first three (a vector field's components) are sampled together and
+    trail the result; each is computed exactly as if it were sampled alone."""
     fracs = np.asarray(fracs, dtype=np.float64)
     shape = fracs.shape[:-1]
     corners = []
     for axis in range(3):
         plan = lerp_plan(data.shape[axis], fracs[..., axis].ravel(), 1, 0)
-        i0, i1, w0, w1 = (a if a is None else a.reshape(shape) for a in plan)
-        # An extent-1 axis has one corner, of weight 1.
-        corners.append([(i0, w0), (i1, w1)] if i1 is not None
-                       else [(i0, np.float64(1.0))])
+        i0, i1, w0, w1 = (a.reshape(shape) for a in plan)
+        corners.append([(i0, w0), (i1, w1)])
     out = np.zeros(shape + data.shape[3:], dtype=np.float64)
     trail = (...,) + (None,) * (data.ndim - 3)
     for (i0, w0), (i1, w1), (i2, w2) in itertools.product(*corners):

@@ -31,6 +31,7 @@ convert and validate it once and raise :class:`ArithmeticError`
 spacing that is not positive and finite).
 """
 
+import math
 import os
 
 import numpy as np
@@ -60,7 +61,7 @@ def _payload(vol: Volume3D):
     top = vol.data.max(initial=0)
     dtype = "u8" if top <= 255 else "i16" if top <= 32767 else "f32"
     payload = vol.data.astype(_DTYPES[dtype])
-    if dtype == "f32" and np.any(payload.astype(vol.data.dtype) != vol.data):
+    if dtype == "f32" and np.any(payload.astype(np.int64) != vol.data):
         raise ValueError(f"label values up to {top} cannot be stored "
                          f"exactly as u8, i16 or f32")
     return dtype, payload
@@ -70,19 +71,24 @@ def _payload(vol: Volume3D):
 # Raw header + payload pair
 # ---------------------------------------------------------------------------
 
-def _parse_header(path: str) -> dict:
-    fields = {}
+def _key_values(path, error):
+    """``(lineno, key, value)`` per stripped line of an ASCII file but
+    blank and ``#`` ones; a line without ``=``, or a byte that is not
+    ASCII, raises ``error`` naming the file."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise VolumeIOError(f"{path}:{lineno}: expected key=value, "
-                                    f"got {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    return fields
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise error(f"{path}:{lineno}: expected key=value, "
+                                f"got {line!r}")
+                key, _, value = line.partition("=")
+                yield lineno, key.strip(), value.strip()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not ASCII text: byte "
+                        f"{exc.object[exc.start]:#04x}") from None
 
 
 def _header_triple(fields: dict, key: str, path: str, conv):
@@ -98,7 +104,7 @@ def _header_triple(fields: dict, key: str, path: str, conv):
 
 def _read_raw(path: str):
     """Header dict plus the raw payload array, shaped but not converted."""
-    fields = _parse_header(path)
+    fields = {key: value for _, key, value in _key_values(path, VolumeIOError)}
     for key in ("dims", "dtype", "data"):
         if key not in fields:
             raise VolumeIOError(f"{path}: missing required key {key!r}")
@@ -126,7 +132,8 @@ def _read_raw(path: str):
     payload_path = os.path.join(os.path.dirname(path) or ".", fields["data"])
     with open(payload_path, "rb") as fh:
         blob = fh.read()
-    count = int(np.prod(dims)) * components
+    # Exact integers: np.prod would wrap dims such as 2**32 to 0 in int64.
+    count = math.prod(dims) * components
     need = count * _DTYPES[dtype].itemsize
     if len(blob) < need:
         raise VolumeIOError(
@@ -200,13 +207,13 @@ def _read_nifti(path: str):
     pixdim = np.frombuffer(blob, "<f4", count=8, offset=76)
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1:4])
     vox_offset = float(np.frombuffer(blob, "<f4", count=1, offset=108)[0])
-    if vox_offset < 352:
-        raise VolumeIOError(f"{path}: vox_offset {vox_offset} below the "
-                            f"352-byte minimum")
+    if not 352 <= vox_offset < np.inf:
+        raise VolumeIOError(f"{path}: vox_offset {vox_offset} is not a "
+                            f"finite offset of at least 352 bytes")
     offset = int(vox_offset)
 
     dtype = _DTYPES[_NIFTI_CODES[code]]
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     need = count * dtype.itemsize
     if len(blob) - offset < need:
         raise VolumeIOError(
@@ -258,8 +265,8 @@ def read_volume(path: str, as_labels=None) -> Volume3D:
 
     The payload goes to :class:`Volume3D` as stored, which converts it
     once: intensities become float64, u8 and i16 labels keep their dtype,
-    and f32 labels must be finite (else :class:`ArithmeticError`) and
-    integer-valued (else :class:`ValueError`) and become int32.
+    and f32 labels must be finite (else :class:`ArithmeticError`),
+    integers up to 2**31 - 1 (else :class:`ValueError`) and become int32.
     """
     if _dispatch(path) == "raw":
         fields, payload, spacing = _read_raw(path)

@@ -75,9 +75,10 @@ def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray):
     """Sum of interpolated cost rows and its gradient w.r.t. the field.
 
     ``phi`` must already be clamped to the capture-range box.  Corners and
-    weights follow :func:`lerp_plan`'s border rule, so an axis with a
-    single displacement step has one corner, of weight 1, and contributes
-    no variation and zero gradient.
+    weights follow :func:`lerp_plan`'s border rule, so on an axis with a
+    single displacement step the second corner has weight 0, and both
+    corners have slope 0: the axis contributes no variation and zero
+    gradient.
     """
     space, counts = cost.space, cost.counts
     corners = []
@@ -85,10 +86,10 @@ def _data_energy_grad(cost: CostTensor6D, phi: np.ndarray):
         h = space.spacing(a)
         t = (phi[..., a] + space.q) / h if h else np.zeros(counts)
         plan = lerp_plan(space.steps[a], t.ravel(), 1, 0)
-        i0, i1, w0, w1 = (x if x is None else x.reshape(counts) for x in plan)
+        i0, i1, w0, w1 = (x.reshape(counts) for x in plan)
+        slope = 1.0 / h if h else 0.0
         # (index, weight, slope of the weight along phi) per corner.
-        corners.append([(i0, w0, -1.0 / h), (i1, w1, 1.0 / h)]
-                       if i1 is not None else [(i0, np.float64(1.0), 0.0)])
+        corners.append([(i0, w0, -slope), (i1, w1, slope)])
     kk = np.ogrid[:counts[0], :counts[1], :counts[2]]
     energy = 0.0
     grad = np.zeros(counts + (3,))

@@ -13,6 +13,7 @@ definition evaluated for all rows at once, which
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
@@ -271,6 +272,87 @@ def sample_features_at(fvol, points):
                      axis=-1)
     return np.stack([sample_points_linear(fvol.data[c], fracs)
                      for c in range(fvol.channels)], axis=-1)
+
+
+def single_corner_axis(n, t, h=1.0):
+    """Corners ``[(index, weight, slope)]`` of clamped linear
+    interpolation at fractional indices ``t`` (1D) on an axis of extent
+    ``n``, with the extent-1 axis as a case of its own: one corner, index
+    0, weight 1 and slope 0.  Otherwise the two neighbours, of slopes
+    ``-1/h`` and ``1/h`` along a coordinate of step ``h``."""
+    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, n - 1.0)
+    if n == 1:
+        return [(np.zeros(len(t), dtype=np.intp), np.float64(1.0), 0.0)]
+    i0 = np.minimum(t.astype(np.intp), n - 2)
+    w = t - i0
+    return [(i0, 1.0 - w, -1.0 / h), (i0 + 1, w, 1.0 / h)]
+
+
+def _corners(n, t, shape, h=1.0):
+    """:func:`single_corner_axis` with arrays reshaped to ``shape``."""
+    return [(i.reshape(shape), w if np.ndim(w) == 0 else w.reshape(shape),
+             slope) for i, w, slope in single_corner_axis(n, t.ravel(), h)]
+
+
+def single_corner_lerp_axis(data, t, axis):
+    """``geometry.lerp_axis`` by :func:`single_corner_axis`: a lone
+    corner is taken as it is, two are weighted and added in place."""
+    data = np.asarray(data, dtype=np.float64)
+    shape = [1] * data.ndim
+    shape[axis] = len(t)
+    (i0, w0, _), *rest = _corners(data.shape[axis], np.asarray(t), shape)
+    out = np.take(data, i0.ravel(), axis=axis)
+    for i1, w1, _ in rest:
+        out *= w0
+        work = np.take(data, i1.ravel(), axis=axis)
+        work *= w1
+        out += work
+    return out
+
+
+def single_corner_separable(data, fracs):
+    """``geometry.sample_separable`` by :func:`single_corner_lerp_axis`."""
+    for axis, t in enumerate(fracs):
+        data = single_corner_lerp_axis(data, t, axis)
+    return data
+
+
+def single_corner_points(data, fracs):
+    """``geometry.sample_points_linear`` by :func:`single_corner_axis`:
+    the corner products, with trailing axes of ``data`` carried along,
+    summed into zeros in row-major corner order."""
+    fracs = np.asarray(fracs, dtype=np.float64)
+    shape = fracs.shape[:-1]
+    corners = [_corners(data.shape[a], fracs[..., a], shape)
+               for a in range(3)]
+    out = np.zeros(shape + data.shape[3:])
+    trail = (...,) + (None,) * (data.ndim - 3)
+    for (i0, w0, _), (i1, w1, _), (i2, w2, _) in product(*corners):
+        out += data[i0, i1, i2] * (w0 * w1 * w2)[trail]
+    return out
+
+
+def single_corner_energy_grad(cost, phi):
+    """The data term of ``refine.field_energy_grad`` and its gradient by
+    :func:`single_corner_axis`: a single-step axis adds no variation and
+    zero gradient."""
+    space, counts = cost.space, cost.counts
+    corners = []
+    for a in range(3):
+        h = space.spacing(a)
+        t = (phi[..., a] + space.q) / h if h else np.zeros(counts)
+        corners.append(_corners(space.steps[a], t, counts, h))
+    kk = np.ogrid[:counts[0], :counts[1], :counts[2]]
+    energy = 0.0
+    grad = np.zeros(counts + (3,))
+    for corner in product(*corners):
+        idx, wt, slope = zip(*corner)
+        value = cost.values[kk[0], kk[1], kk[2], idx[0], idx[1], idx[2]]
+        energy += float(np.sum(wt[0] * wt[1] * wt[2] * value))
+        for a in range(3):
+            if slope[a]:
+                grad[..., a] += slope[a] * (wt[a - 1] * wt[a - 2]) * value
+    return energy, grad
 
 
 def naive_min_pool(data, kernel, axes):

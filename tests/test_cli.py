@@ -401,6 +401,19 @@ class TestConfigFile:
                      "report.txt", "r.csv"):
             assert read_bytes(a / name) == read_bytes(b / name), name
 
+    def test_malformed_line_read_as_in_a_header(self, tmp_path):
+        # One reader: the same message, each file kind with its own error.
+        hdr, cfg = tmp_path / "x.hdr", tmp_path / "x.cfg"
+        for path in (hdr, cfg):
+            path.write_text("# note\n  grid 4  \n", encoding="ascii")
+        with pytest.raises(vio.VolumeIOError) as from_header:
+            vio.read_volume(str(hdr))
+        with pytest.raises(ValueError) as from_config:
+            cli._load_config(str(cfg), cli._build_parser()[1]["register"])
+        for path, exc in ((hdr, from_header), (cfg, from_config)):
+            assert str(exc.value) == \
+                f"{path}:2: expected key=value, got 'grid 4'"
+
     @pytest.mark.parametrize("command, line, reason", [
         ("register", "threads = 0", "must be an int >= 1"),
         ("register", "grid = a,b", "three comma-separated ints"),
@@ -610,6 +623,20 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, name, code", [
+        ("--fixed-labels", "labels.hdr", 2), ("--config", "run.cfg", 1)])
+    def test_non_ascii_byte(self, tmp_path, capsys, flag, name, code):
+        # Even in a comment: a header is a file I/O error, a config file
+        # a configuration error, and both messages name the file.
+        path = tmp_path / name
+        path.write_bytes(b"# caf\xc3\xa9\ndims=1,1,1\n")
+        argv = ["evaluate", flag, str(path)]
+        if flag != "--config":
+            argv += ["--moving-labels", str(path)]
+        assert main(argv) == code
+        assert f"error: {path}: not ASCII text: byte 0xc3" \
+            in capsys.readouterr().err
 
     def test_truncated_payload(self, tmp_path, capsys):
         vol = Volume3D(np.zeros((16, 16, 16)))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import FeatureVolume
@@ -24,7 +25,17 @@ from densereg.geometry import (
 from densereg.phantom import PhantomSpec
 from densereg.transform import ProbTensor6D, RegistrationConfig, upsample_field
 from oracles import (naive_trilinear, offset_grid, sample_volume,
-                     trilinear_sample)
+                     single_corner_lerp_axis, single_corner_points,
+                     single_corner_separable, trilinear_sample)
+
+# Grids with at least one one-point axis, finite values (signed zeros
+# included) and sample positions inside and outside the border.
+one_point_shapes = st.tuples(*[st.integers(1, 3)] * 3).filter(
+    lambda shape: 1 in shape)
+zeros = st.sampled_from((-0.0, 0.0))
+finite = zeros | st.floats(-1e6, 1e6)
+places = zeros | st.floats(-2.0, 4.0)
+positions = st.lists(places, min_size=1, max_size=5).map(np.array)
 
 
 class TestCoordinateConvention:
@@ -338,6 +349,28 @@ class TestSampling:
             p = rng.uniform(-1.3, 1.3, size=3)
             assert trilinear_sample(vol, p) == pytest.approx(
                 naive_trilinear(data, p), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_point_axes_lerp_as_the_single_corner(self, data):
+        shape = data.draw(one_point_shapes)
+        values = data.draw(hnp.arrays(np.float64, shape, elements=finite))
+        fracs = [data.draw(positions) for _ in range(3)]
+        for axis, t in enumerate(fracs):
+            assert lerp_axis(values, t, axis).tobytes() == \
+                single_corner_lerp_axis(values, t, axis).tobytes()
+        assert sample_separable(values, fracs).tobytes() == \
+            single_corner_separable(values, fracs).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), trail=st.sampled_from(((), (3,))))
+    def test_one_point_axes_sample_as_the_single_corner(self, data, trail):
+        shape = data.draw(one_point_shapes) + trail
+        values = data.draw(hnp.arrays(np.float64, shape, elements=finite))
+        fracs = data.draw(hnp.arrays(np.float64, (data.draw(
+            st.integers(1, 6)), 3), elements=places))
+        assert sample_points_linear(values, fracs).tobytes() == \
+            single_corner_points(values, fracs).tobytes()
 
     def test_nearest_on_labels(self):
         labels = np.arange(27).reshape(3, 3, 3)

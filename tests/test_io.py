@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densereg.cli import main
 from densereg.geometry import DisplacementField, Volume3D
 from densereg import io as vio
 
@@ -39,7 +40,8 @@ def nifti_bytes(dims=(3, 4, 5), ndim=3, code=16, magic=b"n+1\x00",
     if payload is None:
         itemsize = max(bits // 8, 1)
         payload = bytes(int(np.prod(dims)) * itemsize)
-    pad = b"\x00" * (int(vox_offset) - 352) if vox_offset > 352 else b""
+    pad = b"\x00" * (int(vox_offset) - 352) \
+        if 352 < vox_offset < np.inf else b""
     return bytes(out) + pad + payload
 
 
@@ -185,6 +187,20 @@ class TestRawErrors:
         with pytest.raises(vio.VolumeIOError, match="key=value"):
             vio.read_volume(str(path))
 
+    @pytest.mark.parametrize("size", [0, 8])
+    def test_dims_beyond_int64_truncated(self, tmp_path, capsys, size):
+        # 2**32 * 2**32 voxels: a product in int64 would wrap to 0 bytes.
+        path = tmp_path / "huge.hdr"
+        path.write_text("dims=4294967296,4294967296,1\ndtype=u8\n"
+                        "data=huge.raw\n", encoding="ascii")
+        (tmp_path / "huge.raw").write_bytes(bytes(size))
+        with pytest.raises(vio.VolumeIOError, match="payload truncated"):
+            vio.read_volume(str(path))
+        assert main(["evaluate", "--fixed-labels", str(path),
+                     "--moving-labels", str(path)]) == 2
+        assert "payload truncated: header promises 18446744073709551616 " \
+               "bytes" in capsys.readouterr().err
+
     def test_unknown_extension(self, tmp_path):
         target = tmp_path / "vol.pgm"
         target.write_bytes(b"")
@@ -287,6 +303,16 @@ class TestNifti:
         with pytest.raises(vio.VolumeIOError, match="vox_offset"):
             vio.read_volume(str(path))
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf])
+    def test_non_finite_vox_offset(self, tmp_path, capsys, offset):
+        path = tmp_path / "odd.nii"
+        path.write_bytes(nifti_bytes(dims=(3, 3, 3), code=2,
+                                     vox_offset=offset))
+        assert main(["evaluate", "--fixed-labels", str(path),
+                     "--moving-labels", str(path)]) == 2
+        assert f"{path}: vox_offset {offset} is not a finite offset" \
+            in capsys.readouterr().err
+
     def test_truncated_payload(self, tmp_path):
         data = np.zeros(59, dtype=np.float32)  # header promises 60
         path = tmp_path / "short.nii"
@@ -311,6 +337,26 @@ class TestLossyWriteRefusal:
                 vio.write_volume(Volume3D(data, is_label=True),
                                  str(tmp_path / name))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value, refusal", [
+        (2 ** 31 - 1, "cannot be stored exactly"),
+        (2 ** 31 + 256, r"lie in 0 .. 2\*\*31 - 1 = 2147483647"),
+        (3_000_000_000, r"lie in 0 .. 2\*\*31 - 1 = 2147483647")])
+    def test_labels_from_2_31_refused_on_both_sides(self, tmp_path, value,
+                                                    refusal):
+        # f32 holds 2**31 + 256 and 3e9 exactly, but labels become int32;
+        # 2**31 - 1 rounds to 2**31 in f32.  A numpy warning would fail.
+        data = np.zeros((2, 2, 2), dtype=np.int64)
+        data[1, 1, 1] = value
+        with pytest.raises(ValueError, match=refusal):
+            vio.write_volume(Volume3D(data, is_label=True),
+                             str(tmp_path / "x.hdr"))
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "x.hdr").write_text("dims=2,2,2\ndtype=f32\nkind=label\n"
+                                        "data=x.raw\n", encoding="ascii")
+        (tmp_path / "x.raw").write_bytes(data.astype("<f4").tobytes())
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1 = 2147483647"):
+            vio.read_volume(str(tmp_path / "x.hdr"))
 
 
 class TestFieldRoundTrip:

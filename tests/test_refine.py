@@ -9,11 +9,13 @@ from densereg.geometry import DisplacementField, DisplacementSpace
 from densereg.refine import (
     RefineConfig,
     field_energy,
+    _diffusion_energy_grad,
     field_energy_grad,
     gradient_adjoint,
     refine_trace,
 )
-from oracles import naive_frac_trilinear, offset_grid
+from oracles import (naive_frac_trilinear, offset_grid,
+                     single_corner_energy_grad)
 
 
 def bowl_cost(space, target, grid_counts=(1, 1, 1), sharpness=1.0):
@@ -169,6 +171,28 @@ class TestDataTerm:
         for a in range(3):
             if steps[a] == 1:
                 assert np.all(grad[..., a] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.tuples(*[st.integers(1, 3)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3).filter(
+               lambda steps: 1 in steps),
+           q=st.floats(0.05, 0.95), on_face=st.floats(0.0, 1.0),
+           weight=st.sampled_from((0.0, 1.5)))
+    def test_single_step_axes_as_the_single_corner(self, seed, counts, steps,
+                                                   q, on_face, weight):
+        rng = np.random.default_rng(seed)
+        cost = CostTensor6D(rng.uniform(0.0, 1.0, size=counts + steps),
+                            DisplacementSpace(q, steps))
+        phi = rng.uniform(-q, q, size=counts + (3,))
+        face = rng.uniform(size=phi.shape) < on_face
+        phi[face] = rng.choice((-q, q), size=int(face.sum()))
+        energy, grad = field_energy_grad(cost, phi, weight)
+        e_data, g_data = single_corner_energy_grad(cost, phi)
+        e_diff, g_diff = _diffusion_energy_grad(phi, weight)
+        assert np.float64(energy).tobytes() == \
+            np.float64(e_data + e_diff).tobytes()
+        assert grad.tobytes() == (g_data + g_diff).tobytes()
 
 
 class TestRefine:

@@ -8,9 +8,13 @@ For every benchmark workload (``perfbench/workloads.py``, imported and
 never changed), each checkout sets up pair 0 of seed ``N`` with its own
 ``densereg`` in a subprocess.  It then runs ``densereg register`` on that
 pair with the workload's flags at ``--threads 1`` and ``--threads 2``,
-and ``densereg evaluate --field`` on each result.  Each checkout also
-runs ``densereg selftest``.  Every command runs in a directory of the
-same layout with relative paths, so paths printed or written agree.
+and ``densereg evaluate --field`` on each result.  One more ``register``
+reads the same flags and input paths, with ``threads=1``, from a
+``--config`` file of ``key=value`` lines (``refine=true`` where the
+workload passes ``--refine``), so config and header parsing are
+byte-checked end to end.  Each checkout also runs ``densereg selftest``.
+Every command runs in a directory of the same layout with relative
+paths, so paths printed or written agree.
 
 Every file the runs leave, and every command's standard output and exit
 code, is compared byte for byte, except ``timings.txt``, which holds wall
@@ -49,6 +53,18 @@ def run(checkout: Path, args: list, cwd: Path, log: str) -> None:
               f"{proc.stderr[-500:]}", file=sys.stderr)
 
 
+def config_text(argv: list) -> str:
+    """``--config`` lines of ``register`` arguments: ``--key value``
+    becomes ``key=value``, and a flag that takes no value ``key=true``."""
+    lines = []
+    for i, arg in enumerate(argv):
+        if arg.startswith("--"):
+            value = argv[i + 1] if i + 1 < len(argv) \
+                and not argv[i + 1].startswith("--") else "true"
+            lines.append(f"{arg[2:]}={value}\n")
+    return "".join(lines)
+
+
 def run_checkout(checkout: Path, seed: int, base: Path) -> None:
     base.mkdir()
     run(checkout, ["-m", "densereg.cli", "selftest"], base, "selftest.out")
@@ -68,6 +84,11 @@ def run_checkout(checkout: Path, seed: int, base: Path) -> None:
                            "--field", str(out / "field.hdr"),
                            "--report", f"evaluate{t}.csv",
                            "--threads", str(t)], work, f"evaluate{t}.out")
+        argv = workloads.register_argv(w, Path("pair"), Path("out_config"))
+        (work / "register.cfg").write_text(
+            config_text(argv + ["--threads", "1"]), encoding="ascii")
+        run(checkout, ["-m", "densereg.cli", "register", "--config",
+                       "register.cfg"], work, "register_config.out")
 
 
 def main(argv=None) -> int:
