@@ -12,7 +12,10 @@ near the volume edge degrade gracefully instead of reading zeros.
 The validated array types (:class:`Volume3D`, :class:`DisplacementField`,
 and the feature, cost and probability tensors of the other modules) share
 one contract.  A container takes the array it is given, converted only
-when its dtype or layout differs, and never copies it; once the array is
+when its dtype or layout differs, and never copies it.  Each type has
+one dtype (int labels keep theirs), except the 6D cost and probability
+tensors, which store float32 as well as float64 and convert any other
+dtype to float64; the pipeline's are float32.  Once the array is
 validated, :func:`_freeze` makes it read-only, so nothing writes it
 afterwards; only the pipeline hands the array of a 6D tensor it built
 on to the next stage to write (:mod:`densereg.pipeline`).  Non-finite
@@ -278,13 +281,16 @@ def running_mean(src: np.ndarray, size: int, axis: int, out=None,
       positions are divided and stored, so a long strided line costs
       one subtract and one add per step.
 
-    ``out`` (a new array when None) may not overlap ``src``.
+    The sums run in ``out``'s dtype.  ``out`` (a new array when None,
+    float32 for a float32 ``src`` and float64 otherwise) may not overlap
+    ``src``.
     """
     n = src.shape[axis]
     r = size // 2
     keep = range(stride // 2, n, stride)
     if out is None:
-        out = np.empty(src.shape[:axis] + (len(keep),) + src.shape[axis + 1:])
+        out = np.empty(src.shape[:axis] + (len(keep),) + src.shape[axis + 1:],
+                       np.float32 if src.dtype == np.float32 else np.float64)
     elif np.may_share_memory(src, out):
         raise ValueError("running_mean: out overlaps src")
     if not keep:
@@ -293,7 +299,7 @@ def running_mean(src: np.ndarray, size: int, axis: int, out=None,
     y = np.moveaxis(out, axis, 0)
     # Slices as arrays (0-d on a 1D line), never as numpy scalars.
     ys = [y[i, ...] for i in range(len(keep))]
-    total = np.zeros(x.shape[1:])
+    total = np.zeros(x.shape[1:], out.dtype)
     for i in range(size):
         total += x[min(max(i - r, 0), n - 1), ...]
     if stride == 1:

@@ -7,9 +7,10 @@ upsampling, warping, evaluation.  Per-stage
 wall times land in the report's ``runtimes``, which both serializations
 exclude, so identical runs produce identical report bytes.
 
-The 6D tensor is the largest object of a run, and without refinement
-only one is ever alive.  The correlation's array is handed on
-(:func:`_hand_over`): :func:`regularize` smooths it in place, and
+The 6D tensor is the largest object of a run, stored in float32 from
+the correlation on, and without refinement only one is ever alive.  The
+correlation's array is handed on (:func:`_hand_over`):
+:func:`regularize` smooths it in place, and
 :func:`softmax_probabilities` then writes the probabilities into the
 same array, after which the pipeline holds no cost tensor.  Refinement
 reads the regularized cost after the softmax, so with it the

@@ -20,9 +20,13 @@ holds the values that replicate padding would add, and ``min`` does not
 round, so the result equals ``ndimage.minimum_filter(mode="nearest")``
 bit for bit.  An average pool is one :func:`densereg.geometry.running_mean`
 pass per pooled axis, in axis order: the running sum of
-``ndimage.uniform_filter1d`` with that filter's own arithmetic, so the
-pools equal ``ndimage.uniform_filter(mode="nearest")`` bit for bit too,
-and smoothing loads no scipy.
+``ndimage.uniform_filter1d`` with that filter's own arithmetic, in the
+tensor's dtype, and smoothing loads no scipy.  On a float64 tensor the
+pools equal ``ndimage.uniform_filter(mode="nearest")`` bit for bit too.
+ndimage filters in double whatever the input, so a float32 tensor,
+which the pipeline's is, differs from it by float32 rounding; it equals
+bit for bit its own evaluation with each 1D pool run once over the whole
+tensor, as a float64 one does.
 
 Both blocks run on one walker, plane by plane on
 :func:`densereg.parallel.map_planes`: the min-convolution per control
@@ -37,8 +41,9 @@ plus one row block of :data:`densereg.parallel.BLOCK_BYTES`, or one row
 each when a row is larger.  Each block reads its rows into scratch
 before it writes them back, and nothing else reads those rows, so
 :func:`regularize` runs every block and the output scale in one working
-buffer.  A validated tensor's array is read-only, and then the buffer
-is a new one: a caller's tensor is read once and never written.  A
+buffer of the tensor's dtype, as are the scratch buffers.  A validated
+tensor's array is read-only, and then the buffer is a new one: a
+caller's tensor is read once and never written.  A
 tensor the pipeline has handed over has a writable array, and that
 array is the buffer, so the smoothing adds no second tensor.
 The blocks take and return plain arrays; :func:`regularize` checks the
@@ -150,7 +155,7 @@ def _pool_planes(values: np.ndarray, axis: int, perm: tuple, passes: list,
     scratch = src[0][head + (blocks[0],)].size
 
     def plane(k):
-        bufs = [np.empty(scratch), np.empty(scratch)]
+        bufs = [np.empty(scratch, values.dtype) for _ in range(2)]
         for blk in blocks:
             rows = src[k][head + (blk,)].transpose(perm)
             cur = block_view(bufs[0], rows.shape)

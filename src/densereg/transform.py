@@ -44,10 +44,10 @@ __all__ = [
 class ProbTensor6D:
     """Displacement probabilities per control point, with the layout,
     ``counts``, checks and ``workers`` of :class:`CostTensor6D`; each point's
-    distribution sums to one.  Like the cost tensor, it takes the array
-    it is given and makes it read-only; in a run without refinement that
-    array is the cost tensor's, which :func:`softmax_probabilities`
-    overwrote."""
+    distribution sums to one, to within 1e-5 in a float64 sum.  Like the
+    cost tensor, it takes a float32 or float64 array as given and makes
+    it read-only; in a run without refinement that array is the cost
+    tensor's, which :func:`softmax_probabilities` overwrote."""
 
     values: np.ndarray
     space: DisplacementSpace
@@ -99,8 +99,9 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
 
     ``p(k, d) = exp(-T c(k, d)) / sum_d' exp(-T c(k, d'))``, computed with
     per-point max subtraction so arbitrarily large costs stay finite.  Any
-    uniform bias on a point's costs cancels.  Evaluated per control plane
-    on up to ``workers`` threads.
+    uniform bias on a point's costs cancels.  The probabilities take the
+    costs' dtype; each point's sum is accumulated in float64.  Evaluated
+    per control plane on up to ``workers`` threads.
 
     The probabilities go to a new array when ``cost``'s array is
     read-only, as a validated tensor's is, and ``cost`` is not written.
@@ -119,7 +120,7 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
         np.multiply(-temperature, vals[k], out=z)
         z -= z.max(axis=(2, 3, 4), keepdims=True)
         np.exp(z, out=z)
-        z /= z.sum(axis=(2, 3, 4), keepdims=True)
+        z /= z.sum(axis=(2, 3, 4), keepdims=True, dtype=np.float64)
 
     map_planes(plane, vals, 0, workers)
     return ProbTensor6D(e, cost.space, workers)
@@ -128,17 +129,20 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
 def expected_displacement(prob: ProbTensor6D) -> DisplacementField:
     """Probability-weighted mean displacement per control point.
 
-    Marginalizes the distribution per displacement axis and takes the dot
-    product with that axis's offsets; components are bounded by the capture
-    range since they are convex combinations of the offsets.
+    Marginalizes the distribution per displacement axis, in float64, and
+    takes the dot product with that axis's offsets.  A component is a
+    convex combination of the offsets up to the rounding of the stored
+    probabilities, which can carry it just past the capture range, so it
+    is clipped to ``[-q, q]``.
     """
     vals = prob.values
     space = prob.space
     comps = []
     for a in range(3):
         reduce_axes = tuple(ax for ax in (3, 4, 5) if ax != a + 3)
-        marginal = vals.sum(axis=reduce_axes)
-        comps.append(marginal @ space.axis_offsets(a))
+        marginal = vals.sum(axis=reduce_axes, dtype=np.float64)
+        comps.append(np.clip(marginal @ space.axis_offsets(a),
+                             -space.q, space.q))
     return DisplacementField(np.stack(comps, axis=-1))
 
 

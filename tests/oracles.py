@@ -24,9 +24,9 @@ from densereg.features import SSC_PAIRS, FeatureVolume
 from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
                                index_to_normalized,
                                normalized_to_index, present_labels,
-                               sample_points_linear, sample_points_nearest,
-                               sample_separable)
-from densereg.regularizer import DISP_KERNEL
+                               running_mean, sample_points_linear,
+                               sample_points_nearest, sample_separable)
+from densereg.regularizer import DISP_KERNEL, _min_pool1d
 
 
 def offset_grid(space):
@@ -760,4 +760,31 @@ def out_of_place_regularize(vals, p):
     out = vals
     for _ in range(p.iterations):
         out = filter_mean_field(filter_min_convolution(out), p)
+    return out * p.output_scale
+
+
+def whole_tensor_regularize(vals, p):
+    """:func:`densereg.regularizer.regularize` values in ``vals``' dtype:
+    each of the library's 1D pools (``_min_pool1d``, ``running_mean``)
+    runs once over the whole tensor into a fresh array, in the walker's
+    order, with no planes, row blocks or scratch buffers.  In float64 it
+    equals :func:`out_of_place_regularize` bit for bit; in float32 it is
+    the reference that the walker must reproduce for any block size and
+    worker count."""
+    disp = [(a, pool_window(n, DISP_KERNEL))
+            for a, n in enumerate(vals.shape[3:], 3)]
+    space = [(a, pool_window(n, p.spatial_kernel))
+             for a, n in enumerate(vals.shape[:3])]
+    disp = [(a, w) for a, w in disp if w > 1]
+    blocks = ([(_min_pool1d, a, w) for a, w in disp]
+              + [(running_mean, a, w) for a, w in disp + disp],
+              [(running_mean, a, w) for a, w in space if w > 1])
+    out = vals
+    for _ in range(p.iterations):
+        for passes in blocks:
+            for pool, axis, size in passes:
+                dst = np.empty_like(out)
+                pool(out, size, axis, dst)
+                out = dst
+            out = np.maximum(out, 0.0)
     return out * p.output_scale

@@ -1,7 +1,9 @@
 """Cache-blocked, in-place 6D tensor stages against their whole-plane
 references in ``oracles``: the same bytes for any row-block size and any
 worker count, in a new array or in a handed-over input's, and the
-shifted-minimum pool against ndimage."""
+shifted-minimum pool against ndimage.  A float64 tensor is smoothed to
+ndimage's bytes; a float32 one to the bytes of its own whole-tensor
+evaluation, within float32 rounding of ndimage's float64 result."""
 
 import sys
 from dataclasses import replace
@@ -21,7 +23,8 @@ from densereg.regularizer import RegularizerParams, _min_pool1d, regularize
 from densereg.transform import (ProbTensor6D, nonlocal_label_loss,
                                 softmax_probabilities, warp)
 from oracles import (out_of_place_regularize, planewise_dissimilarity,
-                     planewise_label_loss, whole_volume_warp)
+                     planewise_label_loss, whole_tensor_regularize,
+                     whole_volume_warp)
 
 WORKERS = (1, 2, 3)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -34,6 +37,11 @@ steps = st.tuples(*[st.sampled_from((1, 3, 5))] * 3)
 # row (which still gives one row per block).
 block_rows = st.sampled_from((None, 0, 1, 2, 3))
 scales = st.one_of(st.just(1.0), st.floats(0.1, 10.0))
+dtypes = st.sampled_from((np.float64, np.float32))
+
+# A float32 smoothing, against ndimage's float64 one of the same values:
+# its largest difference in float32 epsilons of the largest value.
+FLOAT32_ULPS = 16
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -44,10 +52,11 @@ def thread_every_plane():
         yield
 
 
-def for_each_setting(rows, grid_counts, disp_steps, compute):
+def for_each_setting(rows, grid_counts, disp_steps, compute, itemsize=8):
     """``compute(workers)`` for every worker count, with the row-block
-    budget set to give ``rows`` rows of the tensor's plane."""
-    row_bytes = 8 * grid_counts[2] * int(np.prod(disp_steps))
+    budget set to give ``rows`` rows of a plane of ``itemsize``-byte
+    values."""
+    row_bytes = itemsize * grid_counts[2] * int(np.prod(disp_steps))
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(parallel, "BLOCK_BYTES", max(1, rows * row_bytes))
@@ -61,10 +70,26 @@ def random_features(rng, channels, dims):
     return FeatureVolume(data, origin, step)
 
 
-def random_cost(seed, grid_counts, disp_steps):
+def random_cost(seed, grid_counts, disp_steps, dtype=np.float64):
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 2.0, size=tuple(grid_counts) + tuple(disp_steps))
-    return CostTensor6D(values, DisplacementSpace(0.3, disp_steps))
+    return CostTensor6D(values.astype(dtype), DisplacementSpace(0.3, disp_steps))
+
+
+def smoothed_bytes(values, params):
+    """The bytes a regularized ``values`` must have: ndimage's for
+    float64; for float32, those of the whole-tensor evaluation, after
+    checking that it lies within float32 rounding of ndimage's float64
+    result on the same values."""
+    want = out_of_place_regularize(values.astype(np.float64), params)
+    got = whole_tensor_regularize(values, params)
+    if values.dtype == np.float64:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got.dtype == np.float32
+        bound = FLOAT32_ULPS * np.finfo(np.float32).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+    return got.tobytes()
 
 
 class TestAgainstWholePlaneOracles:
@@ -77,8 +102,9 @@ class TestAgainstWholePlaneOracles:
         fixed = random_features(rng, channels, (5, 4, 6))
         moving = random_features(rng, channels, (5, 4, 6))
         space = DisplacementSpace(0.3, disp_steps)
+        # Computed in float64, stored in float32.
         want = planewise_dissimilarity(fixed, moving, grid_counts,
-                                       space).tobytes()
+                                       space).astype(np.float32).tobytes()
         for got in for_each_setting(
                 rows, grid_counts, disp_steps,
                 lambda w: dissimilarity_tensor(fixed, moving, grid_counts,
@@ -109,20 +135,23 @@ class TestAgainstWholePlaneOracles:
     @PROPERTY
     @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
            rows=block_rows, iterations=st.integers(0, 3),
-           output_scale=scales, spatial=st.sampled_from((1, 3)))
+           output_scale=scales, spatial=st.sampled_from((1, 3)),
+           dtype=dtypes)
     def test_regularize(self, seed, grid_counts, disp_steps, rows,
-                        iterations, output_scale, spatial):
+                        iterations, output_scale, spatial, dtype):
         # A 3-wide spatial kernel needs extents of 1 or >= 3.
         if any(c == 2 for c in grid_counts):
             spatial = 1
-        cost = random_cost(seed, grid_counts, disp_steps)
+        cost = random_cost(seed, grid_counts, disp_steps, dtype)
         params = RegularizerParams(output_scale=output_scale,
                                    iterations=iterations,
                                    spatial_kernel=spatial)
-        want = out_of_place_regularize(cost.values, params).tobytes()
+        want = smoothed_bytes(cost.values, params)
         for got in for_each_setting(
                 rows, grid_counts, disp_steps,
-                lambda w: regularize(cost, params, workers=w).values):
+                lambda w: regularize(cost, params, workers=w).values,
+                cost.values.itemsize):
+            assert got.dtype == dtype
             assert got.tobytes() == want
 
 
@@ -146,10 +175,10 @@ class TestRegularizeInput:
     @PROPERTY
     @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
            rows=block_rows, iterations=st.integers(0, 3),
-           output_scale=scales)
+           output_scale=scales, dtype=dtypes)
     def test_handed_over_tensor_gives_the_same_bytes(
             self, seed, grid_counts, disp_steps, rows, iterations,
-            output_scale):
+            output_scale, dtype):
         """Handed over, each stage writes its result into its input's
         array, frozen again, with the bytes of the out-of-place path."""
         spatial = 1 if any(c == 2 for c in grid_counts) else 3
@@ -160,18 +189,20 @@ class TestRegularizeInput:
                   lambda c, w: softmax_probabilities(c, 3.0, workers=w))
 
         def both_ways(w):
-            cost = random_cost(seed, grid_counts, disp_steps)
+            cost = random_cost(seed, grid_counts, disp_steps, dtype)
             for stage in stages:
                 want = stage(cost, w).values.tobytes()
                 out = stage(_hand_over(cost), w)
                 assert np.shares_memory(out.values, cost.values)
                 assert not out.values.flags.writeable
+                assert out.values.dtype == dtype
                 assert out.values.tobytes() == want
                 # The regularized tensor goes on to the softmax, as in
                 # the pipeline.
                 cost = out
 
-        for_each_setting(rows, grid_counts, disp_steps, both_ways)
+        for_each_setting(rows, grid_counts, disp_steps, both_ways,
+                         np.dtype(dtype).itemsize)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_result_rejected(self):
@@ -219,7 +250,8 @@ class TestScratch:
 class TestManyWorkers:
     def test_more_workers_than_cores_with_fast_switching(self):
         """Eight workers write disjoint planes of shared buffers while the
-        interpreter switches threads every microsecond."""
+        interpreter switches threads every microsecond: the float32
+        correlation, its smoothing and that of a float64 copy."""
         rng = np.random.default_rng(3)
         fixed = random_features(rng, 2, (5, 4, 6))
         moving = random_features(rng, 2, (5, 4, 6))
@@ -230,13 +262,15 @@ class TestManyWorkers:
         sys.setswitchinterval(1e-6)
         try:
             cost = dissimilarity_tensor(fixed, moving, grid, space, workers=8)
-            smoothed = regularize(cost, params, workers=8)
+            copy = CostTensor6D(cost.values.astype(np.float64), space)
+            smoothed = [regularize(c, params, workers=8) for c in (cost, copy)]
         finally:
             sys.setswitchinterval(old)
         want = planewise_dissimilarity(fixed, moving, grid, space)
-        assert cost.values.tobytes() == want.tobytes()
-        assert smoothed.values.tobytes() == \
-            out_of_place_regularize(want, params).tobytes()
+        assert cost.values.tobytes() == want.astype(np.float32).tobytes()
+        for tensor, out in zip((cost, copy), smoothed):
+            assert out.values.tobytes() == smoothed_bytes(tensor.values,
+                                                          params)
 
 
     def test_slab_passes_with_fast_switching(self, monkeypatch):

@@ -149,6 +149,10 @@ CONTAINERS = {
 }
 
 
+# The 6D tensors store float32 as well as float64.
+TENSORS = ("cost", "prob")
+
+
 @pytest.mark.parametrize("kind", sorted(CONTAINERS))
 class TestOwnership:
     """Every validated type takes the array it is given, never copies it,
@@ -165,10 +169,15 @@ class TestOwnership:
 
     @pytest.mark.parametrize("convert", ["float32", "fortran"])
     def test_other_dtype_or_layout_is_converted(self, kind, convert):
+        """A float32 6D tensor is a tensor of its own dtype, taken as
+        given; every other type converts it."""
         valid, build, attr = CONTAINERS[kind]
         given = valid.astype(np.float32) if convert == "float32" \
             else np.asfortranarray(valid)
         held = getattr(build(given), attr)
+        if convert == "float32" and kind in TENSORS:
+            assert held is given and not given.flags.writeable
+            return
         assert not np.shares_memory(held, given)
         assert given.flags.writeable
         assert held.flags.c_contiguous and not held.flags.writeable
@@ -182,6 +191,34 @@ class TestOwnership:
             given.flat[-1] = bad
             with pytest.raises(ArithmeticError, match="finite"):
                 build(given)
+
+
+class TestTensorDtype:
+    """A 6D tensor keeps a float32 or float64 array's dtype and makes any
+    other C-contiguous float64."""
+
+    @pytest.mark.parametrize("kind, dtype", [
+        ("cost", np.float16), ("cost", np.longdouble), ("cost", np.int64),
+        ("prob", np.float16), ("prob", np.longdouble)])
+    def test_other_dtype_becomes_float64(self, kind, dtype):
+        # Values every one of these dtypes holds exactly: costs of 0 and
+        # 1, distributions of two halves.
+        _, build, _ = CONTAINERS[kind]
+        valid = np.zeros((2, 2, 3) + _SPACE.steps)
+        valid[..., 0, 0, :2] = 0.5 if kind == "prob" else 1.0
+        given = valid.astype(dtype)
+        held = build(given).values
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        assert not np.shares_memory(held, given)
+        assert np.array_equal(held, valid)
+
+    @pytest.mark.parametrize("kind", TENSORS)
+    def test_fortran_float32_stays_float32(self, kind):
+        valid, build, _ = CONTAINERS[kind]
+        given = np.asfortranarray(valid.astype(np.float32))
+        held = build(given).values
+        assert held.dtype == np.float32 and held.flags.c_contiguous
+        assert np.array_equal(held, given)
 
 
 class TestCellCenteredGrid:

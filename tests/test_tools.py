@@ -1,17 +1,34 @@
-"""The verdict of ``tools/bench_pairs.py``, on synthetic results.
+"""The verdict of ``tools/bench_pairs.py``, on synthetic results, and
+what ``tools/compare_outputs.py`` says about a file that moved.
 
 ``summarize`` and ``problem`` read result dictionaries of the shape
 ``perfbench/run.py`` prints, so they are checked here without starting a
-benchmark run.  The script is loaded from its file; ``main`` is not run.
+benchmark run; ``moved`` reads two files written here.  The scripts are
+loaded from their files; only ``reference_cost``'s ``main`` is run, at
+grid 4.
 """
 
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+import numpy as np
+
+from densereg.geometry import DisplacementField
+from densereg.io import write_field
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load("bench_pairs")
+compare_outputs = load("compare_outputs")
+reference_cost = load("reference_cost")
 
 LOWER = {"name": "register_s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "dice_mean", "better": "higher", "bound": 0.25}
@@ -83,3 +100,53 @@ class TestProblem:
     def test_run_that_exited_is_reported(self):
         assert bench_pairs.problem({"error": "exit 1: killed"}) \
             == "exit 1: killed"
+
+
+class TestMoved:
+    def sides(self, tmp_path, name, old, new):
+        paths = []
+        for side, text in (("old", old), ("new", new)):
+            (tmp_path / side).mkdir(exist_ok=True)
+            paths.append(tmp_path / side / name)
+            paths[-1].write_text(text)
+        return paths
+
+    def test_field_payload(self, tmp_path):
+        """A 4^3 field's voxel factor is 2 per axis."""
+        for side, value in (("old", 0.0), ("new", 0.125)):
+            (tmp_path / side).mkdir()
+            vectors = np.zeros((4, 4, 4, 3))
+            vectors[1, 2, 3, 0] = value
+            write_field(DisplacementField(vectors),
+                        str(tmp_path / side / "field.hdr"))
+        assert compare_outputs.moved(tmp_path / "old" / "field.raw",
+                                     tmp_path / "new" / "field.raw") == [
+            "max |diff| 0.125 (0.25 voxels), 1 of 192 values differ"]
+
+    def test_key_value_lines(self, tmp_path):
+        old, new = self.sides(tmp_path, "report.txt",
+                              "a=1\nb=2\ngone=3\nexit=0\n",
+                              "a=1\nb=2.5\nexit=0\nadded=4\n")
+        assert compare_outputs.moved(old, new) == [
+            "b=2 -> 2.5", "gone=3 -> (none)", "added=(none) -> 4"]
+
+    def test_csv_lines(self, tmp_path):
+        old, new = self.sides(tmp_path, "evaluate1.csv",
+                              "label,dice\nmean,0.5\n",
+                              "label,dice\nmean,0.6\n")
+        assert compare_outputs.moved(old, new) == ["mean,0.5 -> 0.6"]
+
+    def test_other_files_say_nothing(self, tmp_path):
+        old, new = self.sides(tmp_path, "field.hdr", "dims=1\n", "dims=2\n")
+        assert compare_outputs.moved(old, new) == []
+
+
+class TestReferenceCost:
+    def test_prints_the_child_run(self, capsys):
+        assert reference_cost.main(["--grid", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("densereg register --grid 4 --steps 15 --q 0.4 "
+                            "on a 64^3 phantom: exit 0")
+        keys = [line.partition("=")[0] for line in lines[1:]]
+        assert keys[-2:] == ["wall_s", "peak_rss_mib"]
+        assert {"correlation", "regularization", "total"} <= set(keys)

@@ -62,6 +62,20 @@ class TestSoftmax:
             assert p.values.min() >= 0.0
             assert p.values.max() <= 1.0
 
+    def test_float32_points_sum_to_one_within_their_rounding(self):
+        """Float32 costs give float32 probabilities, and each point's sum
+        is accumulated in float64.  On these near-flat distributions over
+        15^3 offsets the stored values' rounding errors largely cancel:
+        their sums are within 0.01 float32 epsilons of 1, against about
+        0.8 with a float32 sum, so the bound is a sixteenth."""
+        rng = np.random.default_rng(82)
+        vals = rng.uniform(0.0, 2.0, size=(4, 4, 4, 15, 15, 15))
+        t = cost_tensor((15, 15, 15), vals.astype(np.float32))
+        p = softmax_probabilities(t, 1.0).values
+        assert p.dtype == np.float32
+        sums = p.sum(axis=(3, 4, 5), dtype=np.float64)
+        assert np.abs(sums - 1.0).max() <= np.finfo(np.float32).eps / 16
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16),
            counts=st.tuples(*[st.integers(1, 3)] * 3),
@@ -154,18 +168,27 @@ class TestExpectedDisplacement:
         assert np.allclose(phi.vectors, 0.0, atol=1e-12)
 
     # A large ``sharpness`` concentrates each distribution on few offsets,
-    # down to near-delta rows at the capture-range corners.
+    # down to near-delta rows at the capture-range corners.  A float32
+    # distribution's rounding can carry a convex combination of the
+    # offsets just past the range; the float32 example below does, by
+    # 1.7e-8 relative, unless the components are clipped.
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            counts=st.tuples(*[st.integers(1, 3)] * 3),
            steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
-           q=st.floats(0.01, 1.0), sharpness=st.floats(0.0, 60.0))
-    @example(seed=85, counts=(3, 3, 3), steps=(5, 5, 5), q=0.4, sharpness=1.0)
+           q=st.floats(0.01, 1.0), sharpness=st.floats(0.0, 60.0),
+           dtype=st.sampled_from((np.float64, np.float32)))
+    @example(seed=85, counts=(3, 3, 3), steps=(5, 5, 5), q=0.4, sharpness=1.0,
+             dtype=np.float64)
+    @example(seed=262114360, counts=(3, 3, 2), steps=(5, 3, 1),
+             q=0.3315076946314946, sharpness=47.18911706899286,
+             dtype=np.float32)
     def test_components_bounded_by_capture_range(self, seed, counts, steps,
-                                                 q, sharpness):
+                                                 q, sharpness, dtype):
         rng = np.random.default_rng(seed)
         vals = rng.uniform(0.0, 1.0, size=counts + steps) ** sharpness
         vals /= vals.sum(axis=(3, 4, 5), keepdims=True)
+        vals = vals.astype(dtype)
         space = DisplacementSpace(q, steps)
         phi = expected_displacement(ProbTensor6D(vals, space))
         assert np.all(np.abs(phi.vectors) <= q * (1 + 1e-12))

@@ -19,7 +19,11 @@ paths, so paths printed or written agree.
 Every file the runs leave, and every command's standard output and exit
 code, is compared byte for byte, except ``timings.txt``, which holds wall
 times.  Prints ``identical``, ``differs`` or ``missing`` per file and
-exits 1 on anything but ``identical``.
+exits 1 on anything but ``identical``.  Under a file that differs it
+prints how far it moved: for a ``.raw`` payload, the largest absolute
+difference (also in voxels when the header gives a ``voxel_factor``) and
+the count of differing values; for a report, a standard output or a CSV
+file, each changed ``key=value`` (``key,value``) line, old -> new.
 """
 
 import argparse
@@ -31,10 +35,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 THREADS = (1, 2)
 SKIPPED = {"timings.txt"}
+# Text files read as key/value lines, by suffix: the separator.
+KEY_VALUE = {".txt": "=", ".out": "=", ".csv": ","}
 SET_UP = ("import sys; from pathlib import Path; import workloads; "
           "workloads.set_up_pair(workloads.WORKLOADS[sys.argv[1]], "
           "int(sys.argv[2]), 0, Path(sys.argv[3]))")
@@ -91,6 +98,32 @@ def run_checkout(checkout: Path, seed: int, base: Path) -> None:
                        "register.cfg"], work, "register_config.out")
 
 
+def moved(old: Path, new: Path) -> list:
+    """Lines that say how far the differing file ``new`` moved from
+    ``old`` (see the module docstring); none for other files."""
+    hdrs = [p.with_suffix(".hdr") for p in (old, new)]
+    if old.suffix == ".raw" and all(h.is_file() for h in hdrs):
+        a, b = (workloads.read_raw(h).astype(np.float64) for h in hdrs)
+        if a.shape != b.shape:
+            return [f"shape {a.shape} -> {b.shape}"]
+        diff = np.abs(b - a)
+        line = f"max |diff| {diff.max():.3g}"
+        factor = workloads.read_report(hdrs[0]).get("voxel_factor")
+        if factor:
+            scale = np.array([float(f) for f in factor.split(",")])
+            line += f" ({(diff * scale).max():.3g} voxels)"
+        return [f"{line}, {np.count_nonzero(diff)} of {diff.size} "
+                f"values differ"]
+    sep = KEY_VALUE.get(old.suffix)
+    if sep is None:
+        return []
+    a, b = (dict(line.partition(sep)[::2] for line in
+                 p.read_text(errors="replace").splitlines())
+            for p in (old, new))
+    return [f"{key}{sep}{a.get(key, '(none)')} -> {b.get(key, '(none)')}"
+            for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path,
@@ -119,6 +152,9 @@ def main(argv=None) -> int:
                 verdict = "differs"
             bad += verdict != "identical"
             print(f"{verdict:9s} {name}")
+            if verdict == "differs":
+                for line in moved(a, b):
+                    print(f"{'':9s}   {line}")
     print(f"{len(names) - bad} of {len(names)} files identical")
     return 1 if bad else 0
 
