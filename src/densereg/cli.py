@@ -32,7 +32,6 @@ from .parallel import resolve_workers
 from .phantom import PhantomSpec, generate
 from .pipeline import register_pair
 from .refine import RefineConfig
-from .regularizer import RegularizerParams
 from .transform import RegistrationConfig, warp
 
 __all__ = ["main"]
@@ -64,16 +63,6 @@ def _parse_triple(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"expected one int or three comma-separated ints, got {text!r}")
     return parts * 3 if len(parts) == 1 else parts
-
-
-def _parse_threads(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
-    return threads
 
 
 def _load_config(path: str, command: _Parser) -> dict:
@@ -129,17 +118,14 @@ def _build_parser():
     reg.add_argument("--lambda", dest="diffusion_weight", type=float,
                      help="diffusion regularization weight of the "
                           "--refine descent (read only with --refine)")
-    reg.add_argument("--no-mean-field", action="store_true", default=None,
-                     help="skip cost smoothing (ablation wiring)")
     reg.add_argument("--refine", action=argparse.BooleanOptionalAction,
                      help="instance-wise gradient refinement of the "
                           "estimate (default off)")
-    reg.add_argument("--threads", type=_parse_threads,
+    reg.add_argument("--threads", type=int,
                      help="worker threads for the SSC features, the 6D "
                           "tensor stages, the warps and the Jacobian "
                           "statistics (default: the usable cores); outputs "
                           "are identical for any count")
-    reg.add_argument("--report", help="also write the report as CSV here")
 
     pha = sub.add_parser("phantom", help="generate a synthetic labeled "
                                          "volume pair")
@@ -162,11 +148,10 @@ def _build_parser():
     ev.add_argument("--moving-labels", help="label volume path to score")
     ev.add_argument("--field", help="displacement field applied to the "
                                     "moving labels before scoring")
-    ev.add_argument("--threads", type=_parse_threads,
+    ev.add_argument("--threads", type=int,
                     help="worker threads for the warp and the Jacobian "
                          "statistics (default: the usable cores); outputs "
                          "are identical for any count")
-    ev.add_argument("--report", help="also write the scores as CSV here")
     ev.add_argument("--config", help="key=value config file")
 
     sub.add_parser("selftest", help="register a small phantom twice and "
@@ -217,12 +202,9 @@ def _cmd_register(opts: dict) -> int:
     if opts["moving_labels"] is not None:
         moving_labels = vio.read_volume(opts["moving_labels"], as_labels=True)
 
-    cfg_kwargs = _given(opts, "grid_counts")
-    if opts["no_mean_field"]:
-        cfg_kwargs["reg_params"] = RegularizerParams(iterations=0)
     cfg = RegistrationConfig(space=DisplacementSpace(**_given(opts, "q",
                                                               "steps")),
-                             **cfg_kwargs)
+                             **_given(opts, "grid_counts"))
 
     # Built even without --refine, so a bad --lambda is still rejected.
     refinement = RefineConfig(**_given(opts, "diffusion_weight"))
@@ -251,9 +233,6 @@ def _cmd_register(opts: dict) -> int:
               encoding="ascii") as fh:
         fh.write(report.timings_text())
         fh.write(f"threads={workers}\n")
-    if opts["report"] is not None:
-        with open(opts["report"], "w", encoding="ascii") as fh:
-            fh.write(report.to_csv())
     sys.stdout.write(text)
     return 0
 
@@ -280,20 +259,18 @@ def _cmd_phantom(opts: dict) -> int:
 
 def _cmd_evaluate(opts: dict) -> int:
     _require(opts, ("fixed_labels", "moving_labels"), "evaluate")
+    workers = resolve_workers(opts["threads"])
     fixed_labels = vio.read_volume(opts["fixed_labels"], as_labels=True)
     moving_labels = vio.read_volume(opts["moving_labels"], as_labels=True)
     # Without a field the Jacobian statistics are not computed and read nan.
     report = RegistrationReport()
     if opts["field"] is not None:
         field = vio.read_field(opts["field"])
-        moving_labels = warp(moving_labels, field, workers=opts["threads"])
+        moving_labels = warp(moving_labels, field, workers=workers)
         report.std_jac, report.folding_fraction = jacobian_stats(
-            field, workers=opts["threads"])
+            field, workers=workers)
         report.notes["field"] = opts["field"]
     report.per_label_dice = dice(fixed_labels, moving_labels)
-    if opts["report"] is not None:
-        with open(opts["report"], "w", encoding="ascii") as fh:
-            fh.write(report.to_csv())
     sys.stdout.write(report.to_text())
     return 0
 

@@ -17,7 +17,7 @@ part in 2**24, moved the control fields of 32³ phantoms by less than
 1e-6 of the capture range.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,10 @@ from .parallel import block_view, map_planes, row_blocks
 __all__ = ["CostTensor6D", "dissimilarity_tensor", "flop_estimate", "map_displaced"]
 
 
-def _checked_planes(tensor, what: str, sums: bool = False):
+def _checked_values(tensor, what: str):
     """``tensor.values`` as a C-contiguous float32 or float64 array (any
-    other dtype becomes float64), checked for shape and finiteness, and
-    per control plane its ``(min, max)`` and, with ``sums``, point sums
-    accumulated in float64."""
+    other dtype becomes float64), checked for shape and finiteness, with
+    its minimum and maximum."""
     vals = np.asarray(tensor.values)
     keep = vals.dtype in (np.float32, np.float64)
     vals = np.ascontiguousarray(vals, dtype=vals.dtype if keep else np.float64)
@@ -41,17 +40,11 @@ def _checked_planes(tensor, what: str, sums: bool = False):
     if vals.shape[3:] != steps or 0 in vals.shape:
         raise ValueError(f"{what} shape {vals.shape} is not a non-empty "
                          f"control grid x space {steps}")
-
-    def plane(k):
-        v = vals[k]
-        return (v.min(), v.max()) + ((v.sum(axis=(2, 3, 4), dtype=np.float64),)
-                                     if sums else ())
-
-    checks = map_planes(plane, vals, 0, tensor.workers)
+    lo, hi = vals.min(), vals.max()
     # min and max propagate NaN, so both finite means every value is.
-    if not all(np.isfinite(c[0]) and np.isfinite(c[1]) for c in checks):
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ArithmeticError(f"{what} must be finite")
-    return vals, checks
+    return vals, lo, hi
 
 
 @dataclass(frozen=True)
@@ -63,8 +56,6 @@ class CostTensor6D:
     dtype becomes float64.  All operations that transform a
     cost tensor (scaling, pooling, lower envelopes) preserve both
     properties, so the invariant holds along the whole pipeline.  The
-    checks run per control plane on up to ``workers`` threads (default:
-    the usable cores), which is not part of the tensor's value.  The
     tensor takes the array it is given and makes it read-only, so no
     writer is left once it is validated: a stage that works in a buffer,
     as :func:`densereg.regularizer.regularize` does, finishes all its
@@ -80,11 +71,10 @@ class CostTensor6D:
 
     values: np.ndarray
     space: DisplacementSpace
-    workers: int = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        vals, ranges = _checked_planes(self, "cost tensor")
-        if any(lo < 0.0 for lo, _ in ranges):
+        vals, lo, _ = _checked_values(self, "cost tensor")
+        if lo < 0.0:
             raise ValueError("cost tensor must be non-negative")
         object.__setattr__(self, "values", _freeze(vals))
 
@@ -180,7 +170,7 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
         out[k1, blk] = spare.transpose(1, 3, 0, 2, 4)
 
     map_displaced(moving.data, moving.axis_fracs, space, block, out, workers)
-    return CostTensor6D(out, space, workers)
+    return CostTensor6D(out, space)
 
 
 def flop_estimate(counts: tuple, space: DisplacementSpace, channels: int) -> int:

@@ -96,8 +96,8 @@ class RegistrationReport:
     """Quality summary of one run.
 
     ``runtimes`` (stage name to seconds) is excluded from :meth:`to_text`
-    and :meth:`to_csv` so identical runs serialize identically; use
-    :meth:`timings_text` to record it separately.
+    so identical runs serialize identically; use :meth:`timings_text` to
+    record it separately.
     """
 
     per_label_dice: dict = dc_field(default_factory=dict)
@@ -126,15 +126,6 @@ class RegistrationReport:
         for key in sorted(self.notes):
             lines.append(f"{key}={self.notes[key]}")
         return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        rows = ["label,dice"]
-        for lab in sorted(self.per_label_dice):
-            rows.append(f"{lab},{self._fmt(self.per_label_dice[lab])}")
-        rows.append(f"mean,{self._fmt(self.mean_dice)}")
-        rows.append(f"std_jac,{self._fmt(self.std_jac)}")
-        rows.append(f"folding,{self._fmt(self.folding_fraction)}")
-        return "\n".join(rows) + "\n"
 
     def timings_text(self) -> str:
         lines = [f"{stage}={self._fmt(sec)}" for stage, sec in self.runtimes.items()]

@@ -4,8 +4,8 @@ Stages run in a fixed order: feature extraction, dissimilarity correlation,
 cost regularization, probabilistic transform extraction, optional
 instance-wise refinement, the label loss when labels are given, field
 upsampling, warping, evaluation.  Per-stage
-wall times land in the report's ``runtimes``, which both serializations
-exclude, so identical runs produce identical report bytes.
+wall times land in the report's ``runtimes``, which its text excludes,
+so identical runs produce identical report bytes.
 
 The 6D tensor is the largest object of a run, stored in float32 from
 the correlation on, and without refinement only one is ever alive.  The
@@ -172,7 +172,6 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         raise ArithmeticError("non-finite Jacobian statistics")
 
     notes = {
-        "feature": "ssc",
         "grid": ",".join(str(c) for c in cfg.grid_counts),
         "capture_range": format(cfg.space.q, ".9g"),
         "steps": ",".join(str(s) for s in cfg.space.steps),
@@ -185,7 +184,6 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         notes["lambda"] = format(refinement.diffusion_weight, ".9g")
     if label_loss is not None:
         notes["label_loss"] = format(label_loss, ".9g")
-        notes["label_loss_kind"] = "nonlocal"
 
     timings["total"] = time.perf_counter() - t_total
     report = RegistrationReport(per_label_dice=scores, std_jac=std_jac,

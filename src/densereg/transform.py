@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .correlation import CostTensor6D, _checked_planes, map_displaced
+from .correlation import CostTensor6D, _checked_values, map_displaced
 from .geometry import (
     DisplacementField,
     DisplacementSpace,
@@ -43,7 +43,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ProbTensor6D:
     """Displacement probabilities per control point, with the layout,
-    ``counts``, checks and ``workers`` of :class:`CostTensor6D`; each point's
+    ``counts`` and checks of :class:`CostTensor6D`; each point's
     distribution sums to one, to within 1e-5 in a float64 sum.  Like the
     cost tensor, it takes a float32 or float64 array as given and makes
     it read-only; in a run without refinement that array is the cost
@@ -51,14 +51,14 @@ class ProbTensor6D:
 
     values: np.ndarray
     space: DisplacementSpace
-    workers: int = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # A NaN passes every comparison below, so it is caught first.
-        vals, checks = _checked_planes(self, "probability tensor", sums=True)
-        if any(lo < 0.0 or hi > 1.0 for lo, hi, _ in checks):
+        vals, lo, hi = _checked_values(self, "probability tensor")
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
-        if not all(np.allclose(sums, 1.0, atol=1e-5) for _, _, sums in checks):
+        sums = vals.sum(axis=(3, 4, 5), dtype=np.float64)
+        if not np.allclose(sums, 1.0, atol=1e-5):
             raise ValueError("distributions must sum to 1 per control point")
         object.__setattr__(self, "values", _freeze(vals))
 
@@ -123,7 +123,7 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
         z /= z.sum(axis=(2, 3, 4), keepdims=True, dtype=np.float64)
 
     map_planes(plane, vals, 0, workers)
-    return ProbTensor6D(e, cost.space, workers)
+    return ProbTensor6D(e, cost.space)
 
 
 def expected_displacement(prob: ProbTensor6D) -> DisplacementField:

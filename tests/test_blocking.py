@@ -6,7 +6,6 @@ ndimage's bytes; a float32 one to the bytes of its own whole-tensor
 evaluation, within float32 rounding of ndimage's float64 result."""
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +209,7 @@ class TestRegularizeInput:
         result still finds an overflow, here in every plane, and reports
         it as a numerical failure."""
         cost = CostTensor6D(np.full((5, 3, 3, 3, 3, 3), 10.0),
-                            DisplacementSpace(0.3, 3), workers=2)
+                            DisplacementSpace(0.3, 3))
         params = RegularizerParams(output_scale=1e308, iterations=1,
                                    spatial_kernel=3)
         with pytest.raises(ArithmeticError, match="finite"):
@@ -322,8 +321,8 @@ def _expected_error(bad):
 
 
 class TestThreadedValidation:
-    """Every plane of a tensor is checked, also when the planes are spread
-    over workers: a bad value in the last plane is still found."""
+    """Every plane of a tensor is checked: a bad value in the first or
+    the last plane is found."""
 
     @pytest.mark.parametrize("plane", [0, -1])
     @pytest.mark.parametrize("bad, message", [(np.nan, "finite"),
@@ -333,7 +332,7 @@ class TestThreadedValidation:
         vals = np.ones((5, 2, 3, 3, 1, 3))
         vals[plane, -1, -1, -1, -1, -1] = bad
         with pytest.raises(_expected_error(bad), match=message):
-            CostTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)), workers=2)
+            CostTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)))
 
     @pytest.mark.parametrize("plane", [0, -1])
     @pytest.mark.parametrize("bad, message", [(np.nan, "finite"),
@@ -341,22 +340,14 @@ class TestThreadedValidation:
                                               (-1e-12, r"\[0, 1\]")])
     def test_prob_tensor(self, plane, bad, message):
         # A NaN compares false with both bounds of [0, 1]: the finiteness
-        # check must catch it, on one thread as on two.
+        # check must catch it.
         vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)
         vals[plane, -1, -1, -1, -1, -1] = bad
-        for workers in (1, 2):
-            with pytest.raises(_expected_error(bad), match=message):
-                ProbTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)),
-                             workers=workers)
+        with pytest.raises(_expected_error(bad), match=message):
+            ProbTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)))
 
     def test_unnormalized_last_point_rejected(self):
         vals = np.full((5, 2, 3, 3, 1, 3), 1.0 / 9.0)
         vals[-1, -1, -1] *= 1.01
         with pytest.raises(ValueError, match="sum to 1"):
-            ProbTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)), workers=2)
-
-    def test_replace_values_keeps_workers(self):
-        cost = CostTensor6D(np.ones((3, 1, 1, 3, 3, 3)),
-                            DisplacementSpace(0.3, 3), workers=1)
-        assert replace(cost, values=cost.values * 2.0).workers == 1
-        assert "workers" not in repr(cost)
+            ProbTensor6D(vals, DisplacementSpace(0.3, (3, 1, 3)))

@@ -53,8 +53,7 @@ def register_dir(tmp_path_factory, phantom_dir):
                "--moving", str(phantom_dir / "moving.hdr"),
                "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
                "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
-               "--out-dir", str(d), "--report", str(d / "report.csv")]
-              + REGISTER_ARGS)
+               "--out-dir", str(d)] + REGISTER_ARGS)
     assert rc == 0
     return d
 
@@ -141,19 +140,17 @@ class TestRegister:
     def test_artifacts_written(self, register_dir):
         for name in ("field.hdr", "field.raw", "warped.hdr", "warped.raw",
                      "warped_labels.hdr", "warped_labels.raw", "report.txt",
-                     "timings.txt", "report.csv"):
+                     "timings.txt"):
             assert (register_dir / name).exists(), name
 
     def test_report_contents(self, register_dir):
         text = read_text(register_dir / "report.txt")
         for key in ("dice_mean=", "std_jac=", "folding_fraction=",
                     "grid=5,5,5", "capture_range=0.4", "steps=5,5,5",
-                    "refine_steps=0", "label_loss_kind=nonlocal"):
+                    "refine_steps=0", "label_loss="):
             assert key in text, key
         # The diffusion weight is reported only when --refine reads it.
         assert "lambda=" not in text
-        csv = read_text(register_dir / "report.csv")
-        assert csv.startswith("label,dice")
         timings = read_text(register_dir / "timings.txt")
         assert "correlation" in timings and "total" in timings
 
@@ -194,8 +191,7 @@ class TestRegister:
                    "--moving", str(phantom_dir / "moving.hdr"),
                    "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
                    "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
-                   "--out-dir", str(d), "--report", str(d / "report.csv")]
-                  + REGISTER_ARGS)
+                   "--out-dir", str(d)] + REGISTER_ARGS)
         assert rc == 0
         assert read_bytes(d / "field.raw") \
             == read_bytes(register_dir / "field.raw")
@@ -212,15 +208,6 @@ class TestRegister:
         after = float(read_text(register_dir / "report.txt")
                       .split("dice_mean=")[1].splitlines()[0])
         assert after > before
-
-    def test_no_mean_field_flag(self, phantom_dir, tmp_path):
-        d = tmp_path / "nomf"
-        rc = main(["register",
-                   "--fixed", str(phantom_dir / "fixed.hdr"),
-                   "--moving", str(phantom_dir / "moving.hdr"),
-                   "--out-dir", str(d), "--no-mean-field"] + REGISTER_ARGS)
-        assert rc == 0
-        assert "mean_field_iterations=0" in read_text(d / "report.txt")
 
     def test_refine_flag(self, phantom_dir, tmp_path):
         d = tmp_path / "ref"
@@ -250,7 +237,7 @@ class TestRegister:
                    "--out-dir", str(tmp_path / "out"), "--threads", threads]
                   + REGISTER_ARGS)
         assert rc == 1
-        assert "argument --threads: must be an int >= 1" \
+        assert f"threads must be >= 1 and an int, got {threads}" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -383,22 +370,20 @@ class TestConfigFile:
                     "threads": "2"}
         flags = [f"--{k}={phantom_dir / v}" for k, v in inputs.items()]
         flags += [f"--{k}={v}" for k, v in settings.items()]
-        flags += ["--refine", "--no-mean-field"]
+        flags += ["--refine"]
         lines = [f"{k} = {phantom_dir / v}" for k, v in inputs.items()]
         lines += [f"{k} = {v}" for k, v in settings.items()]
-        lines += ["refine = true", "no-mean-field = yes"]
+        lines += ["refine = true"]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n", encoding="ascii")
         a, b = tmp_path / "flags", tmp_path / "file"
-        assert main(["register", "--out-dir", str(a),
-                     "--report", str(a / "r.csv")] + flags) == 0
+        assert main(["register", "--out-dir", str(a)] + flags) == 0
         assert main(["register", "--out-dir", str(b),
-                     "--report", str(b / "r.csv"), "--config", str(cfg)]) == 0
+                     "--config", str(cfg)]) == 0
         text = read_text(a / "report.txt")
-        assert "mean_field_iterations=0" in text and "lambda=2\n" in text
-        assert "label_loss_kind=nonlocal" in text
+        assert "lambda=2\n" in text and "label_loss=" in text
         for name in ("field.raw", "warped.raw", "warped_labels.raw",
-                     "report.txt", "r.csv"):
+                     "report.txt"):
             assert read_bytes(a / name) == read_bytes(b / name), name
 
     def test_malformed_line_read_as_in_a_header(self, tmp_path):
@@ -415,11 +400,10 @@ class TestConfigFile:
                 f"{path}:2: expected key=value, got 'grid 4'"
 
     @pytest.mark.parametrize("command, line, reason", [
-        ("register", "threads = 0", "must be an int >= 1"),
+        ("register", "threads = 1.5", "invalid literal for int()"),
         ("register", "grid = a,b", "three comma-separated ints"),
         ("register", "refine = maybe", "expected a boolean"),
         ("phantom", "deformation = twist", "expected one of"),
-        ("evaluate", "threads = -2", "must be an int >= 1"),
     ])
     def test_value_checked_by_its_flag(self, tmp_path, capsys, command, line,
                                        reason):
@@ -430,9 +414,31 @@ class TestConfigFile:
         key = line.split(" =")[0]
         assert f"{cfg}:2: bad value for {key!r}: " in err and reason in err
 
+    @pytest.mark.parametrize("command, threads", [("register", "0"),
+                                                  ("evaluate", "-2")])
+    def test_threads_below_one_rejected(self, phantom_dir, tmp_path, capsys,
+                                        command, threads):
+        """A file's thread count is read as the flag's, a plain int, and
+        the command rejects one below 1 as it does the flag's."""
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text(f"threads = {threads}\n", encoding="ascii")
+        inputs = {"register": ["--fixed", str(phantom_dir / "fixed.hdr"),
+                               "--moving", str(phantom_dir / "moving.hdr"),
+                               "--out-dir", str(tmp_path / "out")],
+                  "evaluate": ["--fixed-labels",
+                               str(phantom_dir / "fixed_labels.hdr"),
+                               "--moving-labels",
+                               str(phantom_dir / "moving_labels.hdr")]}
+        assert main([command, "--config", str(cfg)] + inputs[command]) == 1
+        assert f"threads must be >= 1 and an int, got {threads}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, key", [
         ("phantom", "threads"), ("register", "config"), ("register", "help"),
         ("register", "no-refine"), ("register", "seed"), ("evaluate", "seed"),
+        ("register", "report"), ("register", "no-mean-field"),
+        ("evaluate", "report"),
     ])
     def test_keys_are_the_commands_flags(self, tmp_path, capsys, command,
                                          key):
@@ -453,13 +459,11 @@ class TestEvaluate:
         # Without a field the Jacobian statistics are not computed.
         assert "std_jac=nan\n" in out and "field=" not in out
 
-    def test_field_warping_and_csv(self, phantom_dir, tmp_path, capsys):
-        csv_path = tmp_path / "scores.csv"
+    def test_field_warping(self, phantom_dir, capsys):
         rc = main(["evaluate",
                    "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
                    "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
-                   "--field", str(phantom_dir / "truth_field.hdr"),
-                   "--report", str(csv_path)])
+                   "--field", str(phantom_dir / "truth_field.hdr")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "std_jac=" in out and "folding_fraction=" in out
@@ -468,10 +472,6 @@ class TestEvaluate:
         warped_mean = float(out.split("dice_mean=")[1].splitlines()[0])
         assert warped_mean > 0.9
         assert "field=" in out
-        # The same formatter as the register report.
-        csv = read_text(csv_path)
-        assert csv.startswith("label,dice")
-        assert "\nmean," in csv and "\nfolding," in csv
 
     def test_thread_count_does_not_change_outputs(self, phantom_dir,
                                                   tmp_path, capsys,
@@ -480,25 +480,25 @@ class TestEvaluate:
         monkeypatch.setattr(parallel, "SLAB_VOXELS", 1 << 8)
         outs = []
         for threads in ("1", "2"):
-            csv_path = tmp_path / f"scores{threads}.csv"
             rc = main(["evaluate",
                        "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
                        "--moving-labels",
                        str(phantom_dir / "moving_labels.hdr"),
                        "--field", str(phantom_dir / "truth_field.hdr"),
-                       "--report", str(csv_path), "--threads", threads])
+                       "--threads", threads])
             assert rc == 0
-            outs.append((capsys.readouterr().out, read_bytes(csv_path)))
+            outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
     def test_threads_below_one_rejected(self, phantom_dir, capsys):
-        rc = main(["evaluate",
-                   "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
-                   "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
-                   "--threads", "0"])
-        assert rc == 1
-        assert "argument --threads: must be an int >= 1" \
-            in capsys.readouterr().err
+        argv = ["evaluate",
+                "--fixed-labels", str(phantom_dir / "fixed_labels.hdr"),
+                "--moving-labels", str(phantom_dir / "moving_labels.hdr"),
+                "--threads", "0"]
+        for field in ([], ["--field", str(phantom_dir / "truth_field.hdr")]):
+            assert main(argv + field) == 1
+            assert "threads must be >= 1 and an int, got 0" \
+                in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -508,6 +508,14 @@ class TestExitCodes:
         assert err.startswith("usage: densereg register")
         assert "densereg register: error: unrecognized arguments: --bogus" \
             in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("register", "--no-mean-field"), ("register", "--report=r.csv"),
+        ("evaluate", "--report=r.csv")])
+    def test_removed_flags_rejected(self, capsys, command, flag):
+        assert main([command, flag]) == 1
+        assert f"densereg {command}: error: unrecognized arguments: {flag}" \
+            in capsys.readouterr().err
 
     def test_bad_value_reason_printed(self, capsys):
         assert main(["register", "--grid", "abc"]) == 1

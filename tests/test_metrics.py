@@ -184,20 +184,10 @@ class TestRegistrationReport:
         assert lines[-1] == "seed=3"
         assert text.endswith("\n")
 
-    def test_csv_layout(self):
-        rows = self.make({}).to_csv().splitlines()
-        assert rows[0] == "label,dice"
-        assert rows[1] == "1,0.875"
-        assert rows[2] == "2,0.5"
-        assert rows[3] == "mean,0.6875"
-        assert rows[4] == "std_jac,0.0625"
-        assert rows[5] == "folding,0"
-
     def test_runtimes_never_reach_report_bytes(self):
         fast = self.make({"features": 0.01, "warp": 0.002})
         slow = self.make({"features": 7.77, "warp": 3.21})
         assert fast.to_text() == slow.to_text()
-        assert fast.to_csv() == slow.to_csv()
         assert fast.timings_text() != slow.timings_text()
 
     def test_timings_text(self):

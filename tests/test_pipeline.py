@@ -89,15 +89,12 @@ class TestReportContents:
                             fixed_labels=pair.fixed_labels,
                             moving_labels=pair.moving_labels)
         notes = res.report.notes
-        for key in ("feature", "grid", "capture_range", "steps",
-                    "mean_field_iterations", "refine_steps", "flop_estimate",
-                    "label_loss", "label_loss_kind"):
-            assert key in notes, key
+        # No "lambda": only the refinement reads the diffusion weight.
+        assert sorted(notes) == ["capture_range", "flop_estimate", "grid",
+                                 "label_loss", "mean_field_iterations",
+                                 "refine_steps", "steps"]
         assert notes["grid"] == "6,6,6"
         assert notes["refine_steps"] == "0"
-        assert notes["label_loss_kind"] == "nonlocal"
-        # The diffusion weight is only read by the refinement.
-        assert "lambda" not in notes
         for stage in ("features", "correlation", "regularization",
                       "transform"):
             assert stage in res.report.runtimes, stage
@@ -201,6 +198,25 @@ class TestFloat32Storage:
         assert np.abs(prob[0].values - prob[1].values).max() <= 16 * eps
         ctrl = [expected_displacement(p).vectors for p in prob]
         assert np.abs(ctrl[0] - ctrl[1]).max() <= 1e-5 * space.q
+
+
+class TestKnownFolding:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the expected control field folds on some "
+                              "grid-16 pairs; ROADMAP item 1 (scaling and "
+                              "squaring) is meant to mend it")
+    def test_reference_pair_folds_at_most_one_percent(self):
+        """Pair 1 of the benchmark's ref-g16 workload at seed 16, registered
+        with the reference config (grid 16, 15^3 offsets, q 0.4), folds
+        1.586% of its voxels, above the acceptance suite's 1% ceiling."""
+        pair = generate(PhantomSpec(seed=313295363029912247, dims=(64,) * 3,
+                                    organs=5, deformation="smooth-random",
+                                    magnitude=0.25, noise_sigma=0.02))
+        res = register_pair(pair.fixed, pair.moving,
+                            small_config(grid=16, steps=15),
+                            fixed_labels=pair.fixed_labels,
+                            moving_labels=pair.moving_labels)
+        assert res.report.folding_fraction <= 0.01
 
 
 class TestConfigVariants:

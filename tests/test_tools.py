@@ -130,12 +130,6 @@ class TestMoved:
         assert compare_outputs.moved(old, new) == [
             "b=2 -> 2.5", "gone=3 -> (none)", "added=(none) -> 4"]
 
-    def test_csv_lines(self, tmp_path):
-        old, new = self.sides(tmp_path, "evaluate1.csv",
-                              "label,dice\nmean,0.5\n",
-                              "label,dice\nmean,0.6\n")
-        assert compare_outputs.moved(old, new) == ["mean,0.5 -> 0.6"]
-
     def test_other_files_say_nothing(self, tmp_path):
         old, new = self.sides(tmp_path, "field.hdr", "dims=1\n", "dims=2\n")
         assert compare_outputs.moved(old, new) == []

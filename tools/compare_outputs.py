@@ -22,8 +22,8 @@ times.  Prints ``identical``, ``differs`` or ``missing`` per file and
 exits 1 on anything but ``identical``.  Under a file that differs it
 prints how far it moved: for a ``.raw`` payload, the largest absolute
 difference (also in voxels when the header gives a ``voxel_factor``) and
-the count of differing values; for a report, a standard output or a CSV
-file, each changed ``key=value`` (``key,value``) line, old -> new.
+the count of differing values; for a report or a standard output, each
+changed ``key=value`` line, old -> new.
 """
 
 import argparse
@@ -40,8 +40,8 @@ import workloads  # noqa: E402
 
 THREADS = (1, 2)
 SKIPPED = {"timings.txt"}
-# Text files read as key/value lines, by suffix: the separator.
-KEY_VALUE = {".txt": "=", ".out": "=", ".csv": ","}
+# Suffixes of the text files read as key=value lines.
+KEY_VALUE = (".txt", ".out")
 SET_UP = ("import sys; from pathlib import Path; import workloads; "
           "workloads.set_up_pair(workloads.WORKLOADS[sys.argv[1]], "
           "int(sys.argv[2]), 0, Path(sys.argv[3]))")
@@ -89,7 +89,6 @@ def run_checkout(checkout: Path, seed: int, base: Path) -> None:
                            "--fixed-labels", "pair/fixed_labels.hdr",
                            "--moving-labels", "pair/moving_labels.hdr",
                            "--field", str(out / "field.hdr"),
-                           "--report", f"evaluate{t}.csv",
                            "--threads", str(t)], work, f"evaluate{t}.out")
         argv = workloads.register_argv(w, Path("pair"), Path("out_config"))
         (work / "register.cfg").write_text(
@@ -114,13 +113,12 @@ def moved(old: Path, new: Path) -> list:
             line += f" ({(diff * scale).max():.3g} voxels)"
         return [f"{line}, {np.count_nonzero(diff)} of {diff.size} "
                 f"values differ"]
-    sep = KEY_VALUE.get(old.suffix)
-    if sep is None:
+    if old.suffix not in KEY_VALUE:
         return []
-    a, b = (dict(line.partition(sep)[::2] for line in
+    a, b = (dict(line.partition("=")[::2] for line in
                  p.read_text(errors="replace").splitlines())
             for p in (old, new))
-    return [f"{key}{sep}{a.get(key, '(none)')} -> {b.get(key, '(none)')}"
+    return [f"{key}={a.get(key, '(none)')} -> {b.get(key, '(none)')}"
             for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
 
 
