@@ -9,12 +9,14 @@ The positions x_k + d factorize per axis, so :func:`map_displaced`
 reads an array there in three 1D interpolation passes instead of one
 gather per (k, d) pair, a control plane at a time and each plane in
 cache-sized row blocks.  The label loss reads the moving labels through
-it too.  The tensor is written completely before it is wrapped in a
-:class:`CostTensor6D`, which takes that array without a copy and makes
-it read-only.  Each element is computed in float64 and stored in float32:
-the tensor stages that follow move half the bytes, and the rounding, one
-part in 2**24, moved the control fields of 32³ phantoms by less than
-1e-6 of the capture range.
+it too.  The passes along axes 0 and 2 run in float64 and are rounded
+to float32 once; the full-size pass along axis 1, and the differences,
+squares and channel sums of the cost, run in float32.  The tensor is
+written completely before it is wrapped in a :class:`CostTensor6D`,
+which takes that array without a copy and makes it read-only.  It is
+stored in float32: the tensor stages that follow move half the bytes,
+and the rounding moved the control fields of 64³ phantoms by less than
+1e-5 voxels.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from .features import FeatureVolume
 from .geometry import (DisplacementSpace, _freeze, _three_ints, axis_centers,
-                       lerp_axis, lerp_axis_into, lerp_plan, sample_separable)
+                       lerp_axis, lerp_axis_into, lerp_plan)
 from .parallel import block_view, map_planes, row_blocks
 
 __all__ = ["CostTensor6D", "dissimilarity_tensor", "flop_estimate", "map_displaced"]
@@ -94,10 +96,17 @@ def map_displaced(arrays, to_index, space: DisplacementSpace, block, like,
     ``block(k1, blk, sample, spare)``: ``sample(c)`` returns ``arrays[c]``
     at the block's positions, shaped ``(s1, rows, s2, k3, s3)``, in a
     buffer the next call overwrites; ``spare`` is a C-contiguous scratch
-    buffer of that shape.  Every element goes through the same arithmetic
-    whatever the block size.  ``like`` is the tensor whose first three
-    extents are the control grid; its planes run on up to ``workers``
-    threads (:func:`~densereg.parallel.map_planes`), so ``block`` runs for
+    buffer of that shape.  Both are float32.
+
+    Each plane interpolates every array along axis 0 and then axis 2 in
+    float64, by :func:`~densereg.geometry.lerp_axis`, and rounds the
+    result to float32 once; the one full-size pass, along axis 1, then
+    runs in float32 with float32 :func:`~densereg.geometry.lerp_plan`
+    weights and copies contiguous rows of ``k3 * s3`` values.  Every
+    element goes through the same arithmetic whatever the block size.
+    ``like`` is the array whose first three extents are the control
+    grid; its planes run on up to ``workers`` threads
+    (:func:`~densereg.parallel.map_planes`), so ``block`` runs for
     several planes at once.
     """
     fracs = [to_index(a, np.add.outer(axis_centers(like.shape[a]),
@@ -106,30 +115,41 @@ def map_displaced(arrays, to_index, space: DisplacementSpace, block, like,
     _, k2, k3 = like.shape[:3]
     s1, s2, s3 = space.steps
     _, height, width = arrays[0].shape
-    # The samples are float64 whatever ``like``'s dtype.
-    blocks = row_blocks(k2, s1 * s2 * k3 * s3 * 8)
+    cols = k3 * s3
+    blocks = row_blocks(k2, s1 * s2 * cols * 4)
     rows = blocks[0].stop
     # The sample positions of a block's rows, and of every block's
     # columns, are the same in every plane and array.
     plans = [lerp_plan(height, fracs[1][b.start * s2:b.stop * s2], 3, 1)
              for b in blocks]
+    plans = [(i0, i1, w0.astype(np.float32), w1.astype(np.float32))
+             for i0, i1, w0, w1 in plans]
     plan2 = lerp_plan(width, fracs[2], 3, 2)
+    # The axis-2 pass takes a cache-sized slab of axis-0 slices at a time.
+    slabs = row_blocks(s1, height * cols * 8)
 
     def plane(k1):
-        # The first-axis pass is shared by every block of the plane.
+        # The passes along axes 0 and 2 are shared by every block.
         t0 = fracs[0][k1 * s1:(k1 + 1) * s1]
-        m_rows = [lerp_axis(a, t0, 0) for a in arrays]
-        partial = [np.empty(s1 * rows * s2 * width) for _ in range(2)]
-        sampled = [np.empty(s1 * rows * s2 * k3 * s3) for _ in range(3)]
+        wide = [np.empty(slabs[0].stop * height * cols) for _ in range(2)]
+        across = [np.empty((s1, height, cols), np.float32) for _ in arrays]
+        for a, dst in zip(arrays, across):
+            mid = lerp_axis(a, t0, 0)
+            for slab in slabs:
+                shape = (slab.stop - slab.start, height, cols)
+                dst[slab] = lerp_axis_into(mid[slab], plan2, 2,
+                                           *[block_view(b, shape) for b in wide])
+        # The float64 scratch goes before the block buffers come.
+        del wide, mid
+        sampled = [np.empty(s1 * rows * s2 * cols, np.float32)
+                   for _ in range(3)]
         for blk, plan1 in zip(blocks, plans):
             n = blk.stop - blk.start
-            mid = [block_view(b, (s1, n * s2, width)) for b in partial]
-            out, work, spare = [block_view(b, (s1, n * s2, k3 * s3))
+            out, work, spare = [block_view(b, (s1, n * s2, cols))
                                 for b in sampled]
 
             def sample(c):
-                lerp_axis_into(m_rows[c], plan1, 1, *mid)
-                lerp_axis_into(mid[0], plan2, 2, out, work)
+                lerp_axis_into(across[c], plan1, 1, out, work)
                 return out.reshape(s1, n, s2, k3, s3)
 
             block(k1, blk, sample, spare.reshape(s1, n, s2, k3, s3))
@@ -144,17 +164,26 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
 
     ``cost[k, d] = (1/C) * sum_c (fixed_c(x_k) - moving_c(x_k + d))^2``
     on a grid of ``counts`` control points per axis, with border-clamped
-    trilinear sampling of both feature volumes.  Every element is
-    computed in float64 and stored in a float32 tensor.
+    trilinear sampling of both feature volumes.  Both sides are sampled
+    by :func:`map_displaced`, the fixed one over the zero offset alone,
+    so a position reads the same float32 value from either side; the
+    differences are squared and accumulated in float32.
     ``workers`` caps the threads that evaluate control planes (default:
     the usable cores); the result does not depend on it.
     """
     if fixed.channels != moving.channels:
         raise ValueError(f"channel mismatch: fixed {fixed.channels}, moving {moving.channels}")
-    out = np.empty(_three_ints(counts, "counts") + space.steps,
-                   dtype=np.float32)
-    f_fracs = [fixed.axis_fracs(a, axis_centers(out.shape[a])) for a in range(3)]
-    f_at_k = [sample_separable(f, f_fracs)[:, :, None, :, None] for f in fixed.data]
+    counts = _three_ints(counts, "counts")
+    out = np.empty(counts + space.steps, dtype=np.float32)
+    f_at_k = np.empty((fixed.channels,) + counts, dtype=np.float32)
+
+    def gather(k1, blk, sample, spare):
+        for c, f in enumerate(f_at_k):
+            f[k1, blk] = sample(c)[0, :, 0, :, 0]
+
+    map_displaced(fixed.data, fixed.axis_fracs, DisplacementSpace(space.q, 1),
+                  gather, f_at_k[0], workers)
+    f_at_k = f_at_k[:, :, :, None, :, None]
 
     def block(k1, blk, sample, spare):
         # The channels accumulate in the sampler's layout; channel 0's

@@ -236,11 +236,14 @@ def lerp_axis(data: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
 
 def lerp_axis_into(data: np.ndarray, plan: tuple, axis: int,
                    out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Linear interpolation of float64 ``data`` along ``axis`` by a
+    """Linear interpolation of ``data`` along ``axis`` by a
     :func:`lerp_plan`, written into ``out`` with ``work`` (same shape) as
-    scratch and no other temporary.  A plan made once serves every array
-    and block sampled at the same positions; on an extent-1 axis, the
-    second corner, of weight 0, adds ``x * 0.0`` to every value ``x``."""
+    scratch and no other temporary.  The arithmetic runs in the dtype of
+    ``out``, ``work`` and the plan's weights: float64 for a plan as
+    :func:`lerp_plan` makes it, float32 for float32 weights and
+    buffers.  A plan made once serves every array and block sampled at
+    the same positions; on an extent-1 axis, the second corner, of
+    weight 0, adds ``x * 0.0`` to every value ``x``."""
     i0, i1, w0, w1 = plan
     np.take(data, i0, axis=axis, out=out, mode="clip")
     out *= w0

@@ -215,8 +215,12 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     Only labels present in either volume are visited and counted: an
     absent class has all-zero one-hot channels on both sides and adds
     exactly 0, so sparse label IDs change neither the cost nor the value.
-    ``num_classes`` bounds the label values.  The expectation is evaluated
-    per control plane on up to ``workers`` threads.
+    ``num_classes`` bounds the label values.  The moving samples are
+    :func:`~densereg.correlation.map_displaced`'s float32 ones: each is
+    multiplied by its probability into float32, and each point's
+    expectation is summed in float64.  The fixed side and the squared
+    differences are float64.  The expectation is evaluated per control
+    plane on up to ``workers`` threads.
     """
     if not (labels_moving.is_label and labels_fixed.is_label):
         raise ValueError("label loss needs label volumes")
@@ -234,7 +238,7 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
         # product of the whole plane.
         prod = spare.reshape((blk.stop - blk.start,) + p.shape[2:])
         np.multiply(p[k1, blk], sample(0).transpose(1, 3, 0, 2, 4), out=prod)
-        expect[k1, blk] = np.sum(prod, axis=(2, 3, 4))
+        expect[k1, blk] = np.sum(prod, axis=(2, 3, 4), dtype=np.float64)
 
     labels = present_labels(labels_moving, labels_fixed)
     loss = 0.0

@@ -22,7 +22,7 @@ from scipy import ndimage
 from densereg.correlation import CostTensor6D
 from densereg.features import SSC_PAIRS, FeatureVolume
 from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
-                               index_to_normalized,
+                               index_to_normalized, lerp_axis, lerp_plan,
                                normalized_to_index, present_labels,
                                running_mean, sample_points_linear,
                                sample_points_nearest, sample_separable)
@@ -540,6 +540,18 @@ def lu_jacobian_stats(field):
     return std, folding
 
 
+def rows_last_sample(data, fracs):
+    """Trilinear samples of a 3D array on the outer-product grid of three
+    fractional-index vectors, by the library's rule for displaced
+    positions: along axes 0 and 2 in float64, rounded to float32 once,
+    then along axis 1 in float32 with float32 weights, as one fancy-index
+    expression per corner."""
+    wide = lerp_axis(lerp_axis(data, fracs[0], 0), fracs[2], 2)
+    wide = wide.astype(np.float32)
+    i0, i1, w0, w1 = lerp_plan(data.shape[1], fracs[1], 3, 1)
+    return wide[:, i0] * w0.astype(np.float32) + wide[:, i1] * w1.astype(np.float32)
+
+
 def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
     """Probability-weighted label loss over every class id in
     ``range(num_classes)``, evaluated on the whole 6D tensor at once and
@@ -564,9 +576,11 @@ def full_range_label_loss(prob, labels_moving, labels_fixed, num_classes):
         present += bool(np.any(labels_moving.data == cls)
                         or np.any(labels_fixed.data == cls))
         onehot = (labels_moving.data == cls).astype(np.float64)
-        sampled = sample_separable(onehot, m_fracs)
+        sampled = rows_last_sample(onehot, m_fracs)
         sampled = sampled.reshape(k1, s1, k2, s2, k3, s3).transpose(0, 2, 4, 1, 3, 5)
-        expect = np.sum(prob.values * sampled, axis=(3, 4, 5))
+        prod = np.multiply(prob.values, sampled,
+                           out=np.empty(sampled.shape, np.float32))
+        expect = np.sum(prod, axis=(3, 4, 5), dtype=np.float64)
         target = sample_separable((labels_fixed.data == cls).astype(np.float64),
                                   f_fracs)
         diff = expect - target
@@ -664,23 +678,24 @@ def whole_volume_inverse_field(truth, iterations=40, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def planewise_dissimilarity(fixed, moving, counts, space):
-    """Cost tensor values, one control plane at a time: every channel is
-    sampled for the whole plane and subtracted through a strided
-    transpose, accumulating into a zeroed plane."""
+    """Float32 cost tensor values, one control plane at a time: every
+    channel is sampled for the whole plane by :func:`rows_last_sample`,
+    as is the fixed side, and subtracted through a strided transpose,
+    accumulating into a zeroed plane."""
     ctrl = [axis_centers(n) for n in counts]
     f_fracs = [fixed.axis_fracs(a, ctrl[a]) for a in range(3)]
     m_fracs = [moving.axis_fracs(a, np.add.outer(ctrl[a], space.axis_offsets(a)).ravel())
                for a in range(3)]
     k1s, k2, k3 = counts
     s1, s2, s3 = space.steps
-    f_at_k = [sample_separable(fixed.data[c], f_fracs)
+    f_at_k = [rows_last_sample(fixed.data[c], f_fracs)
               for c in range(fixed.channels)]
-    out = np.zeros(counts + space.steps)
+    out = np.zeros(counts + space.steps, np.float32)
     for k1 in range(k1s):
         acc = out[k1]
         fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
         for c in range(fixed.channels):
-            m_at_kd = sample_separable(moving.data[c], fracs)
+            m_at_kd = rows_last_sample(moving.data[c], fracs)
             m_at_kd = m_at_kd.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
             diff = f_at_k[c][k1, :, :, None, None, None] - m_at_kd
             acc += diff * diff
@@ -708,9 +723,10 @@ def planewise_label_loss(prob, labels_moving, labels_fixed):
         onehot = (labels_moving.data == cls).astype(np.float64)
         for k1 in range(k1s):
             fracs = [m_fracs[0][k1 * s1:(k1 + 1) * s1], m_fracs[1], m_fracs[2]]
-            sampled = sample_separable(onehot, fracs)
+            sampled = rows_last_sample(onehot, fracs)
             sampled = sampled.reshape(s1, k2, s2, k3, s3).transpose(1, 3, 0, 2, 4)
-            expect[k1] = np.sum(p[k1] * sampled, axis=(2, 3, 4))
+            prod = (p[k1] * sampled).astype(np.float32, order="C")
+            expect[k1] = np.sum(prod, axis=(2, 3, 4), dtype=np.float64)
         target = sample_separable((labels_fixed.data == cls).astype(np.float64),
                                   f_fracs)
         diff = expect - target

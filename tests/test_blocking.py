@@ -6,6 +6,7 @@ ndimage's bytes; a float32 one to the bytes of its own whole-tensor
 evaluation, within float32 rounding of ndimage's float64 result."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def thread_every_plane():
         yield
 
 
-def for_each_setting(rows, grid_counts, disp_steps, compute, itemsize=8):
+def for_each_setting(rows, grid_counts, disp_steps, compute, itemsize):
     """``compute(workers)`` for every worker count, with the row-block
     budget set to give ``rows`` rows of a plane of ``itemsize``-byte
     values."""
@@ -101,13 +102,13 @@ class TestAgainstWholePlaneOracles:
         fixed = random_features(rng, channels, (5, 4, 6))
         moving = random_features(rng, channels, (5, 4, 6))
         space = DisplacementSpace(0.3, disp_steps)
-        # Computed in float64, stored in float32.
         want = planewise_dissimilarity(fixed, moving, grid_counts,
-                                       space).astype(np.float32).tobytes()
+                                       space).tobytes()
         for got in for_each_setting(
                 rows, grid_counts, disp_steps,
                 lambda w: dissimilarity_tensor(fixed, moving, grid_counts,
-                                               space, workers=w).values):
+                                               space, workers=w).values,
+                itemsize=4):
             assert got.tobytes() == want
 
     @PROPERTY
@@ -128,7 +129,8 @@ class TestAgainstWholePlaneOracles:
         for got in for_each_setting(
                 rows, grid_counts, disp_steps,
                 lambda w: nonlocal_label_loss(prob, moving, fixed,
-                                              int(ids.max()) + 1, workers=w)):
+                                              int(ids.max()) + 1, workers=w),
+                itemsize=4):
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @PROPERTY
@@ -246,6 +248,48 @@ class TestScratch:
         assert 2 * sizes.pop() <= vals[0].nbytes + parallel.BLOCK_BYTES
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, in bytes, as
+    :mod:`tracemalloc` sees it (numpy reports its buffers there)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplerScratch:
+    """The displaced sampler keeps its scratch per control plane and per
+    worker.  At the reference shape (64³ volumes, so 21³ SSC features of
+    12 channels, a 16³ control grid and 15³ offsets) on two workers the
+    correlation and the label loss each allocate about 10 MiB beside
+    their output; holding every channel's rows for the whole call would
+    take about 19 MiB."""
+
+    SCRATCH_MIB = 12
+    counts, space = (16, 16, 16), DisplacementSpace(0.4, 15)
+
+    def test_dissimilarity_tensor(self):
+        rng = np.random.default_rng(6)
+        fixed, moving = (random_features(rng, 12, (21, 21, 21))
+                         for _ in range(2))
+        cost, peak = traced_peak(lambda: dissimilarity_tensor(
+            fixed, moving, self.counts, self.space, workers=2))
+        assert peak - cost.values.nbytes <= self.SCRATCH_MIB * 2**20
+
+    def test_nonlocal_label_loss(self):
+        rng = np.random.default_rng(7)
+        prob = ProbTensor6D(np.full(self.counts + self.space.steps,
+                                    1.0 / self.space.num_offsets, np.float32),
+                            self.space)
+        moving, fixed = (Volume3D(rng.integers(0, 3, size=(64, 64, 64)),
+                                  is_label=True) for _ in range(2))
+        _, peak = traced_peak(lambda: nonlocal_label_loss(
+            prob, moving, fixed, 3, workers=2))
+        assert peak <= self.SCRATCH_MIB * 2**20
+
+
 class TestManyWorkers:
     def test_more_workers_than_cores_with_fast_switching(self):
         """Eight workers write disjoint planes of shared buffers while the
@@ -266,7 +310,7 @@ class TestManyWorkers:
         finally:
             sys.setswitchinterval(old)
         want = planewise_dissimilarity(fixed, moving, grid, space)
-        assert cost.values.tobytes() == want.astype(np.float32).tobytes()
+        assert cost.values.tobytes() == want.tobytes()
         for tensor, out in zip((cost, copy), smoothed):
             assert out.values.tobytes() == smoothed_bytes(tensor.values,
                                                           params)

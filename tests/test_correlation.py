@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densereg import parallel
 from densereg.correlation import (CostTensor6D, dissimilarity_tensor,
@@ -10,7 +10,7 @@ from densereg.correlation import (CostTensor6D, dissimilarity_tensor,
 from densereg.features import FeatureVolume, extract_intensity_gradient
 from densereg.geometry import (DisplacementSpace, Volume3D, axis_centers,
                                normalized_to_index, sample_separable)
-from oracles import naive_dissimilarity, offset_grid
+from oracles import naive_dissimilarity, offset_grid, rows_last_sample
 
 
 def random_feature_volume(rng, channels, counts):
@@ -173,7 +173,7 @@ class TestMapDisplaced:
             assert spare.shape == (s1, n, s2, k3, s3)
             assert spare.flags.c_contiguous
             for c in range(arrays):
-                want = sample_separable(data[c], [
+                want = rows_last_sample(data[c], [
                     fracs[0][k1 * s1:(k1 + 1) * s1],
                     fracs[1][blk.start * s2:blk.stop * s2], fracs[2]])
                 got = sample(c)
@@ -186,11 +186,51 @@ class TestMapDisplaced:
             if rows is not None:
                 # A budget of 0 rows still gives one row per block.
                 mp.setattr(parallel, "BLOCK_BYTES", max(
-                    1, rows * 8 * k3 * s1 * s2 * s3))
+                    1, rows * 4 * k3 * s1 * s2 * s3))
             map_displaced(list(data), lambda a, x: normalized_to_index(
                 x, dims[a]), space, block, like, workers)
         assert sorted(visits) == [(k1, r) for k1 in range(k1s)
                                   for r in range(k2)]
+
+    # map_displaced's float32 samples against sample_separable's float64
+    # ones: their largest difference in float32 epsilons of max|data|.
+    # Rounding the axis-0/2 samples, the two weights, the two products
+    # and their sum to float32 costs at most 4 half-epsilons.
+    FLOAT32_EPS = 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.tuples(*[st.integers(1, 7)] * 3),
+           grid_counts=st.tuples(*[st.integers(1, 5)] * 3),
+           disp_steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           q=st.floats(0.05, 0.95),
+           scale=st.sampled_from((1e-3, 1.0, 1e4)))
+    @example(seed=1, dims=(1, 1, 1), grid_counts=(2, 3, 2),
+             disp_steps=(3, 3, 3), q=0.5, scale=1.0)
+    @example(seed=2, dims=(4, 1, 5), grid_counts=(3, 2, 4),
+             disp_steps=(1, 1, 1), q=0.3, scale=1.0)
+    def test_float32_samples_within_rounding_of_float64(
+            self, seed, dims, grid_counts, disp_steps, q, scale):
+        data = np.random.default_rng(seed).normal(size=dims) * scale
+        space = DisplacementSpace(q, disp_steps)
+        s1, s2, _ = disp_steps
+        fracs = [normalized_to_index(np.add.outer(
+            axis_centers(grid_counts[a]), space.axis_offsets(a)).ravel(), dims[a])
+            for a in range(3)]
+        bound = self.FLOAT32_EPS * np.finfo(np.float32).eps * np.abs(data).max()
+        errors = []
+
+        def block(k1, blk, sample, spare):
+            want = sample_separable(data, [
+                fracs[0][k1 * s1:(k1 + 1) * s1],
+                fracs[1][blk.start * s2:blk.stop * s2], fracs[2]])
+            got = sample(0)
+            assert got.dtype == np.float32
+            errors.append(np.abs(got - want.reshape(got.shape)).max())
+
+        map_displaced([data], lambda a, x: normalized_to_index(x, dims[a]),
+                      space, block, np.empty(grid_counts))
+        assert max(errors) <= bound
 
 
 class TestFlopEstimate:
