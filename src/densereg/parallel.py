@@ -7,8 +7,8 @@ the worker count: every plane is computed by the same floating-point
 operations whichever thread runs it, and results are identical for any
 number of workers.  numpy ufuncs release the interpreter lock in their
 inner loops, so the threads overlap the actual arithmetic; only the
-Python between two calls holds it, which is why the running sums of the
-regularizer take whole slices of a block per call, not single lines.
+Python between two calls holds it, which is why the regularizer's pools
+take a whole block per call, its products one call per product width.
 Planes too small to repay the hand-off to a worker run on the calling
 thread.  The same helper runs the 12 SSC feature channels, one channel
 per task.

@@ -24,9 +24,9 @@ from densereg.features import SSC_PAIRS, FeatureVolume
 from densereg.geometry import (DisplacementField, Volume3D, axis_centers,
                                index_to_normalized, lerp_axis, lerp_plan,
                                normalized_to_index, present_labels,
-                               running_mean, sample_points_linear,
+                               sample_points_linear,
                                sample_points_nearest, sample_separable)
-from densereg.regularizer import DISP_KERNEL, _min_pool1d
+from densereg.regularizer import DISP_KERNEL, _min_pool1d, _pool_matrix
 
 
 def offset_grid(space):
@@ -752,7 +752,6 @@ def filter_min_convolution(vals):
         ndimage.minimum_filter(vals[k], size=size, output=dst, mode="nearest")
         ndimage.uniform_filter(dst, size=size, output=scratch, mode="nearest")
         ndimage.uniform_filter(scratch, size=size, output=dst, mode="nearest")
-        np.maximum(dst, 0.0, out=dst)
     return out
 
 
@@ -763,10 +762,8 @@ def filter_mean_field(vals, p):
     size += (1, 1)
     out = np.empty_like(vals)
     for j in range(vals.shape[3]):
-        dst = out[:, :, :, j]
-        ndimage.uniform_filter(vals[:, :, :, j], size=size, output=dst,
-                               mode="nearest")
-        np.maximum(dst, 0.0, out=dst)
+        ndimage.uniform_filter(vals[:, :, :, j], size=size,
+                               output=out[:, :, :, j], mode="nearest")
     return out
 
 
@@ -779,28 +776,49 @@ def out_of_place_regularize(vals, p):
     return out * p.output_scale
 
 
+def matrix_along(matrix, vals, axis):
+    """``matrix`` applied along ``axis`` of the C-contiguous ``vals``: one
+    ``np.matmul`` over ``vals`` read as ``(lead, n, cols)``.  A single
+    column is padded to two, as the library pads it, since numpy sends a
+    one-column product to gemv, which rounds differently from gemm."""
+    n = vals.shape[axis]
+    x = vals.reshape(math.prod(vals.shape[:axis]), n, -1)
+    cols = x.shape[2]
+    if cols == 1:
+        x = np.repeat(x, 2, axis=2)
+    return np.matmul(matrix, x)[..., :cols].reshape(vals.shape)
+
+
 def whole_tensor_regularize(vals, p):
-    """:func:`densereg.regularizer.regularize` values in ``vals``' dtype:
-    each of the library's 1D pools (``_min_pool1d``, ``running_mean``)
-    runs once over the whole tensor into a fresh array, in the walker's
-    order, with no planes, row blocks or scratch buffers.  In float64 it
-    equals :func:`out_of_place_regularize` bit for bit; in float32 it is
-    the reference that the walker must reproduce for any block size and
-    worker count."""
+    """:func:`densereg.regularizer.regularize` values in ``vals``' dtype
+    with no planes, row blocks or scratch buffers: each ``_min_pool1d``
+    and each of the library's pool matrices (:func:`matrix_along`) runs
+    once over the whole tensor, into a fresh array, in the walker's order
+    and in its layout: ``(K1, K2, K3, S1, S2, S3)`` for the
+    min-convolution and ``(S1, S2, S3, K1, K2, K3)`` for the mean field.
+    On this library's pool sizes a BLAS product's bytes do not depend on
+    how its columns are split, so this is the reference that the walker
+    must reproduce for any block size and worker count; it lies within
+    rounding of :func:`out_of_place_regularize`."""
     disp = [(a, pool_window(n, DISP_KERNEL))
-            for a, n in enumerate(vals.shape[3:], 3)]
+            for a, n in enumerate(vals.shape[3:])]
     space = [(a, pool_window(n, p.spatial_kernel))
              for a, n in enumerate(vals.shape[:3])]
     disp = [(a, w) for a, w in disp if w > 1]
-    blocks = ([(_min_pool1d, a, w) for a, w in disp]
-              + [(running_mean, a, w) for a, w in disp + disp],
-              [(running_mean, a, w) for a, w in space if w > 1])
     out = vals
     for _ in range(p.iterations):
-        for passes in blocks:
-            for pool, axis, size in passes:
-                dst = np.empty_like(out)
-                pool(out, size, axis, dst)
-                out = dst
-            out = np.maximum(out, 0.0)
+        t = np.ascontiguousarray(out.transpose(3, 4, 5, 0, 1, 2))
+        for axis, size in disp:
+            dst = np.empty_like(t)
+            _min_pool1d(t, size, axis, dst)
+            t = dst
+        for axis, size in disp:
+            t = matrix_along(_pool_matrix(t.shape[axis], size, 2, t.dtype),
+                             t, axis)
+        out = np.ascontiguousarray(t.transpose(3, 4, 5, 0, 1, 2))
+        for axis, size in space:
+            if size > 1:
+                out = matrix_along(
+                    _pool_matrix(out.shape[axis], size, 1, out.dtype),
+                    out, axis)
     return out * p.output_scale

@@ -1,9 +1,9 @@
 """Cache-blocked, in-place 6D tensor stages against their whole-plane
 references in ``oracles``: the same bytes for any row-block size and any
 worker count, in a new array or in a handed-over input's, and the
-shifted-minimum pool against ndimage.  A float64 tensor is smoothed to
-ndimage's bytes; a float32 one to the bytes of its own whole-tensor
-evaluation, within float32 rounding of ndimage's float64 result."""
+shifted-minimum pool against ndimage.  A tensor is smoothed to the bytes
+of its own whole-tensor evaluation, which lies within its dtype's
+rounding of ndimage's float64 result."""
 
 import sys
 import tracemalloc
@@ -39,9 +39,10 @@ block_rows = st.sampled_from((None, 0, 1, 2, 3))
 scales = st.one_of(st.just(1.0), st.floats(0.1, 10.0))
 dtypes = st.sampled_from((np.float64, np.float32))
 
-# A float32 smoothing, against ndimage's float64 one of the same values:
-# its largest difference in float32 epsilons of the largest value.
-FLOAT32_ULPS = 16
+# A smoothing in the tensor's dtype, against ndimage's float64 one of the
+# same values: its largest difference in epsilons of that dtype times the
+# largest value.
+ULPS = 16
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -77,18 +78,14 @@ def random_cost(seed, grid_counts, disp_steps, dtype=np.float64):
 
 
 def smoothed_bytes(values, params):
-    """The bytes a regularized ``values`` must have: ndimage's for
-    float64; for float32, those of the whole-tensor evaluation, after
-    checking that it lies within float32 rounding of ndimage's float64
-    result on the same values."""
+    """The bytes a regularized ``values`` must have: those of its
+    whole-tensor evaluation, after checking that it lies within rounding
+    of ndimage's float64 result on the same values."""
     want = out_of_place_regularize(values.astype(np.float64), params)
     got = whole_tensor_regularize(values, params)
-    if values.dtype == np.float64:
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert got.dtype == np.float32
-        bound = FLOAT32_ULPS * np.finfo(np.float32).eps * np.abs(want).max()
-        assert np.abs(got - want).max() <= bound
+    assert got.dtype == values.dtype
+    bound = ULPS * np.finfo(values.dtype).eps * np.abs(want).max()
+    assert np.abs(got - want).max() <= bound
     return got.tobytes()
 
 

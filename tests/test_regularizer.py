@@ -1,5 +1,10 @@
 """Cost-tensor smoothing: pooled min-convolution, mean-field averaging,
-and the exact parabola envelope (a test oracle) the pooling approximates."""
+the pool matrices and the products that apply them, and the exact
+parabola envelope (a test oracle) the pooling approximates."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +15,10 @@ from densereg.correlation import CostTensor6D, dissimilarity_tensor
 from densereg.features import extract_intensity_gradient
 from densereg.geometry import DisplacementSpace, Volume3D
 from densereg.regularizer import (
+    PRODUCT_MACS,
     RegularizerParams,
+    _column_split,
+    _pool_matrix,
     mean_field_step,
     min_convolution,
     regularize,
@@ -338,3 +346,122 @@ class TestEnvelopeAudit:
         rms = {c: np.sqrt(v / (100 * 15 ** 3)) for c, v in sq.items()}
         assert rms[0.0075] == pytest.approx(0.01399, abs=5e-6)
         assert rms[0.0075] < min(rms[0.006], rms[0.009]), rms
+
+
+# OpenBLAS runs a product of this many multiply-adds or more on threads of
+# its own.
+OPENBLAS_THREADING_MACS = 1 << 18
+
+
+def recorded_products(stage):
+    """The shapes of the two operands of every ``np.matmul`` call that
+    ``stage()`` makes."""
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", spy)
+        stage()
+    return calls
+
+
+class TestPoolMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40),
+           size=st.integers(0, 40).map(lambda k: 2 * k + 1),
+           power=st.sampled_from((1, 2)))
+    def test_columns_are_the_uniform_filter_of_unit_vectors(self, n, size,
+                                                            power):
+        """Column ``j`` is ``power`` passes of ``uniform_filter1d`` over
+        the unit vector ``e_j``, with replicate padding, and no entry is
+        negative."""
+        got = _pool_matrix(n, size, power, np.dtype(np.float64))
+        want = np.eye(n)
+        for _ in range(power):
+            want = ndimage.uniform_filter1d(want, size, axis=0,
+                                            mode="nearest")
+        assert np.abs(got - want).max() <= 1e-15
+        assert (got >= 0.0).all()
+        assert not got.flags.writeable
+
+    def test_stored_in_the_tensor_dtype(self):
+        wide = _pool_matrix(15, 3, 2, np.dtype(np.float64))
+        narrow = _pool_matrix(15, 3, 2, np.dtype(np.float32))
+        assert narrow.dtype == np.float32
+        assert narrow.tobytes() == wide.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1, 1), (1, 5, 1, 1, 3, 1),
+                                       (4, 1, 3, 5, 1, 1)])
+    def test_extent_one_issues_no_product(self, shape):
+        vals = np.random.default_rng(3).uniform(size=shape).astype(np.float32)
+        calls = recorded_products(lambda: (
+            min_convolution(vals, workers=1),
+            mean_field_step(vals, 3, workers=1)))
+        assert {a[0] for a, _ in calls} == {n for n in shape if n > 2}
+
+
+class TestProducts:
+    """Every product stays below the size at which OpenBLAS starts threads
+    of its own, so the workers are the only threads, and a product of two
+    or more columns is never cut into a one-column product, which numpy
+    would hand to gemv."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 9, 15, 16, 32])
+    def test_column_split(self, n):
+        for cols in list(range(1, 3000)) + [2 ** 16 + 1, 230400]:
+            split = _column_split(n, cols)
+            assert sum(count * width for count, width in split) == cols
+            widths = [width for _, width in split]
+            assert max(widths) - min(widths) <= 1
+            assert min(widths) >= min(cols, 2)
+            assert n * n * max(widths) <= PRODUCT_MACS
+
+    @pytest.mark.parametrize("grid", [8, 16, 32])
+    @pytest.mark.parametrize("steps", [9, 15])
+    def test_within_budget_at_the_reference_shapes(self, grid, steps):
+        """One control plane of a ``grid``³ x ``steps``³ tensor through
+        the min-convolution and one displacement plane through the mean
+        field, with every product recorded: ``n * n`` times its columns
+        stays within the budget."""
+        rng = np.random.default_rng(grid + steps)
+        control = rng.uniform(size=(1, grid, grid) + (steps,) * 3)
+        bins = rng.uniform(size=(grid,) * 3 + (1, steps, steps))
+        calls = recorded_products(lambda: (
+            min_convolution(control.astype(np.float32), workers=1),
+            mean_field_step(bins.astype(np.float32), 5, workers=1)))
+        assert {a[0] for a, _ in calls} == {grid, steps}
+        for (n, _), operand in calls:
+            macs = n * n * operand[-1]
+            assert macs <= PRODUCT_MACS < OPENBLAS_THREADING_MACS
+            assert operand[-1] >= 2
+
+
+class TestBlasThreads:
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        """The same float32 regularization in fresh interpreters with one
+        and with two OpenBLAS threads, on one and two workers: the same
+        bytes every time."""
+        code = "\n".join([
+            "import hashlib",
+            "import numpy as np",
+            "from densereg.correlation import CostTensor6D",
+            "from densereg.geometry import DisplacementSpace",
+            "from densereg.regularizer import RegularizerParams, regularize",
+            "rng = np.random.default_rng(5)",
+            "vals = rng.uniform(0, 2, (6, 7, 8, 15, 15, 15)).astype('f4')",
+            "cost = CostTensor6D(vals, DisplacementSpace(0.4, 15))",
+            "for w in (1, 2):",
+            "    out = regularize(cost, RegularizerParams(), workers=w)",
+            "    print(hashlib.sha256(out.values.tobytes()).hexdigest())",
+        ])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests += proc.stdout.split()
+        assert len(digests) == 4 and len(set(digests)) == 1
