@@ -14,11 +14,12 @@ features extracted from differently strided grids stay comparable.
 SSC is only ever read on its strided grid, so it is never computed
 anywhere else: each channel's squared neighbor differences are
 box-filtered and subsampled axis by axis by a numpy running sum that
-divides only at the kept positions, the normalization and the exponential
-run on the strided grid only, and the 12 channels run as separate tasks on
-:func:`densereg.parallel.map_planes`.  The running sum repeats
-``scipy.ndimage.uniform_filter``'s own arithmetic, so the values are
-bit-identical to filtering and exponentiating every voxel first.
+divides only at the kept positions (:func:`_box_mean_strided`), the
+normalization and the exponential run on the strided grid only, and the
+12 channels run as separate tasks on :func:`densereg.parallel.map_planes`.
+The running sum repeats ``scipy.ndimage.uniform_filter``'s own
+arithmetic, so the values are bit-identical to filtering and
+exponentiating every voxel first.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import (Volume3D, _freeze, _require_finite,
-                       index_to_normalized, running_mean)
+from .geometry import (Volume3D, _freeze, _is_int, _require_finite,
+                       index_to_normalized)
 from .parallel import map_planes
 
 __all__ = [
@@ -61,13 +62,16 @@ class FeatureVolume:
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if data.ndim != 4:
-            raise ValueError(f"feature data must be (C, G1, G2, G3), got {data.shape}")
+        if data.ndim != 4 or 0 in data.shape:
+            raise ValueError(f"feature data must be (C, G1, G2, G3) with "
+                             f"positive extents, got {data.shape}")
         _require_finite(data, "feature data")
         origin = tuple(float(v) for v in self.origin)
         step = tuple(float(v) for v in self.step)
-        if len(origin) != 3 or len(step) != 3 or any(s <= 0 for s in step):
-            raise ValueError("origin and step must be three values, step positive")
+        if (len(origin) != 3 or len(step) != 3 or not all(np.isfinite(origin))
+                or not all(0.0 < s < np.inf for s in step)):
+            raise ValueError("origin and step must be three finite values, "
+                             "step positive")
         object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "step", step)
@@ -106,25 +110,54 @@ def _subsample(full: np.ndarray, dims, stride: int):
     return (sub,) + _grid_frame(dims, stride)
 
 
+def _running_mean(src: np.ndarray, size: int, axis: int, stride: int) -> np.ndarray:
+    """``ndimage.uniform_filter1d(src, size, axis, mode="nearest")`` read
+    at positions ``stride // 2, stride // 2 + stride, ...`` (at least the
+    first must lie on ``axis``), bit for bit, in a new float64 array.
+
+    The running sum repeats ndimage's arithmetic on the edge-replicated
+    line ``p`` (``p_i`` is slice ``i - size // 2``, the nearest one at
+    either end): ``S_0 = ((0 + p_0) + p_1) + ... + p_(size-1)``, then
+    ``S_l = S_(l-1) + d_l`` with ``d_l = p_(l+size-1) - p_(l-1)``, and
+    ``out_l = S_l / size``.  The sum walks one whole slice at a time and
+    only the kept positions are divided and stored, so a long strided
+    line costs one subtract and one add per step.
+    """
+    n, r = src.shape[axis], size // 2
+    keep = range(stride // 2, n, stride)
+    out = np.empty(src.shape[:axis] + (len(keep),) + src.shape[axis + 1:])
+    x, y = np.moveaxis(src, axis, 0), np.moveaxis(out, axis, 0)
+    # Slices as arrays (0-d on a 1D line), never as numpy scalars.
+    total = np.zeros(x.shape[1:])
+    for i in range(size):
+        total += x[min(max(i - r, 0), n - 1), ...]
+    step = np.empty_like(total)
+    for pos in range(keep[-1] + 1):
+        if pos:
+            np.subtract(x[min(pos + r, n - 1), ...],
+                        x[max(pos - 1 - r, 0), ...], out=step)
+            total += step
+        if pos % stride == stride // 2:
+            np.divide(total, size, out=y[pos // stride, ...])
+    return out
+
+
 def _box_mean_strided(diff2: np.ndarray, size: int, stride: int) -> np.ndarray:
     """``ndimage.uniform_filter(diff2, size, mode="nearest")`` read at the
     centers of the stride-blocks.
 
     ``uniform_filter`` is one ``uniform_filter1d`` pass per axis in axis
-    order (none at ``size == 1``).  A 1D pass treats every line on its own,
-    so each pass keeps only the stride positions that the next pass or the
-    final grid reads (:func:`densereg.geometry.running_mean`): the kept
-    values are the same bits, and the work is 1 + 1/s + 1/s^2 full-volume
-    passes instead of 3.
+    order (none at ``size == 1``, so that axis is only subsampled).  A 1D
+    pass treats every line on its own, so each pass keeps only the stride
+    positions that the next pass or the final grid reads
+    (:func:`_running_mean`): the kept values are the same bits, and the
+    work is 1 + 1/s + 1/s^2 full-volume passes instead of 3.
     """
-    out = diff2
     keep = slice(stride // 2, None, stride)
     for axis in range(3):
-        if size > 1:
-            out = running_mean(out, size, axis, stride=stride)
-        else:
-            out = out[(slice(None),) * axis + (keep,)]
-    return out
+        diff2 = (_running_mean(diff2, size, axis, stride) if size > 1
+                 else diff2[(slice(None),) * axis + (keep,)])
+    return diff2
 
 
 def extract_ssc(vol: Volume3D, patch_radius: int = 1, stride: int = 3,
@@ -139,20 +172,19 @@ def extract_ssc(vol: Volume3D, patch_radius: int = 1, stride: int = 3,
     Values lie in [0, 1]; adding a constant to the image leaves them
     unchanged.
 
-    Only the stride-block centers are kept, so each channel's squared
-    differences are box-filtered and subsampled axis by axis, by a running
-    sum that gives ``ndimage.uniform_filter``'s bits at the kept voxels
-    only, and the normalization and exponential run on the strided grid
-    alone.  The 12 channels are computed on up to ``workers`` threads; the
-    result is the same for any worker count.
+    Only the stride-block centers are computed (:func:`_box_mean_strided`),
+    with an int ``patch_radius >= 0`` and an int ``stride >= 1`` whose
+    first center lies in the volume.  The 12 channels are computed on up
+    to ``workers`` threads; the result is the same for any worker count.
     """
-    if patch_radius < 0 or stride < 1:
-        raise ValueError("patch_radius must be >= 0 and stride >= 1")
+    if not (_is_int(patch_radius) and _is_int(stride)
+            and patch_radius >= 0 and stride >= 1):
+        raise ValueError("patch_radius must be an int >= 0 and stride an int >= 1")
     dims = vol.dims
-    need = 2 * patch_radius + 3
+    need = max(2 * patch_radius + 3, stride // 2 + 1)
     if any(n < need for n in dims):
-        raise ValueError(f"volume dims {dims} too small for patch radius "
-                         f"{patch_radius} (need >= {need} per axis)")
+        raise ValueError(f"volume dims {dims} too small for patch radius {patch_radius}"
+                         f" and stride {stride} (need >= {need} per axis)")
     data = vol.data
     size = 2 * patch_radius + 1
     dists = np.empty((12,) + tuple(len(range(stride // 2, n, stride))

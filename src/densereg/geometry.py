@@ -1,4 +1,4 @@
-"""Volumes, normalized coordinates, interpolation and box means.
+"""Volumes, normalized coordinates and interpolation.
 
 Spatial positions are continuous coordinates in (-1, +1) per axis.  A grid
 with ``n`` cells along an axis places cell centers at ``2*(i+0.5)/n - 1``,
@@ -40,7 +40,6 @@ __all__ = [
     "lerp_axis",
     "lerp_axis_into",
     "sample_separable",
-    "running_mean",
     "sample_points_linear",
     "sample_points_nearest",
     "present_labels",
@@ -261,73 +260,6 @@ def sample_separable(data: np.ndarray, fracs) -> np.ndarray:
     out = data
     for axis, t in enumerate(fracs):
         out = lerp_axis(out, t, axis)
-    return out
-
-
-def running_mean(src: np.ndarray, size: int, axis: int, out=None,
-                 stride: int = 1) -> np.ndarray:
-    """``ndimage.uniform_filter1d(src, size, axis, mode="nearest")`` read
-    at positions ``stride // 2, stride // 2 + stride, ...`` along
-    ``axis``, bit for bit.
-
-    The running sum repeats ndimage's arithmetic on the edge-replicated
-    line ``p`` (``p_i`` is slice ``i - size // 2``, the nearest one at
-    either end): ``S_0 = ((0 + p_0) + p_1) + ... + p_(size-1)``, then
-    ``S_l = S_(l-1) + d_l`` with ``d_l = p_(l+size-1) - p_(l-1)``, and
-    ``out_l = S_l / size``.  Every numpy call takes whole slices, and
-    the sums take as few calls as the case allows:
-
-    * At ``stride`` 1, every ``d_l`` is taken in at most four slab
-      subtractions into ``out``, the sums added up there slice by
-      slice, and all of them divided in one pass.
-    * Otherwise the sum walks one slice at a time, and only the kept
-      positions are divided and stored, so a long strided line costs
-      one subtract and one add per step.
-
-    The sums run in ``out``'s dtype.  ``out`` (a new array when None,
-    float32 for a float32 ``src`` and float64 otherwise) may not overlap
-    ``src``.
-    """
-    n = src.shape[axis]
-    r = size // 2
-    keep = range(stride // 2, n, stride)
-    if out is None:
-        out = np.empty(src.shape[:axis] + (len(keep),) + src.shape[axis + 1:],
-                       np.float32 if src.dtype == np.float32 else np.float64)
-    elif np.may_share_memory(src, out):
-        raise ValueError("running_mean: out overlaps src")
-    if not keep:
-        return out
-    x = np.moveaxis(src, axis, 0)
-    y = np.moveaxis(out, axis, 0)
-    # Slices as arrays (0-d on a 1D line), never as numpy scalars.
-    ys = [y[i, ...] for i in range(len(keep))]
-    total = np.zeros(x.shape[1:], out.dtype)
-    for i in range(size):
-        total += x[min(max(i - r, 0), n - 1), ...]
-    if stride == 1:
-        np.copyto(ys[0], total)
-        # d_l = x[min(l + r, n - 1)] - x[max(l - 1 - r, 0)] for l in
-        # [lo, hi): each bound is either shifted or clamped on a slab.
-        cuts = sorted({1, n} | {c for c in (r + 1, n - r) if 1 < c < n})
-        for lo, hi in zip(cuts, cuts[1:]):
-            new = x[lo + r:hi + r] if hi <= n - r else x[n - 1:]
-            old = x[lo - 1 - r:hi - 1 - r] if lo > r else x[:1]
-            np.subtract(new, old, out=y[lo:hi])
-        for pos in range(1, n):
-            np.add(ys[pos - 1], ys[pos], out=ys[pos])
-        np.divide(out, size, out=out)
-        return out
-    step = np.empty_like(total)
-    k = 0
-    for pos in range(keep[-1] + 1):
-        if pos:
-            np.subtract(x[min(pos + r, n - 1), ...],
-                        x[max(pos - 1 - r, 0), ...], out=step)
-            total += step
-        if pos == keep[k]:
-            np.divide(total, size, out=ys[k])
-            k += 1
     return out
 
 

@@ -3,9 +3,9 @@
 Dice overlap per label present, Jacobian-determinant statistics of a full-resolution
 field (computed on interior voxels in voxel units so values are comparable
 across volume sizes, slab by slab on worker threads), and a report
-container with deterministic text and CSV serializations.  Stage runtimes
-are kept out of both serializations so that two identical runs produce
-identical report bytes; they are written separately.
+container with a deterministic text serialization.  Stage runtimes are
+kept out of it so that two identical runs produce identical report
+bytes; they are written separately.
 """
 
 from dataclasses import dataclass, field as dc_field

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
 from densereg.features import (
     SSC_PAIRS,
+    FeatureVolume,
+    _running_mean,
     extract_intensity_gradient,
     extract_ssc,
 )
-from densereg.geometry import Volume3D, index_to_normalized, running_mean
+from densereg.geometry import Volume3D, index_to_normalized
 from oracles import (naive_gaussian_smooth, naive_ssc, sample_features_at,
                      trilinear_sample)
 
@@ -56,6 +58,19 @@ class TestSSC:
         with pytest.raises(ValueError):
             extract_ssc(Volume3D(np.zeros((4, 9, 9))), patch_radius=1)
 
+    def test_stride_past_the_volume_rejected(self):
+        # Stride 11 keeps voxel 5 first, past the end of a 5-voxel axis,
+        # which would leave a grid with no point to sample.
+        with pytest.raises(ValueError, match="stride 11"):
+            extract_ssc(Volume3D(np.zeros((5, 9, 9))), stride=11)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 2.0}, {"stride": True}, {"stride": 0},
+        {"patch_radius": 1.0}, {"patch_radius": -1}])
+    def test_non_int_or_out_of_range_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="int"):
+            extract_ssc(Volume3D(np.zeros((9, 9, 9))), **kwargs)
+
     def test_stride_grid_geometry(self):
         vol = Volume3D(np.zeros((9, 9, 9)))
         f = extract_ssc(vol, stride=3)
@@ -75,22 +90,23 @@ class TestSSC:
 
 
 class TestRunningMean:
-    """The running sum that replaces ``ndimage.uniform_filter1d`` in SSC
-    and in the regularizer's average pools gives ndimage's bytes at every
-    kept position, on any view of the data: its sliding-sum residues
-    (the tiny negatives ``extract_ssc`` and the regularizer clamp)
-    included.  It never overwrites its input."""
+    """The running sum that replaces ``ndimage.uniform_filter1d`` in SSC's
+    box filter gives ndimage's bytes at every kept position, on any view
+    of the data: its sliding-sum residues (the tiny negatives that
+    ``extract_ssc`` clamps) included.  It leaves its input as it was."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**16), size=st.sampled_from((1, 3, 5, 7)),
            axis=st.integers(0, 2), stride=st.integers(1, 4),
            dims=st.tuples(*[st.integers(1, 17)] * 3),
            layout=st.sampled_from(("contiguous", "transposed", "strided")),
-           in_place=st.booleans(),
            scale=st.sampled_from((1e-300, 1e-6, 1.0, 1e6, 1e300)),
            constant_run=st.booleans())
     def test_equals_uniform_filter1d(self, seed, size, axis, stride, dims,
-                                     layout, in_place, scale, constant_run):
+                                     layout, scale, constant_run):
+        # extract_ssc refuses a stride whose first kept position is off
+        # the volume.
+        assume(stride // 2 < dims[axis])
         rng = np.random.default_rng(seed)
         if layout == "transposed":
             x = rng.normal(size=dims[::-1]).transpose(2, 1, 0)
@@ -107,15 +123,29 @@ class TestRunningMean:
             x[(slice(None),) * axis + (slice(dims[axis] // 2, None),)] = 0.0
         want = ndimage.uniform_filter1d(x, size, axis=axis, mode="nearest")
         want = want[(slice(None),) * axis + (slice(stride // 2, None, stride),)]
-        if in_place:
-            # An output that overlaps the input is refused, whatever the
-            # stride.
-            with pytest.raises(ValueError, match="overlaps"):
-                running_mean(x, size, axis, out=x, stride=stride)
-            return
-        got = running_mean(x, size, axis, stride=stride)
+        before = x.copy()
+        got = _running_mean(x, size, axis, stride)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
+class TestFeatureVolumeFrame:
+    """A feature grid that could not be sampled is refused when made, as
+    :class:`Volume3D` refuses its own bad shapes and spacings."""
+
+    def test_zero_extent_rejected(self):
+        with pytest.raises(ValueError, match="positive extents"):
+            FeatureVolume(np.zeros((12, 0, 1, 1)), (0.0,) * 3, (1.0,) * 3)
+
+    @pytest.mark.parametrize("origin, step", [
+        ((0.0, np.nan, 0.0), (0.5, 0.5, 0.5)),
+        ((-np.inf, 0.0, 0.0), (0.5, 0.5, 0.5)),
+        ((0.0, 0.0, 0.0), (0.5, np.nan, 0.5)),
+        ((0.0, 0.0, 0.0), (0.5, 0.5, np.inf))])
+    def test_non_finite_origin_or_step_rejected(self, origin, step):
+        with pytest.raises(ValueError, match="finite"):
+            FeatureVolume(np.zeros((1, 2, 2, 2)), origin, step)
 
 
 class TestIntensityGradient:
