@@ -8,8 +8,8 @@ exactly its long flags without the dashes, ``--config`` and ``--help``
 aside: a ``--config`` file holds ``key=value`` lines, each value is
 converted as its flag's would be (flags that take no value read a
 boolean), and values given on the command line override the file.  Exit
-codes: 0 success, 1 usage or configuration error, 2 file I/O error, 3
-numerical failure.
+codes: 0 success, 1 usage or configuration error or out of memory, 2
+file I/O error, 3 numerical failure.
 
 ``selftest`` checks the installed program end to end: it generates a
 small phantom, registers it twice through ``register`` and exits 0 only
@@ -349,6 +349,8 @@ def main(argv=None) -> int:
         return _fail(f"numerical failure: {exc}", 3)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc), 1)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", 1)
 
 
 if __name__ == "__main__":

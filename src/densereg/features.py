@@ -102,14 +102,6 @@ def _grid_frame(dims, stride: int):
     return origin, step
 
 
-def _subsample(full: np.ndarray, dims, stride: int):
-    """Keep the center voxel of every stride-block; return data + grid frame."""
-    offset = stride // 2
-    takes = [np.arange(offset, n, stride) for n in dims]
-    sub = full[np.ix_(np.arange(full.shape[0]), *takes)]
-    return (sub,) + _grid_frame(dims, stride)
-
-
 def _running_mean(src: np.ndarray, size: int, axis: int, stride: int) -> np.ndarray:
     """``ndimage.uniform_filter1d(src, size, axis, mode="nearest")`` read
     at positions ``stride // 2, stride // 2 + stride, ...`` (at least the
@@ -231,5 +223,6 @@ def extract_intensity_gradient(vol: Volume3D, smooth_sigma: float = 1.0,
     ch0 = (smooth - smooth.mean()) / std if std > 0 else np.zeros(dims)
     grads = np.gradient(data)
     full = np.stack([ch0] + list(grads), axis=0)
-    sub, origin, step = _subsample(full, dims, stride)
-    return FeatureVolume(sub, origin, step)
+    # Keep the center voxel of every stride-block.
+    keep = slice(stride // 2, None, stride)
+    return FeatureVolume(full[:, keep, keep, keep], *_grid_frame(dims, stride))

@@ -156,8 +156,8 @@ class DisplacementSpace:
 
     def __post_init__(self):
         q = float(self.q)
-        if not (q > 0.0):
-            raise ValueError(f"capture range q must be positive, got {q}")
+        if not (np.isfinite(q) and q > 0.0):
+            raise ValueError(f"capture range q must be finite and > 0, got {q}")
         steps = _three_ints(self.steps, "steps")
         if any(s % 2 == 0 for s in steps):
             raise ValueError(f"steps must be odd per axis, got {steps}")

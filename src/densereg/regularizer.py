@@ -46,19 +46,20 @@ and each pass writes the other one in the same layout, reading the block
 as a stack of matrices with the pooled axis as rows.  A min-convolution
 block holds at most :data:`densereg.parallel.BLOCK_BYTES`: a control
 plane's rows are contiguous in the tensor, and a small block stays in
-cache through its six passes.  A displacement plane's rows are runs of
-``K3`` values, one control point apart, and longer blocks read longer
-runs, so the mean field's two buffers hold up to one control plane plus
-one row block.  Either way a row larger than that is a block of its own.
-Each block reads its rows into scratch before it writes them back, and
-nothing else reads those rows, so :func:`regularize` runs every block
-and the output scale in one working buffer of the tensor's dtype, as
-are the scratch buffers.  A validated tensor's array is read-only, and
-then the buffer is a new one: a caller's tensor is read once and never
-written.  A tensor the pipeline has handed over has a writable array,
-and that array is the buffer, so the smoothing adds no second tensor.
-The blocks take and return plain arrays; :func:`regularize` checks the
-result once, when it wraps it in a :class:`CostTensor6D`.
+cache through its six passes.  A displacement plane's block is read in
+runs of rows x ``S3`` values, one control point apart, and longer
+blocks read longer runs, so the mean field's two buffers hold up to one
+control plane plus one row block.  Either way a row larger than that is
+a block of its own.  Each block reads its rows into scratch before it
+writes them back, and nothing else reads those rows, so
+:func:`regularize` runs every block and the output scale in one working
+buffer of the tensor's dtype, as are the scratch buffers.  A validated
+tensor's array is read-only, and then the buffer is a new one: a
+caller's tensor is read once and never written.  A tensor the pipeline
+has handed over has a writable array, and that array is the buffer, so
+the smoothing adds no second tensor.  The blocks take and return plain
+arrays; :func:`regularize` checks the result once, when it wraps it in a
+:class:`CostTensor6D`.
 """
 
 import functools
@@ -81,7 +82,7 @@ __all__ = [
 ]
 
 # Width of the min-pool and of both average pools over each displacement
-# axis.
+# axis; :func:`_min_pool1d` is written for this width.
 DISP_KERNEL = 3
 
 # Multiply-adds of one matrix product.  OpenBLAS runs a product of
@@ -122,18 +123,11 @@ class RegularizerParams:
             raise ValueError(f"iterations must be an int >= 0, got {self.iterations!r}")
 
 
-def _windows(extents: tuple, kernel: int) -> list:
-    """Pool width on each axis of ``extents``: the odd ``kernel``
-    narrowed to the widest odd window that fits the axis."""
-    return [min(kernel, n - 1 + n % 2) for n in extents]
-
-
-def _min_pool1d(src: np.ndarray, size: int, axis: int,
-                dst: np.ndarray) -> None:
-    """Minimum over a ``size``-wide window (odd, > 1) along ``axis`` with
-    replicate padding, written into ``dst``, which may not overlap
-    ``src``: the running ``np.minimum`` of ``src`` shifted by each offset
-    in the window, clamped to the array."""
+def _min_pool1d(src: np.ndarray, axis: int, dst: np.ndarray) -> None:
+    """Minimum over a 3-wide window along ``axis`` with replicate
+    padding, written into ``dst``, which may not overlap ``src``: the
+    running ``np.minimum`` of ``src`` shifted by +1 and by -1, clamped to
+    the array."""
     head = (slice(None),) * axis
 
     def cut(start, stop):
@@ -142,12 +136,7 @@ def _min_pool1d(src: np.ndarray, size: int, axis: int,
     # Offset +1 goes with the copy of src: one pass instead of two.
     np.minimum(src[cut(None, -1)], src[cut(1, None)], out=dst[cut(None, -1)])
     np.copyto(dst[cut(-1, None)], src[cut(-1, None)])
-    for s in range(1, size // 2 + 1):
-        if s > 1:
-            np.minimum(dst[cut(None, -s)], src[cut(s, None)],
-                       out=dst[cut(None, -s)])
-        np.minimum(dst[cut(s, None)], src[cut(None, -s)],
-                   out=dst[cut(s, None)])
+    np.minimum(dst[cut(1, None)], src[cut(None, -1)], out=dst[cut(1, None)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -180,8 +169,8 @@ def _column_split(n: int, cols: int) -> list:
                                         (products - wider, width)) if count]
 
 
-def _matrix_pool(src: np.ndarray, matrix: np.ndarray, axis: int,
-                 dst: np.ndarray) -> None:
+def _matrix_pool(src: np.ndarray, axis: int, dst: np.ndarray,
+                 matrix: np.ndarray) -> None:
     """``matrix`` applied along ``axis`` of the C-contiguous ``src``,
     written into ``dst`` of the same shape.  ``src`` is read as
     ``(lead, n, cols)``, and one ``np.matmul`` per width of
@@ -205,7 +194,7 @@ def _matrix_pool(src: np.ndarray, matrix: np.ndarray, axis: int,
 
 def _pool_planes(values: np.ndarray, axis: int, perm: tuple, passes: list,
                  budget: int, out: np.ndarray, workers) -> np.ndarray:
-    """Run ``passes``, 1D pools ``pool(src, arg, block_axis, dst)``, on
+    """Run ``passes``, 1D pools ``pool(src, block_axis, dst)``, on
     every plane of ``values`` along ``axis`` on up to ``workers``
     threads, and write the result to ``out`` (a new array when None; may
     be ``values``).
@@ -230,9 +219,9 @@ def _pool_planes(values: np.ndarray, axis: int, perm: tuple, passes: list,
             rows = src[k][head + (blk,)].transpose(perm)
             cur = block_view(bufs[0], rows.shape)
             np.copyto(cur, rows)
-            for pool, a, arg in passes:
+            for pool, a in passes:
                 nxt = block_view(bufs[1], cur.shape)
-                pool(cur, arg, a, nxt)
+                pool(cur, a, nxt)
                 cur = nxt
                 bufs.reverse()
             np.copyto(dst[k][head + (blk,)].transpose(perm), cur)
@@ -246,18 +235,17 @@ def min_convolution(values: np.ndarray, out: np.ndarray = None,
     """Approximate min-convolution over the displacement dimensions of a
     6D cost array: one min-pool followed by two average-pools, spatial
     dimensions untouched.  Evaluated per control plane (axis 0) on up to
-    ``workers`` threads, in blocks of the plane's ``S2`` rows transposed
-    to ``(K1, K2, K3, rows, S3)``.  The two average pools on an axis are
+    ``workers`` threads, in blocks of the plane's ``K2`` rows transposed
+    to ``(S1, S2, S3, rows, K3)``.  The two average pools on an axis are
     one product with the square of its pool matrix.  The result goes to
     ``out`` when given, which may be ``values`` itself.  The output is
     not checked here; :func:`regularize` validates the tensor it builds
     from it."""
     extents = values.shape[3:]
-    size = _windows(extents, DISP_KERNEL)
-    axes = [a for a in range(3) if size[a] > 1]
-    passes = ([(_min_pool1d, a, size[a]) for a in axes]
-              + [(_matrix_pool, a,
-                  _pool_matrix(extents[a], size[a], 2, values.dtype))
+    axes = [a for a in range(3) if extents[a] >= DISP_KERNEL]
+    passes = ([(_min_pool1d, a) for a in axes]
+              + [(functools.partial(_matrix_pool, matrix=_pool_matrix(
+                  extents[a], DISP_KERNEL, 2, values.dtype)), a)
                  for a in axes])
     return _pool_planes(values, 0, (2, 3, 4, 0, 1), passes,
                         2 * parallel.BLOCK_BYTES, out, workers)
@@ -269,14 +257,14 @@ def mean_field_step(values: np.ndarray, spatial_kernel: int,
     ``spatial_kernel``-wide window (narrower on an axis it does not fit),
     one product with the pool matrix per spatial axis, independently per
     displacement bin.  Evaluated per displacement plane (axis 3) on up to
-    ``workers`` threads, in blocks of the plane's ``K2`` rows,
-    ``(S1, S2, S3, rows, K3)``.  The result goes to ``out`` when given,
+    ``workers`` threads, in blocks of the plane's ``S2`` rows,
+    ``(K1, K2, K3, rows, S3)``.  The result goes to ``out`` when given,
     which may be ``values`` itself.  The output is not checked here;
     :func:`regularize` validates the tensor it builds from it."""
     extents = values.shape[:3]
-    size = _windows(extents, spatial_kernel)
-    passes = [(_matrix_pool, a,
-               _pool_matrix(extents[a], size[a], 1, values.dtype))
+    size = [min(spatial_kernel, n - 1 + n % 2) for n in extents]
+    passes = [(functools.partial(_matrix_pool, matrix=_pool_matrix(
+        extents[a], size[a], 1, values.dtype)), a)
               for a in range(3) if size[a] > 1]
     return _pool_planes(values, 3, (0, 1, 2, 3, 4), passes,
                         values[0].nbytes + parallel.BLOCK_BYTES, out, workers)

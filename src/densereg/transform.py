@@ -225,9 +225,9 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     if not (labels_moving.is_label and labels_fixed.is_label):
         raise ValueError("label loss needs label volumes")
     num_classes = int(num_classes)
-    top = max(int(labels_moving.data.max()), int(labels_fixed.data.max()))
-    if top >= num_classes:
-        raise ValueError(f"labels reach {top} but num_classes is {num_classes}")
+    labels = present_labels(labels_moving, labels_fixed)
+    if labels[-1] >= num_classes:
+        raise ValueError(f"labels reach {labels[-1]} but num_classes is {num_classes}")
     counts, p = prob.counts, prob.values
     f_fracs = [normalized_to_index(axis_centers(counts[a]), labels_fixed.dims[a])
                for a in range(3)]
@@ -240,7 +240,6 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
         np.multiply(p[k1, blk], sample(0).transpose(1, 3, 0, 2, 4), out=prod)
         expect[k1, blk] = np.sum(prod, axis=(2, 3, 4), dtype=np.float64)
 
-    labels = present_labels(labels_moving, labels_fixed)
     loss = 0.0
     for cls in labels:
         onehot = (labels_moving.data == cls).astype(np.float64)

@@ -794,8 +794,8 @@ def whole_tensor_regularize(vals, p):
     with no planes, row blocks or scratch buffers: each ``_min_pool1d``
     and each of the library's pool matrices (:func:`matrix_along`) runs
     once over the whole tensor, into a fresh array, in the walker's order
-    and in its layout: ``(K1, K2, K3, S1, S2, S3)`` for the
-    min-convolution and ``(S1, S2, S3, K1, K2, K3)`` for the mean field.
+    and in its layout: ``(S1, S2, S3, K1, K2, K3)`` for the
+    min-convolution and ``(K1, K2, K3, S1, S2, S3)`` for the mean field.
     On this library's pool sizes a BLAS product's bytes do not depend on
     how its columns are split, so this is the reference that the walker
     must reproduce for any block size and worker count; it lies within
@@ -808,9 +808,9 @@ def whole_tensor_regularize(vals, p):
     out = vals
     for _ in range(p.iterations):
         t = np.ascontiguousarray(out.transpose(3, 4, 5, 0, 1, 2))
-        for axis, size in disp:
+        for axis, _ in disp:
             dst = np.empty_like(t)
-            _min_pool1d(t, size, axis, dst)
+            _min_pool1d(t, axis, dst)
             t = dst
         for axis, size in disp:
             t = matrix_along(_pool_matrix(t.shape[axis], size, 2, t.dtype),

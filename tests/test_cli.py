@@ -625,6 +625,23 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_of_memory_is_exit_1(self, phantom_dir, tmp_path, capsys,
+                                     monkeypatch):
+        # A MemoryError from any stage ends in an exit code, not in a
+        # traceback, and leaves no output directory behind.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.0 GiB")
+
+        monkeypatch.setattr(cli, "register_pair", exhausted)
+        rc = main(["register",
+                   "--fixed", str(phantom_dir / "fixed.hdr"),
+                   "--moving", str(phantom_dir / "moving.hdr"),
+                   "--out-dir", str(tmp_path / "out")] + REGISTER_ARGS)
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: out of memory: Unable to allocate 9.0 GiB\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["register", "--fixed", str(tmp_path / "nope.hdr"),
                    "--moving", str(tmp_path / "nope.hdr"),

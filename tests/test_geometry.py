@@ -326,6 +326,13 @@ class TestDisplacementSpace:
         with pytest.raises(ValueError):
             DisplacementSpace(0.4, steps=(15, 14, 15))
 
+    @pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan"),
+                                   0.0, -1.0])
+    def test_requires_finite_positive_capture_range(self, q):
+        # An infinite q would give offsets [-inf, nan, inf].
+        with pytest.raises(ValueError, match="finite and > 0"):
+            DisplacementSpace(q, steps=3)
+
     def test_single_step_axis(self):
         space = DisplacementSpace(0.4, steps=(15, 1, 15))
         assert np.allclose(space.axis_offsets(1), [0.0])

@@ -3,9 +3,9 @@ what ``tools/compare_outputs.py`` says about a file that moved.
 
 ``summarize`` and ``problem`` read result dictionaries of the shape
 ``perfbench/run.py`` prints, so they are checked here without starting a
-benchmark run; ``moved`` reads two files written here.  The scripts are
-loaded from their files; only ``reference_cost``'s ``main`` is run, at
-grid 4.
+benchmark run, and ``location_note`` reads paths alone; ``moved`` reads
+two files written here.  The scripts are loaded from their files; only
+``reference_cost``'s ``main`` is run, at grid 4.
 """
 
 import importlib.util
@@ -100,6 +100,18 @@ class TestProblem:
     def test_run_that_exited_is_reported(self):
         assert bench_pairs.problem({"error": "exit 1: killed"}) \
             == "exit 1: killed"
+
+
+class TestLocationNote:
+    def test_sibling_gets_no_note(self, tmp_path):
+        assert bench_pairs.location_note(tmp_path / "parent",
+                                         tmp_path / "change") is None
+
+    def test_other_directory_gets_a_one_line_note(self, tmp_path):
+        note = bench_pairs.location_note(tmp_path / "elsewhere" / "parent",
+                                         tmp_path / "change")
+        assert note.startswith("note: ") and "not a sibling" in note
+        assert "\n" not in note
 
 
 class TestMoved:

@@ -21,13 +21,15 @@ from densereg.transform import (
     upsample_field,
     warp,
 )
+from densereg.pipeline import _hand_over
 from densereg.refine import field_energy
 from densereg.regularizer import RegularizerParams, mean_field_step
 from hypothesis import example, given, settings, strategies as st
 
 from densereg import parallel
 from oracles import (full_range_label_loss, naive_frac_trilinear,
-                     naive_gradient, offset_grid, whole_volume_warp)
+                     naive_gradient, naive_softmax_rows, offset_grid,
+                     whole_volume_warp)
 
 
 def cost_tensor(steps, values, q=0.4):
@@ -96,6 +98,44 @@ class TestSoftmax:
         pb = softmax_probabilities(cost_tensor(steps, shifted),
                                    temperature)
         assert np.allclose(pa.values, pb.values, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           counts=st.tuples(*[st.integers(1, 3)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           spread=st.sampled_from((1.0, 10.0)),
+           temperature=st.floats(0.05, 50.0),
+           dtype=st.sampled_from((np.float64, np.float32)),
+           handed_over=st.booleans(),
+           workers=st.sampled_from((1, 2)))
+    def test_matches_the_row_oracle(self, seed, counts, steps, spread,
+                                    temperature, dtype, handed_over,
+                                    workers):
+        """Every probability against :func:`naive_softmax_rows`, in
+        float64 on the same costs, for a read-only tensor and a handed-over
+        one, threaded or not.  Float64 agrees to 1e-12 relative.  Float32
+        rounds the scaled cost ``z`` to about ``|z|`` epsilons, which
+        ``exp`` turns into a relative error, so its bound is 8 epsilons
+        times ``1 + T * max cost``, plus the smallest normal float32 for a
+        value that underflows."""
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, spread, size=counts + steps).astype(dtype)
+        want = naive_softmax_rows(vals.astype(np.float64), temperature)
+        t = cost_tensor(steps, vals.copy())
+        if handed_over:
+            _hand_over(t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+            got = softmax_probabilities(t, temperature, workers=workers).values
+        assert got.dtype == dtype
+        if not handed_over:
+            assert t.values.tobytes() == vals.tobytes()
+        if dtype == np.float64:
+            rtol, atol = 1e-12, 0.0
+        else:
+            f32 = np.finfo(np.float32)
+            rtol, atol = 8 * f32.eps * (1.0 + temperature * spread), f32.tiny
+        assert np.all(np.abs(got - want) <= rtol * want + atol)
 
     def test_huge_costs_stay_finite(self):
         vals = np.full((1, 1, 1, 3, 3, 3), 1e12)

@@ -20,6 +20,13 @@ whose result is not ``correct``, and exits 1 on either finding, 0
 otherwise.  ``--out`` writes every run's result and the summary as JSON.
 Each run leaves only what ``perfbench/run.py`` itself writes, under the
 checkout's ``.perfbench/``.
+
+Compare sibling directories, with PARENT beside this checkout.  One
+10-pair run of identical registration code, against a parent clone
+elsewhere, read ref-g16 ``register_s`` 1.722 -> 1.844 s, while two
+sibling copies read 1.468 -> 1.460 s.  That is one run each, so the
+cause is unverified; the tool prints a note when PARENT is not a
+sibling.
 """
 
 import argparse
@@ -58,6 +65,15 @@ def problem(result: dict):
         return (f"not correct: {result.get('failed')} of "
                 f"{result.get('attempted')} jobs failed")
     return None
+
+
+def location_note(parent: Path, root: Path = ROOT):
+    """A one-line note when ``parent`` is not a sibling directory of
+    ``root``, else None."""
+    if parent.parent == root.parent:
+        return None
+    return (f"note: {parent} is not a sibling of {root}; timings of "
+            f"checkouts in different directories may differ")
 
 
 def quartiles(values: list) -> tuple:
@@ -102,6 +118,9 @@ def main(argv=None) -> int:
         parser.error(f"{parent} has no perfbench/run.py")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    note = location_note(parent)
+    if note is not None:
+        print(note, flush=True)
     checkouts = dict(zip(SIDES, (parent, ROOT)))
 
     record, bad = {}, 0
