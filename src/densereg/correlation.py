@@ -8,9 +8,12 @@ semantics); the probabilistic transform negates them inside its softmax.
 The positions x_k + d factorize per axis, so :func:`map_displaced`
 reads an array there in three 1D interpolation passes instead of one
 gather per (k, d) pair, a control plane at a time and each plane in
-cache-sized row blocks.  The label loss reads the moving labels through
-it too.  The passes along axes 0 and 2 run in float64 and are rounded
-to float32 once; the full-size pass along axis 1, and the differences,
+cache-sized row blocks.  It takes the control positions per axis, so a
+caller can walk a sub-grid of points: the label loss reads each label's
+one-hot, cropped to the label's box, at the points whose displaced
+positions reach that box (:func:`densereg.transform.nonlocal_label_loss`).
+The passes along axes 0 and 2 run in float64 and are rounded to float32
+once; the full-size pass along axis 1, and the differences,
 squares and channel sums of the cost, run in float32.  The tensor is
 written completely before it is wrapped in a :class:`CostTensor6D`,
 which takes that array without a copy and makes it read-only.  It is
@@ -85,14 +88,18 @@ class CostTensor6D:
         return self.values.shape[:3]
 
 
-def map_displaced(arrays, to_index, space: DisplacementSpace, block, like,
-                  workers=None) -> None:
+def map_displaced(arrays, to_index, centers, space: DisplacementSpace, block,
+                  like, workers=None) -> None:
     """Sample the 3D ``arrays`` trilinearly, border-clamped, at every
     displaced control position x_k + d.
 
-    ``to_index(axis, coords)`` maps normalized coordinates to the arrays'
-    fractional indices.  For every control plane ``k1`` and block ``blk``
-    of its ``k2`` rows (:func:`densereg.parallel.row_blocks`) this calls
+    ``centers`` holds the control positions along each axis in
+    normalized coordinates: all of a grid's (:func:`axis_centers`), or a
+    run of them.  ``to_index(axis, coords)`` maps normalized coordinates
+    to the arrays' fractional indices.  The control planes and rows
+    below index ``centers``, not a whole grid: for every control plane
+    ``k1`` and block ``blk`` of its ``k2`` rows
+    (:func:`densereg.parallel.row_blocks`) this calls
     ``block(k1, blk, sample, spare)``: ``sample(c)`` returns ``arrays[c]``
     at the block's positions, shaped ``(s1, rows, s2, k3, s3)``, in a
     buffer the next call overwrites; ``spare`` is a C-contiguous scratch
@@ -104,15 +111,15 @@ def map_displaced(arrays, to_index, space: DisplacementSpace, block, like,
     runs in float32 with float32 :func:`~densereg.geometry.lerp_plan`
     weights and copies contiguous rows of ``k3 * s3`` values.  Every
     element goes through the same arithmetic whatever the block size.
-    ``like`` is the array whose first three extents are the control
-    grid; its planes run on up to ``workers`` threads
+    ``like`` is an array whose first three extents are those of
+    ``centers``, and whose planes size the threading: the planes run on
+    up to ``workers`` threads
     (:func:`~densereg.parallel.map_planes`), so ``block`` runs for
     several planes at once.
     """
-    fracs = [to_index(a, np.add.outer(axis_centers(like.shape[a]),
-                                      space.axis_offsets(a)).ravel())
+    fracs = [to_index(a, np.add.outer(centers[a], space.axis_offsets(a)).ravel())
              for a in range(3)]
-    _, k2, k3 = like.shape[:3]
+    k2, k3 = len(centers[1]), len(centers[2])
     s1, s2, s3 = space.steps
     _, height, width = arrays[0].shape
     cols = k3 * s3
@@ -181,8 +188,9 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
         for c, f in enumerate(f_at_k):
             f[k1, blk] = sample(c)[0, :, 0, :, 0]
 
-    map_displaced(fixed.data, fixed.axis_fracs, DisplacementSpace(space.q, 1),
-                  gather, f_at_k[0], workers)
+    centers = [axis_centers(n) for n in counts]
+    map_displaced(fixed.data, fixed.axis_fracs, centers,
+                  DisplacementSpace(space.q, 1), gather, f_at_k[0], workers)
     f_at_k = f_at_k[:, :, :, None, :, None]
 
     def block(k1, blk, sample, spare):
@@ -198,7 +206,8 @@ def dissimilarity_tensor(fixed: FeatureVolume, moving: FeatureVolume,
         spare /= len(f_at_k)
         out[k1, blk] = spare.transpose(1, 3, 0, 2, 4)
 
-    map_displaced(moving.data, moving.axis_fracs, space, block, out, workers)
+    map_displaced(moving.data, moving.axis_fracs, centers, space, block, out,
+                  workers)
     return CostTensor6D(out, space)
 
 

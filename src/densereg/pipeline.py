@@ -132,7 +132,7 @@ def register_pair(fixed: Volume3D, moving: Volume3D,
         _hand_over(cost)
     prob = softmax_probabilities(cost, cfg.reg_params.temperature,
                                  workers=workers)
-    ctrl = expected_displacement(prob)
+    ctrl = expected_displacement(prob, workers=workers)
     timings["transform"] = time.perf_counter() - t0
 
     energies = None

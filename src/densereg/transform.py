@@ -5,7 +5,8 @@ the displacement space with a stabilized softmax; the expected displacement
 under that distribution gives a smooth control-grid field, which is
 trilinearly upsampled to image resolution and used to warp the moving
 volume.  The probabilistic label loss measures label agreement under the
-distribution; it samples the moving labels by ``correlation.map_displaced``.
+distribution; it samples each moving label, cropped to its box, by
+``correlation.map_displaced`` at the control points that can reach it.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -126,23 +127,31 @@ def softmax_probabilities(cost: CostTensor6D, temperature: float,
     return ProbTensor6D(e, cost.space)
 
 
-def expected_displacement(prob: ProbTensor6D) -> DisplacementField:
+def expected_displacement(prob: ProbTensor6D,
+                          workers: int = None) -> DisplacementField:
     """Probability-weighted mean displacement per control point.
 
     Marginalizes the distribution per displacement axis, in float64, and
-    takes the dot product with that axis's offsets.  A component is a
-    convex combination of the offsets up to the rounding of the stored
-    probabilities, which can carry it just past the capture range, so it
-    is clipped to ``[-q, q]``.
+    takes the dot product with that axis's offsets.  The marginals are
+    summed per control plane on up to ``workers`` threads, each with the
+    bytes of a whole-tensor sum.  A component is a convex combination of
+    the offsets up to the rounding of the stored probabilities, which
+    can carry it just past the capture range, so it is clipped to
+    ``[-q, q]``.
     """
     vals = prob.values
     space = prob.space
-    comps = []
-    for a in range(3):
-        reduce_axes = tuple(ax for ax in (3, 4, 5) if ax != a + 3)
-        marginal = vals.sum(axis=reduce_axes, dtype=np.float64)
-        comps.append(np.clip(marginal @ space.axis_offsets(a),
-                             -space.q, space.q))
+    marginals = [np.empty(prob.counts + (s,)) for s in space.steps]
+
+    def plane(k):
+        for a, marginal in enumerate(marginals):
+            marginal[k] = vals[k].sum(
+                axis=tuple(ax for ax in (2, 3, 4) if ax != a + 2),
+                dtype=np.float64)
+
+    map_planes(plane, vals, 0, workers)
+    comps = [np.clip(m @ space.axis_offsets(a), -space.q, space.q)
+             for a, m in enumerate(marginals)]
     return DisplacementField(np.stack(comps, axis=-1))
 
 
@@ -198,6 +207,28 @@ def warp(vol: Volume3D, field: DisplacementField,
     return Volume3D(data, spacing=vol.spacing, is_label=vol.is_label)
 
 
+def _label_crop(data: np.ndarray, cls):
+    """The one-hot of label ``cls`` in ``data``, cut to the label's
+    bounding box plus one voxel on each side (clamped to the volume), as
+    float64, with the box's first and last index per axis and the crop's
+    first index per axis; None when no voxel holds ``cls``.
+
+    Sampled at fractional indices minus the crop's first index, the crop
+    gives the whole one-hot's samples bit for bit: the shift is exact,
+    and a sample outside the box, where the whole one-hot reads +0, reads
+    +0 from the zero margin or from a border the volume shares."""
+    mask = data == cls
+    box = []
+    for a in range(3):
+        hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(3) if b != a)))
+        if not hit.size:
+            return None
+        box.append((int(hit[0]), int(hit[-1])))
+    crop = tuple(slice(max(lo - 1, 0), min(hi + 2, n))
+                 for (lo, hi), n in zip(box, data.shape))
+    return mask[crop].astype(np.float64), box, [c.start for c in crop]
+
+
 def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
                         labels_fixed: Volume3D, num_classes: int,
                         workers: int = None) -> float:
@@ -215,12 +246,23 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     Only labels present in either volume are visited and counted: an
     absent class has all-zero one-hot channels on both sides and adds
     exactly 0, so sparse label IDs change neither the cost nor the value.
-    ``num_classes`` bounds the label values.  The moving samples are
+    ``num_classes`` bounds the label values.
+
+    Each side samples a label's one-hot cut to its bounding box plus a
+    one-voxel margin (:func:`_label_crop`), with the same bits as the
+    whole volume's.  A trilinear sample is non-zero only when one of its
+    corners lies in the box, so the moving side walks only the sub-grid
+    of control points with, on every axis, a displaced position whose
+    clamped fractional index lies in ``(lo - 1, hi + 1)``; every other
+    point's expectation is the +0 of a sum of ``p * 0``.  The cost of a
+    label is in proportion to its sub-grid, and a label absent from the
+    moving volume walks nothing.  The moving samples are
     :func:`~densereg.correlation.map_displaced`'s float32 ones: each is
     multiplied by its probability into float32, and each point's
-    expectation is summed in float64.  The fixed side and the squared
-    differences are float64.  The expectation is evaluated per control
-    plane on up to ``workers`` threads.
+    expectation is summed in float64 over its S1·S2·S3 products in one
+    C-contiguous run, as for the whole grid.  The fixed side and the
+    squared differences are float64.  The expectation is evaluated per
+    control plane of the sub-grid on up to ``workers`` threads.
     """
     if not (labels_moving.is_label and labels_fixed.is_label):
         raise ValueError("label loss needs label volumes")
@@ -228,25 +270,52 @@ def nonlocal_label_loss(prob: ProbTensor6D, labels_moving: Volume3D,
     labels = present_labels(labels_moving, labels_fixed)
     if labels[-1] >= num_classes:
         raise ValueError(f"labels reach {labels[-1]} but num_classes is {num_classes}")
-    counts, p = prob.counts, prob.values
-    f_fracs = [normalized_to_index(axis_centers(counts[a]), labels_fixed.dims[a])
+    counts, p, space = prob.counts, prob.values, prob.space
+    dims = labels_moving.dims
+    centers = [axis_centers(n) for n in counts]
+    # Each point's displaced fractional indices per axis, clamped as the
+    # sampler clamps them.
+    reach = [np.clip(normalized_to_index(np.add.outer(
+        centers[a], space.axis_offsets(a)), dims[a]), 0.0, dims[a] - 1.0)
+        for a in range(3)]
+    f_fracs = [normalized_to_index(centers[a], labels_fixed.dims[a])
                for a in range(3)]
-    expect = np.empty(counts)
 
-    def block(k1, blk, sample, spare):
-        # Same C-contiguous layout, so the same summation order, as the
-        # product of the whole plane.
-        prod = spare.reshape((blk.stop - blk.start,) + p.shape[2:])
-        np.multiply(p[k1, blk], sample(0).transpose(1, 3, 0, 2, 4), out=prod)
-        expect[k1, blk] = np.sum(prod, axis=(2, 3, 4), dtype=np.float64)
+    def expectation(cls):
+        expect = np.zeros(counts)
+        crop = _label_crop(labels_moving.data, cls)
+        if crop is None:
+            return expect
+        onehot, box, start = crop
+        hits = [np.flatnonzero(((t > lo - 1) & (t < hi + 1)).any(axis=1))
+                for t, (lo, hi) in zip(reach, box)]
+        sub = tuple(slice(h[0], h[-1] + 1) if h.size else slice(0) for h in hits)
+        p_sub, e_sub = p[sub], expect[sub]
+        if not e_sub.size:
+            return expect
+
+        def block(k1, blk, sample, spare):
+            # Same C-contiguous layout, so the same summation order, as
+            # the product of the whole plane.
+            prod = spare.reshape((blk.stop - blk.start,) + p_sub.shape[2:])
+            np.multiply(p_sub[k1, blk], sample(0).transpose(1, 3, 0, 2, 4),
+                        out=prod)
+            e_sub[k1, blk] = np.sum(prod, axis=(2, 3, 4), dtype=np.float64)
+
+        map_displaced([onehot], lambda a, x: normalized_to_index(
+            x, dims[a]) - start[a], [c[s] for c, s in zip(centers, sub)],
+            space, block, p_sub, workers)
+        return expect
+
+    def target(cls):
+        crop = _label_crop(labels_fixed.data, cls)
+        if crop is None:
+            return np.zeros(counts)
+        onehot, _, start = crop
+        return sample_separable(onehot, [t - s for t, s in zip(f_fracs, start)])
 
     loss = 0.0
     for cls in labels:
-        onehot = (labels_moving.data == cls).astype(np.float64)
-        map_displaced([onehot], lambda a, x: normalized_to_index(
-            x, labels_moving.dims[a]), prob.space, block, p, workers)
-        target = sample_separable((labels_fixed.data == cls).astype(np.float64),
-                                  f_fracs)
-        diff = expect - target
+        diff = expectation(cls) - target(cls)
         loss += float(np.sum(diff * diff))
-    return loss / (expect.size * len(labels))
+    return loss / (diff.size * len(labels))

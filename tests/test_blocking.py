@@ -22,9 +22,9 @@ from densereg.pipeline import _hand_over
 from densereg.regularizer import RegularizerParams, _min_pool1d, regularize
 from densereg.transform import (ProbTensor6D, nonlocal_label_loss,
                                 softmax_probabilities, warp)
-from oracles import (out_of_place_regularize, planewise_dissimilarity,
-                     planewise_label_loss, whole_tensor_regularize,
-                     whole_volume_warp)
+from oracles import (full_range_label_loss, out_of_place_regularize,
+                     planewise_dissimilarity, planewise_label_loss,
+                     whole_tensor_regularize, whole_volume_warp)
 
 WORKERS = (1, 2, 3)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -71,10 +71,42 @@ def random_features(rng, channels, dims):
     return FeatureVolume(data, origin, step)
 
 
-def random_cost(seed, grid_counts, disp_steps, dtype=np.float64):
+def random_cost(seed, grid_counts, disp_steps, dtype=np.float64, q=0.3):
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 2.0, size=tuple(grid_counts) + tuple(disp_steps))
-    return CostTensor6D(values.astype(dtype), DisplacementSpace(0.3, disp_steps))
+    return CostTensor6D(values.astype(dtype), DisplacementSpace(q, disp_steps))
+
+
+@st.composite
+def boxes(draw, dims):
+    """A box of random extent and position in a volume of ``dims``, as
+    slices; each face of the volume is touched often."""
+    box = []
+    for n in dims:
+        lo = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+        hi = draw(st.one_of(st.just(n - 1), st.integers(lo, n - 1)))
+        box.append(slice(lo, hi + 1))
+    return tuple(box)
+
+
+@st.composite
+def compact_label_pairs(draw):
+    """Moving and fixed label volumes of background 0 and compact labels:
+    labels 1-3 fill part of a drawn box on each side, label 4 is present
+    in the fixed volume only, and label 5 is one voxel of the moving
+    volume."""
+    dims = draw(st.tuples(*[st.integers(1, 8)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    moving, fixed = np.zeros(dims, np.int32), np.zeros(dims, np.int32)
+    for label, sides in ((1, (moving, fixed)), (2, (moving, fixed)),
+                         (3, (moving, fixed)), (4, (fixed,))):
+        for vol in sides:
+            box = draw(boxes(dims))
+            vol[box] = np.where(rng.random(vol[box].shape) < 0.7, label,
+                                vol[box])
+    voxel = tuple(draw(st.integers(0, n - 1)) for n in dims)
+    moving[voxel] = 5
+    return (Volume3D(moving, is_label=True), Volume3D(fixed, is_label=True))
 
 
 def assert_near_ndimage(got, values, params):
@@ -133,6 +165,28 @@ class TestAgainstWholePlaneOracles:
                 rows, grid_counts, disp_steps,
                 lambda w: nonlocal_label_loss(prob, moving, fixed,
                                               int(ids.max()) + 1, workers=w),
+                itemsize=4):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), grid_counts=counts, disp_steps=steps,
+           rows=block_rows, q=st.sampled_from((0.05, 0.3, 0.9)),
+           labels=compact_label_pairs())
+    def test_nonlocal_label_loss_compact_labels(self, seed, grid_counts,
+                                                disp_steps, rows, q, labels):
+        """Labels cropped to their boxes, small capture ranges whose
+        points reach few boxes or none, and boxes on every face: the
+        crop keeps every bit of both oracles."""
+        moving, fixed = labels
+        prob = softmax_probabilities(
+            random_cost(seed, grid_counts, disp_steps, q=q), 3.0, workers=1)
+        want = planewise_label_loss(prob, moving, fixed)
+        assert np.float64(want).tobytes() == np.float64(
+            full_range_label_loss(prob, moving, fixed, 6)).tobytes()
+        for got in for_each_setting(
+                rows, grid_counts, disp_steps,
+                lambda w: nonlocal_label_loss(prob, moving, fixed, 6,
+                                              workers=w),
                 itemsize=4):
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -317,6 +371,21 @@ class TestSamplerScratch:
                                   is_label=True) for _ in range(2))
         _, peak = traced_peak(lambda: nonlocal_label_loss(
             prob, moving, fixed, 3, workers=2))
+        assert peak <= self.SCRATCH_MIB * 2**20
+
+    def test_nonlocal_label_loss_compact_labels(self):
+        """Labels 1-6 on six of the 27 blocks of a 64³ volume cut in
+        thirds per axis: each label's crop and sub-grid are a part of the
+        whole."""
+        prob = ProbTensor6D(np.full(self.counts + self.space.steps,
+                                    1.0 / self.space.num_offsets, np.float32),
+                            self.space)
+        third = np.arange(64) // 22
+        block = third[:, None, None] * 9 + third[:, None] * 3 + third
+        moving = Volume3D(np.where(block < 6, block + 1, 0), is_label=True)
+        fixed = Volume3D(np.roll(moving.data, 3, axis=0), is_label=True)
+        _, peak = traced_peak(lambda: nonlocal_label_loss(
+            prob, moving, fixed, 7, workers=2))
         assert peak <= self.SCRATCH_MIB * 2**20
 
 

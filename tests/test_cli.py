@@ -796,8 +796,9 @@ class TestSelftest:
 
     def test_zero_field_fails_the_dice_check(self, monkeypatch, capsys):
         # A registration that does not move the labels cannot raise Dice.
-        monkeypatch.setattr(pipeline, "expected_displacement", lambda prob:
-                            DisplacementField(np.zeros(prob.counts + (3,))))
+        monkeypatch.setattr(pipeline, "expected_displacement",
+                            lambda prob, workers=None: DisplacementField(
+                                np.zeros(prob.counts + (3,))))
         assert main(["selftest"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]
@@ -809,9 +810,9 @@ class TestSelftest:
         calls = []
         real = pipeline.expected_displacement
 
-        def drifting(prob):
+        def drifting(prob, workers=None):
             calls.append(prob)
-            field = real(prob)
+            field = real(prob, workers)
             return DisplacementField(field.vectors + 1e-6 * (len(calls) - 1))
 
         monkeypatch.setattr(pipeline, "expected_displacement", drifting)

@@ -188,9 +188,42 @@ class TestMapDisplaced:
                 mp.setattr(parallel, "BLOCK_BYTES", max(
                     1, rows * 4 * k3 * s1 * s2 * s3))
             map_displaced(list(data), lambda a, x: normalized_to_index(
-                x, dims[a]), space, block, like, workers)
+                x, dims[a]), [axis_centers(n) for n in grid_counts], space,
+                block, like, workers)
         assert sorted(visits) == [(k1, r) for k1 in range(k1s)
                                   for r in range(k2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.tuples(*[st.integers(1, 7)] * 3),
+           grid_counts=st.tuples(*[st.integers(1, 5)] * 3),
+           disp_steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           data=st.data())
+    def test_a_run_of_centers_samples_those_points(
+            self, seed, dims, grid_counts, disp_steps, data):
+        """Walking a run of each axis's control positions gives the
+        bytes the whole grid's walk gives at those points."""
+        values = np.random.default_rng(seed).normal(size=dims)
+        space = DisplacementSpace(0.3, disp_steps)
+        runs = []
+        for n in grid_counts:
+            lo = data.draw(st.integers(0, n - 1))
+            runs.append(slice(lo, data.draw(st.integers(lo + 1, n))))
+
+        def walk(centers):
+            out = np.empty([len(c) for c in centers] + list(disp_steps),
+                           np.float32)
+
+            def block(k1, blk, sample, spare):
+                out[k1, blk] = sample(0).transpose(1, 3, 0, 2, 4)
+
+            map_displaced([values], lambda a, x: normalized_to_index(
+                x, dims[a]), centers, space, block, out)
+            return out
+
+        whole = walk([axis_centers(n) for n in grid_counts])
+        part = walk([axis_centers(n)[r] for n, r in zip(grid_counts, runs)])
+        assert part.tobytes() == whole[tuple(runs)].tobytes()
 
     # map_displaced's float32 samples against sample_separable's float64
     # ones: their largest difference in float32 epsilons of max|data|.
@@ -229,7 +262,8 @@ class TestMapDisplaced:
             errors.append(np.abs(got - want.reshape(got.shape)).max())
 
         map_displaced([data], lambda a, x: normalized_to_index(x, dims[a]),
-                      space, block, np.empty(grid_counts))
+                      [axis_centers(n) for n in grid_counts], space, block,
+                      np.empty(grid_counts))
         assert max(errors) <= bound
 
 

@@ -156,3 +156,9 @@ class TestReferenceCost:
         keys = [line.partition("=")[0] for line in lines[1:]]
         assert keys[-2:] == ["wall_s", "peak_rss_mib"]
         assert {"correlation", "regularization", "total"} <= set(keys)
+
+    def test_passes_organs_to_the_phantom(self, capsys):
+        assert reference_cost.main(["--grid", "4", "--organs", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "densereg register --grid 4 --steps 15 --q 0.4 on a 64^3 "
+            "phantom with --organs 2: exit 0")

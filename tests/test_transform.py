@@ -26,10 +26,10 @@ from densereg.refine import field_energy
 from densereg.regularizer import RegularizerParams, mean_field_step
 from hypothesis import example, given, settings, strategies as st
 
-from densereg import parallel
+from densereg import parallel, transform
 from oracles import (full_range_label_loss, naive_frac_trilinear,
                      naive_gradient, naive_softmax_rows, offset_grid,
-                     whole_volume_warp)
+                     planewise_label_loss, whole_volume_warp)
 
 
 def cost_tensor(steps, values, q=0.4):
@@ -232,6 +232,31 @@ class TestExpectedDisplacement:
         space = DisplacementSpace(q, steps)
         phi = expected_displacement(ProbTensor6D(vals, space))
         assert np.all(np.abs(phi.vectors) <= q * (1 + 1e-12))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.tuples(*[st.integers(1, 4)] * 3),
+           steps=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+           dtype=st.sampled_from((np.float64, np.float32)))
+    def test_planewise_marginals_match_whole_tensor_sums(self, seed, counts,
+                                                         steps, dtype):
+        """The marginals summed per control plane, on any number of
+        workers, give the field of marginals summed over the whole
+        tensor, bit for bit."""
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, 1.0, size=counts + steps)
+        vals = (vals / vals.sum(axis=(3, 4, 5), keepdims=True)).astype(dtype)
+        space = DisplacementSpace(0.4, steps)
+        want = np.stack([np.clip(
+            vals.sum(axis=tuple(ax for ax in (3, 4, 5) if ax != a + 3),
+                     dtype=np.float64) @ space.axis_offsets(a),
+            -space.q, space.q) for a in range(3)], axis=-1)
+        prob = ProbTensor6D(vals, space)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "MIN_THREADED_PLANE_BYTES", 0)
+            for workers in (1, 2, 3):
+                got = expected_displacement(prob, workers=workers).vectors
+                assert got.tobytes() == want.tobytes()
 
 
 class TestUpsampleField:
@@ -514,6 +539,57 @@ class TestNonlocalLabelLoss:
         dense_m = Volume3D(np.searchsorted(ids, moving), is_label=True)
         dense_f = Volume3D(np.searchsorted(ids, fixed), is_label=True)
         assert loss == nonlocal_label_loss(prob, dense_m, dense_f, 6)
+
+    def walked_grids(self, monkeypatch, prob, moving, fixed, num_classes):
+        """The loss, and the extents of the control grid each label's
+        walk covers."""
+        grids = []
+        walk = transform.map_displaced
+
+        def spy(arrays, to_index, centers, *rest):
+            grids.append(tuple(len(c) for c in centers))
+            return walk(arrays, to_index, centers, *rest)
+
+        monkeypatch.setattr(transform, "map_displaced", spy)
+        return (nonlocal_label_loss(prob, moving, fixed, num_classes),
+                grids)
+
+    def test_walks_only_the_points_that_reach_each_label(self, monkeypatch):
+        # Label 1 fills voxels 0-1 on every axis of an 8³ volume; the
+        # displaced positions reach +-0.2 voxels around the control
+        # points at 0.5, 2.5, 4.5 and 6.5, so only the first point on
+        # each axis has a sample with a corner in the box.  Label 2 is
+        # present in the fixed volume only and walks nothing.
+        moving = np.zeros((8, 8, 8), np.int32)
+        moving[:2, :2, :2] = 1
+        fixed = np.roll(moving, 1, axis=1)
+        fixed[7, 7, 7] = 2
+        space = DisplacementSpace(0.05, (3, 3, 3))
+        rng = np.random.default_rng(94)
+        vals = rng.uniform(0.5, 1.0, size=(4, 4, 4) + space.steps)
+        prob = ProbTensor6D(vals / vals.sum(axis=(3, 4, 5), keepdims=True),
+                            space)
+        lm, lf = Volume3D(moving, is_label=True), Volume3D(fixed, is_label=True)
+        loss, grids = self.walked_grids(monkeypatch, prob, lm, lf, 3)
+        assert grids == [(4, 4, 4), (1, 1, 1)]
+        assert loss == planewise_label_loss(prob, lm, lf)
+        assert loss == full_range_label_loss(prob, lm, lf, 3)
+
+    def test_label_no_point_reaches_walks_nothing(self, monkeypatch):
+        # A box at voxels 3-4 of every axis: the positions of the two
+        # control points per axis, 1.5 +- 0.2 and 5.5 +- 0.2, have no
+        # corner in it, so each point's expectation is the +0 of a sum of
+        # p * 0, and the loss is the mean of the squared fixed samples.
+        moving = np.zeros((8, 8, 8), np.int32)
+        moving[3:5, 3:5, 3:5] = 1
+        space = DisplacementSpace(0.05, (3, 3, 3))
+        vals = np.full((2, 2, 2) + space.steps, 1.0 / 27.0)
+        prob = ProbTensor6D(vals, space)
+        lm = lf = Volume3D(moving, is_label=True)
+        loss, grids = self.walked_grids(monkeypatch, prob, lm, lf, 2)
+        assert grids == [(2, 2, 2)]
+        assert loss > 0.0
+        assert loss == planewise_label_loss(prob, lm, lf)
 
     def test_class_count_mismatch_rejected(self):
         n = 6
